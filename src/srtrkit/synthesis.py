@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.signal
 
 from .errors import (
     DimensionError,
@@ -493,5 +492,7 @@ def assign_stable_spectrum(A22, A12, poles) -> np.ndarray:
     q = A22.shape[0]
     if q == 0:
         return np.zeros((0, A12.shape[0]))
+    import scipy.signal  # deferred: it and scipy.stats take most of import time
+
     placed = scipy.signal.place_poles(A22.T, A12.T, np.sort(np.asarray(poles)))
     return -placed.gain_matrix.T

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from helpers import random_pair
 from srtrkit import fixtures
-from srtrkit.errors import AlgebraicLoopError, PreconditionError
+from srtrkit.errors import AlgebraicLoopError, DimensionError, PreconditionError
 from srtrkit.loop import (
     ClosedLoopModel,
     RowImplementation,
+    Trajectory,
     assemble_closed_loop,
     check_internal_stability,
     kd_from_srtr,
@@ -16,6 +17,9 @@ from srtrkit.loop import (
     unstable_pole_count,
 )
 from srtrkit.systems import StateSpaceSystem, eval_tfm
+
+# overflow on the divergence path must stay inside simulate
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def ring_rows(orders=1):
@@ -182,6 +186,14 @@ def test_simulate_discrete_iteration():
     traj = simulate(cl, x0=x0, horizon=10)
     ref = np.linalg.matrix_power(cl.Acl, 10) @ x0
     assert np.allclose(traj.x[-1], ref, atol=1e-10)
+    # driven: x_{k+1} = Acl x_k + B_w w(k) + B_du du(k)
+    w = lambda t: np.sin(t)
+    du = lambda t: 0.1 * t
+    traj = simulate(cl, signals={"w": w, "du": du}, x0=x0, horizon=10)
+    x = x0
+    for k in range(10):
+        x = cl.Acl @ x + cl.B_w @ [w(k)] + cl.B_du @ [du(k)]
+    assert np.allclose(traj.x[-1], x, atol=1e-10)
 
 
 def test_simulate_signal_algebra():
@@ -191,6 +203,44 @@ def test_simulate_signal_algebra():
     traj = simulate(cl, signals={"r": r}, horizon=0.05, dt=1e-3)
     assert np.allclose(traj.z, traj.r + traj.y, atol=1e-12)
     assert np.allclose(traj.v, traj.u + traj.w, atol=1e-12)
+
+
+def test_simulate_driven_matches_exosystem_exponential():
+    # each channel is amp * sin(omega t + phi); the generator state
+    # (sin, cos) of every channel joins the loop, and expm of the augmented
+    # matrix is the exact driven response
+    plant = fixtures.ring6_plant()
+    cl = assemble_closed_loop(plant, ring_rows())
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=cl.n)
+    signals, feed, gens, e0 = {}, [], [], []
+    for name, B in (("r", cl.B_r), ("w", cl.B_w), ("zeta", cl.B_zeta), ("du", cl.B_du)):
+        amp = rng.normal(size=B.shape[1])
+        om, ph = rng.uniform(0.5, 4.0), rng.uniform(0.0, 2 * np.pi)
+        signals[name] = lambda t, a=amp, om=om, ph=ph: a * np.sin(om * t + ph)
+        feed.append(np.column_stack([B @ amp, np.zeros(cl.n)]))
+        gens.append(np.array([[0.0, om], [-om, 0.0]]))
+        e0 += [np.sin(ph), np.cos(ph)]
+    S = block_diag(*gens)
+    aug = np.block([[cl.Acl, np.hstack(feed)], [np.zeros((S.shape[0], cl.n)), S]])
+    z0 = np.concatenate([x0, e0])
+    traj = simulate(cl, signals=signals, x0=x0, horizon=3.0, dt=1e-3)
+    assert not traj.diverged
+    for k in (1, 250, 1000, 3000):
+        exact = (expm(traj.t[k] * aug) @ z0)[: cl.n]
+        assert np.linalg.norm(traj.x[k] - exact) <= 1e-9 * np.linalg.norm(exact)
+        assert np.array_equal(traj.r[k], signals["r"](traj.t[k]))
+
+
+def test_simulate_signal_shapes():
+    plant = fixtures.ring6_plant()
+    cl = assemble_closed_loop(plant, ring_rows())
+    traj = simulate(cl, signals={"w": lambda t: 0.5}, horizon=0.01, dt=1e-3)
+    assert traj.w.shape == (11, cl.p)
+    assert np.all(traj.w == 0.5)
+    assert np.all(traj.r == 0.0)
+    with pytest.raises(DimensionError):
+        simulate(cl, signals={"r": lambda t: np.ones(cl.m + 1)}, horizon=0.01, dt=1e-3)
 
 
 def test_simulate_flags_divergence():
@@ -211,6 +261,10 @@ def test_simulate_flags_divergence():
     traj = simulate(cl, x0=np.array([1.0]), horizon=20.0, dt=1e-2)
     assert traj.diverged
     assert traj.t[-1] < 20.0
+    # a horizon long enough to overflow ends the record at the same point
+    long = simulate(cl, x0=np.array([1.0]), horizon=200.0, dt=1e-2)
+    assert long.diverged
+    assert np.array_equal(long.x, traj.x)
 
 
 def test_csv_layout():
@@ -231,3 +285,22 @@ def test_csv_layout():
         offset += dim
     assert len(header) == offset
     assert len(lines) == 1 + len(traj.t)
+
+
+def test_csv_values_match_format_spec():
+    # more rows than one formatting block, with the awkward values spread in
+    rng = np.random.default_rng(9)
+    rows = 1100
+    awkward = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 1 / 3]
+    cols = {k: rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-20, 20, size=(rows, 2))
+            for k in ("x", "r", "w", "zeta", "du", "u", "y", "z", "v")}
+    for i, val in enumerate(awkward):
+        cols["x"][(i * 157) % rows, i % 2] = val
+        cols["v"][rows - 1 - i, 0] = val
+    t = np.arange(rows) * 1e-3
+    traj = Trajectory(t=t, **cols)
+    data = np.hstack([t[:, None]] + list(cols.values()))
+    want = [",".join(f"{val:.12g}" for val in row) + "\n" for row in data]
+    got = traj.to_csv().splitlines(keepends=True)[1:]
+    assert len(got) == rows
+    assert [i for i in range(rows) if got[i] != want[i]] == []

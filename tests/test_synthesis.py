@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_pair, random_partitioned, stable_targets, structured_pair
+import srtrkit
 from srtrkit import fixtures
 from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
 from srtrkit.rational import realization_entry_numerators
@@ -252,6 +257,17 @@ def test_assign_stable_spectrum_places_poles(p, q, seed):
 def test_assign_stable_spectrum_q_zero():
     K = assign_stable_spectrum(np.zeros((0, 0)), np.zeros((2, 0)), np.zeros(0))
     assert K.shape == (0, 2)
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal, with the scipy.stats it pulls in, would double the start-up
+    # time of every CLI command; only assign_stable_spectrum imports it
+    code = "import sys, srtrkit; sys.exit(2 if 'scipy.signal' in sys.modules else 0)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srtrkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr or "import srtrkit loaded scipy.signal"
 
 
 def test_solver_seed_determinism():
