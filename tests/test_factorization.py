@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 from scipy.signal import place_poles
 
 from helpers import random_pair, random_theta
@@ -25,7 +28,13 @@ from srtrkit.factorization import (
     verify_lcf,
 )
 from srtrkit.linalg import eigenvalues, is_stable_spectrum
-from srtrkit.systems import PartitionedRealization, StateSpaceSystem, eval_tfm
+from srtrkit.synthesis import assign_stable_spectrum
+from srtrkit.systems import (
+    PartitionedRealization,
+    StateSpaceSystem,
+    eval_tfm,
+    is_minimal,
+)
 
 
 def ring_theta():
@@ -258,3 +267,86 @@ def test_eval_mn_matches_state_space():
     lam = 0.3 + 0.9j
     stacked = np.hstack(lcf.eval_mn(lam))
     assert np.allclose(stacked, eval_tfm(lcf.mn_system(), lam), atol=1e-10)
+
+
+def _kontroller_plant(rng, p, domain="continuous"):
+    """Minimal plant with n = 2p states, p outputs and p inputs, an output
+    injection F placing eig(A + F C) at distinct stable points, and an
+    orthogonal U. Discrete plants are the continuous ones sampled at
+    dt = 0.3 through expm."""
+    n, dt = 2 * p, 0.3
+    while True:
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        B = rng.normal(size=(n, p))
+        C = rng.normal(size=(p, n))
+        poles = -np.linspace(0.5, 3.0, n) - rng.uniform(0.0, 0.1)
+        if domain == "discrete":
+            A, B, poles = expm(A * dt), B * dt, np.exp(poles * dt)
+        sys = StateSpaceSystem(A, B, C, np.zeros((p, p)), domain)
+        if not is_minimal(sys):
+            continue
+        F = assign_stable_spectrum(A, C, poles)
+        if np.linalg.norm(F, 2) <= 50.0:
+            U = np.linalg.qr(rng.normal(size=(p, p)))[0]
+            return sys, F, U
+
+
+def _exhaustive_subspace_cond(lcf):
+    """Oracle: the smallest cond(V1) over every conjugate-closed p-subset of
+    the stable eigenvalues of [[A11+F1, -A12], [-(A21+F2), A22]], where V1
+    is the top p rows of the orthonormalized real basis of the subset's
+    invariant subspace."""
+    b, p = lcf.blocks, lcf.p
+    H = np.block([[b.A11 + lcf.F1, -b.A12], [-(b.A21 + lcf.F2), b.A22]])
+    w, V = np.linalg.eig(H)
+    stable = np.abs(w) < 1.0 if lcf.domain == "discrete" else w.real < 0.0
+    groups = []
+    for i in np.flatnonzero(stable & (w.imag >= 0.0)):
+        v = V[:, i]
+        groups.append([v.real] if w[i].imag == 0.0 else [v.real, v.imag])
+    best = np.inf
+    for r in range(1, p + 1):
+        for sel in combinations(groups, r):
+            cols = [c for g in sel for c in g]
+            if len(cols) == p:
+                Q = np.linalg.qr(np.column_stack(cols))[0]
+                best = min(best, np.linalg.cond(Q[:p]))
+    return best
+
+
+def _check_plant_solve(sys, F, U, oracle=True):
+    p = sys.n_outputs
+    lcf = to_kontroller_form(sys, F, U)
+    sol = solve_ctnare(lcf)
+    scale = 1.0 + np.linalg.norm(lcf.blocks.A)
+    assert riccati_residual(lcf, sol.K) <= 1e-12 * scale * (1.0 + np.linalg.norm(sol.K)) ** 2
+    assert is_stable_spectrum(
+        lcf.blocks.A11 + lcf.F1 - lcf.blocks.A12 @ sol.K, sys.domain
+    )
+    if oracle:
+        assert sol.subspace_cond <= 2.0 * _exhaustive_subspace_cond(lcf)
+    back = srtr_from_lcf(lcf, sol)
+    for lam in (0.6 + 1.1j, 2.0 + 0.3j, -0.1 + 2.5j):
+        if sys.domain == "discrete":
+            lam = 1.5 * lam / abs(lam)
+        G = eval_tfm(sys, lam)
+        assert np.allclose(back.response(lam), G, atol=1e-8 * (1 + np.linalg.norm(G)))
+    return sol
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_ctnare_kontroller_plants(p):
+    # Plants through to_kontroller_form give a nontrivial Riccati equation:
+    # K = 0 does not solve it, unlike every factorization from lcf_from_srtr.
+    rng = np.random.default_rng(600 + p)
+    for _ in range(2):
+        sys, F, U = _kontroller_plant(rng, p)
+        sol = _check_plant_solve(sys, F, U)
+        assert np.linalg.norm(sol.K) > 1e-3
+
+
+def test_ctnare_kontroller_plant_discrete():
+    rng = np.random.default_rng(613)
+    sys, F, U = _kontroller_plant(rng, 4, "discrete")
+    sol = _check_plant_solve(sys, F, U)
+    assert np.all(np.abs(sol.closed_spectrum) < 1.0)
