@@ -7,7 +7,6 @@ algebraic Riccati equation built from the factor data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -262,41 +261,45 @@ def _hamiltonian_like(lcf: LcfOverS) -> np.ndarray:
     return np.block([[Ap11, -A12], [-Ap21, A22]])
 
 
-def _conjugate_groups(w: np.ndarray, tol: float) -> list[list[int]]:
-    """Indices of eigenvalues grouped so complex conjugate partners stay
-    together; groups have size 1 (real) or 2 (pair)."""
-    groups: list[list[int]] = []
-    used = np.zeros(w.size, dtype=bool)
-    for i in range(w.size):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(w[i].imag) <= tol:
-            groups.append([i])
-            continue
-        partner = None
-        for j in range(i + 1, w.size):
-            if not used[j] and abs(w[j] - np.conj(w[i])) <= tol:
-                partner = j
-                break
-        if partner is None:
-            groups.append([i])
-        else:
-            used[partner] = True
-            groups.append([i, partner])
-    return groups
+def _reachable(count: int, singles: int, pairs: int) -> bool:
+    """Whether ``count`` columns (never a negative count) can be made of
+    whole groups taken from ``singles`` one-column and ``pairs`` two-column
+    groups."""
+    used = max(0, count - 2 * pairs)
+    used += (used - count) % 2
+    return used <= min(singles, count)
 
 
-def _real_basis(w: np.ndarray, V: np.ndarray, group_sel: list[list[int]]) -> np.ndarray:
-    cols = []
-    for g in group_sel:
-        if len(g) == 1 and abs(w[g[0]].imag) <= 1e-9 * (1 + abs(w[g[0]])):
-            cols.append(np.real(V[:, g[0]]))
-        else:
-            v = V[:, g[0]]
-            cols.append(np.real(v))
-            cols.append(np.imag(v))
-    return np.column_stack(cols)
+def _greedy_groups(blocks: list[np.ndarray], p: int) -> list[int] | None:
+    """Indices of column groups chosen one at a time, each the one whose
+    addition maximizes the volume (sum of log singular values) of the top p
+    rows of the orthonormalized basis; a group is skipped when the columns
+    still needed could no longer be met by the others. None when no set of
+    groups has exactly p columns."""
+    if not blocks:
+        return None
+    chosen: list[int] = []
+    Q = np.zeros((blocks[0].shape[0], 0))
+    while Q.shape[1] < p:
+        left = [j for j in range(len(blocks)) if j not in chosen]
+        singles = sum(blocks[j].shape[1] == 1 for j in left)
+        pairs = len(left) - singles
+        best = None
+        for j in left:
+            width = blocks[j].shape[1]
+            need = p - Q.shape[1] - width
+            if not _reachable(need, singles - (width == 1), pairs - (width == 2)):
+                continue
+            Qj = np.linalg.qr(np.hstack([Q, blocks[j]]))[0]
+            with np.errstate(divide="ignore"):
+                score = float(np.sum(np.log(np.linalg.svd(Qj[:p], compute_uv=False))))
+            if best is None or score > best[0]:
+                best = (score, j, Qj)
+        if best is None:
+            return None
+        chosen.append(best[1])
+        Q = best[2]
+    return chosen
 
 
 def _candidate_from_basis(
@@ -326,43 +329,18 @@ def _candidate_from_basis(
     )
 
 
-def _schur_candidates(lcf: LcfOverS, Aplus: np.ndarray) -> list[RiccatiSolution]:
-    """Fallback for defective spectra: ordered real Schur forms whose leading
-    p columns span an invariant subspace."""
-    p = lcf.p
-    w = eigenvalues(Aplus)
-    key = (lambda z: z.real) if lcf.domain == "continuous" else (lambda z: abs(z))
-    vals = sorted(key(z) for z in w)
-    cuts = []
-    for i in range(len(vals) - 1):
-        cuts.append(0.5 * (vals[i] + vals[i + 1]))
-    cuts += [vals[0] - 1.0, vals[-1] + 1.0]
-    out = []
-    for cut in cuts:
-        def sel(wr, wi, _cut=cut):
-            z = complex(wr, wi) if np.isscalar(wr) else wr + 1j * wi
-            return key(z) < _cut
-        try:
-            T, Z, sdim = scipy.linalg.schur(Aplus, output="real", sort=sel)
-        except Exception:
-            continue
-        if sdim != p:
-            continue
-        subset = np.array(sorted(w, key=key)[:p])
-        cand, _ = _candidate_from_basis(lcf, Z[:, :p], subset)
-        if cand is not None:
-            out.append(cand)
-    return out
-
-
 def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
     """Right-stabilizing Riccati solution from a p-dimensional invariant
     subspace of the sign-flipped pole matrix.
 
-    All conjugate-closed p-element eigenvalue subsets are tried; among those
-    whose top block V1 is invertible and whose closed spectrum lands in the
-    stability region, the best-conditioned V1 wins, with smaller ||K|| as the
-    tie-break. Defective spectra fall back to ordered Schur bases.
+    Only eigenvalues in the stability region can give a stabilizing K, and
+    a conjugate pair must be taken whole. Among those, the subspace is
+    picked greedily, in the manner of a rank-revealing column choice: add
+    the eigenvalue (or pair) whose real eigenvector columns most enlarge the
+    volume of the top p rows V1 of the orthonormalized basis, until p
+    columns are chosen. The basis itself then comes from one real Schur
+    form ordered to put the chosen eigenvalues first, which stays accurate
+    on near-defective spectra. The cost is polynomial in p.
     """
     p, q = lcf.p, lcf.q
     if tol is None:
@@ -381,33 +359,43 @@ def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
         )
     Aplus = _hamiltonian_like(lcf)
     w, V = np.linalg.eig(Aplus)
-    scale = 1.0 + float(np.max(np.abs(w)))
-    groups = _conjugate_groups(w, 1e-9 * scale)
-    candidates: list[RiccatiSolution] = []
-    best_cond = np.inf
-    eig_cond = np.linalg.cond(V)
-    if np.isfinite(eig_cond) and eig_cond < 1e8:
-        for r in range(len(groups) + 1):
-            for sel in combinations(groups, r):
-                if sum(len(g) for g in sel) != p:
-                    continue
-                basis = _real_basis(w, V, list(sel))
-                subset = np.array([w[i] for g in sel for i in g])
-                cand, cond1 = _candidate_from_basis(lcf, basis, subset)
-                best_cond = min(best_cond, cond1)
-                if cand is not None:
-                    candidates.append(cand)
-    if not candidates:
-        candidates = _schur_candidates(lcf, Aplus)
-    if not candidates:
+    # a real matrix has real eigenvalues and exact conjugate pairs: keep one
+    # of each pair, as the real and imaginary parts of its eigenvector
+    upper = np.flatnonzero(w.imag >= 0.0)
+    stable = [i for i in upper if in_stability_region(w[i], lcf.domain)]
+    blocks = [
+        np.column_stack([V[:, i].real] + ([V[:, i].imag] if w[i].imag else []))
+        for i in stable
+    ]
+    picked = _greedy_groups(blocks, p)
+    if picked is None:
+        raise NoSolutionError(
+            f"fewer than {p} eigenvalues in the stability region can form a "
+            f"conjugate-closed set"
+        )
+    chosen = w[[stable[j] for j in picked]]
+    others = np.setdiff1d(w[upper], chosen)
+
+    def first(wr, wi):
+        # each Schur eigenvalue is matched to the nearest eig() eigenvalue
+        z = complex(wr, abs(wi))
+        return np.min(np.abs(chosen - z)) < np.min(np.abs(others - z), initial=np.inf)
+
+    try:
+        _, Z, sdim = scipy.linalg.schur(Aplus, output="real", sort=first)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"ordered Schur form failed: {exc}") from exc
+    if sdim != p:
+        raise NumericalFailureError(
+            f"ordered Schur form put {sdim} eigenvalues first, expected {p}"
+        )
+    subset = np.concatenate([[z] if z.imag == 0.0 else [z, np.conj(z)] for z in chosen])
+    best, cond1 = _candidate_from_basis(lcf, Z[:, :p], subset)
+    if best is None:
         raise NoSolutionError(
             "no invariant subspace gave an invertible, stabilizing V1",
-            best_cond=None if not np.isfinite(best_cond) else best_cond,
+            best_cond=cond1 if np.isfinite(cond1) else None,
         )
-    candidates.sort(
-        key=lambda c: (c.subspace_cond, float(np.linalg.norm(c.K)))
-    )
-    best = candidates[0]
     if best.residual_norm > tol:
         raise NumericalFailureError(
             f"Riccati residual {best.residual_norm:.3e} above tolerance {tol:.3e}"

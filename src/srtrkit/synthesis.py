@@ -193,9 +193,9 @@ def _ring_homogeneous_candidates(
     pinned down by one scalar: K(alpha) = (alpha I - A22) A12^{-1}."""
     q = base.q
     if q == 0 or base.p != q:
-        return None
+        return []
     if np.linalg.matrix_rank(base.A12) < q:
-        return None
+        return []
     A12inv = np.linalg.inv(base.A12)
 
     def gain(alpha: float) -> np.ndarray:
@@ -221,8 +221,7 @@ def _ring_homogeneous_candidates(
         method="bounded",
         options={"xatol": 1e-10},
     )
-    cands = [gain(best_alpha), gain(float(res.x))]
-    return cands
+    return [gain(best_alpha), gain(float(res.x))]
 
 
 def _masked_lsq_gain(
@@ -315,18 +314,20 @@ def mm_solve(
 
     Order of attack: the zero gain (free win when the base already has the
     structure), an immediate infeasibility verdict when the gain-independent
-    input condition already fails, the one-parameter family pinned down by
-    the homogeneous constraint, then seeded multi-start alternating
-    linearization. Raises InfeasibleError with the best report otherwise.
+    input condition already fails, the closed-form candidates of the
+    one-parameter family pinned down by the homogeneous constraint, then
+    seeded multi-start alternating linearization. Candidates are tested in
+    that order as they are made, so the first that passes is returned
+    before any later one is computed. Raises InfeasibleError with the best
+    report otherwise.
     """
     if opts is None:
         opts = SolveOptions()
     _check_spec_dims(base, spec)
     p, q = base.p, base.q
-    best_K = np.zeros((q, p))
-    best_report = mm_conditions(base, best_K, spec, opts.tol)
+    best_report = mm_conditions(base, np.zeros((q, p)), spec, opts.tol)
     if best_report.passed:
-        return best_K
+        return np.zeros((q, p))
     # the input-block condition does not involve K at all
     if best_report.per_condition_max()[1] > opts.tol:
         raise InfeasibleError(
@@ -334,13 +335,13 @@ def mm_solve(
             "change them",
             report=best_report,
         )
-    candidates: list[np.ndarray] = []
-    if spec.extra == RING_HOMOGENEOUS:
-        ring = _ring_homogeneous_candidates(base, spec, opts)
-        if ring:
-            candidates.extend(ring)
-    rng = np.random.default_rng(opts.seed)
-    if q > 0:
+    def candidates():
+        # generated lazily, so no restart runs once a candidate passes
+        if spec.extra == RING_HOMOGENEOUS:
+            yield from _ring_homogeneous_candidates(base, spec, opts)
+        if q == 0:
+            return
+        rng = np.random.default_rng(opts.seed)
         starts = [np.zeros((q, p))] + [
             rng.standard_normal((q, p)) for _ in range(opts.restarts - 1)
         ]
@@ -355,23 +356,21 @@ def mm_solve(
                     K = K_next
                     break
                 K = K_next
-            candidates.append(K)
+            yield K
             # a final pass with the stability pull released
-            candidates.append(
-                _masked_lsq_gain(base, spec, K, None, 0.0)
-            )
+            yield _masked_lsq_gain(base, spec, K, None, 0.0)
 
     def rank_key(report: ConditionReport) -> tuple:
         per = report.per_condition_max()
         return (float(per[5]), report.max_residual())
 
-    for K in candidates:
+    for K in candidates():
         rep = mm_conditions(base, K, spec, opts.tol)
         if rep.passed:
-            # prefer the first passing candidate in the deterministic order
+            # the first passing candidate in the deterministic order
             return K
         if rank_key(rep) < rank_key(best_report):
-            best_report, best_K = rep, K
+            best_report = rep
     raise InfeasibleError(
         f"no gain met the structure at tol={opts.tol:g} "
         f"(best max residual {best_report.max_residual():.3e})",

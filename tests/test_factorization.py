@@ -147,6 +147,26 @@ def test_ctnare_no_stabilizing_solution():
         solve_ctnare(lcf)
 
 
+def test_ctnare_keeps_conjugate_pairs_whole():
+    # The stable spectrum of [[A11+F1, -A12], [-(A21+F2), A22]] is -1 with
+    # eigenvector e1, whose top block is the best single column, and the
+    # pair -0.5 +- 2i. With p = 2, taking -1 first leaves one column that
+    # only half a pair could fill, so the pair is the only solution.
+    blocks = PartitionedRealization(
+        A11=np.array([[-1.0, 0.7], [0.0, -0.5]]),
+        A12=np.array([[-0.3], [-2.0]]),
+        A21=np.array([[0.0, 2.0]]),
+        A22=np.array([[-0.5]]),
+        B1=np.eye(2),
+        B2=np.zeros((1, 2)),
+        domain="continuous",
+    )
+    lcf = LcfOverS(blocks, np.zeros((2, 2)), np.zeros((1, 2)), np.eye(2))
+    sol = solve_ctnare(lcf)
+    assert np.allclose(np.sort_complex(sol.closed_spectrum), [-0.5 - 2j, -0.5 + 2j])
+    assert riccati_residual(lcf, sol.K) < 1e-12
+
+
 def test_riccati_solution_dict():
     sol = RiccatiSolution(
         K=np.zeros((1, 1)),
@@ -314,17 +334,21 @@ def _exhaustive_subspace_cond(lcf):
     return best
 
 
-def _check_plant_solve(sys, F, U, oracle=True):
-    p = sys.n_outputs
+def _solve_plant(sys, F, U):
     lcf = to_kontroller_form(sys, F, U)
     sol = solve_ctnare(lcf)
     scale = 1.0 + np.linalg.norm(lcf.blocks.A)
-    assert riccati_residual(lcf, sol.K) <= 1e-12 * scale * (1.0 + np.linalg.norm(sol.K)) ** 2
+    bound = 1e-12 * scale * (1.0 + np.linalg.norm(sol.K)) ** 2
+    assert riccati_residual(lcf, sol.K) <= bound
+    return lcf, sol
+
+
+def _check_plant_solve(sys, F, U):
+    lcf, sol = _solve_plant(sys, F, U)
     assert is_stable_spectrum(
         lcf.blocks.A11 + lcf.F1 - lcf.blocks.A12 @ sol.K, sys.domain
     )
-    if oracle:
-        assert sol.subspace_cond <= 2.0 * _exhaustive_subspace_cond(lcf)
+    assert sol.subspace_cond <= 2.0 * _exhaustive_subspace_cond(lcf)
     back = srtr_from_lcf(lcf, sol)
     for lam in (0.6 + 1.1j, 2.0 + 0.3j, -0.1 + 2.5j):
         if sys.domain == "discrete":
@@ -350,3 +374,17 @@ def test_ctnare_kontroller_plant_discrete():
     sys, F, U = _kontroller_plant(rng, 4, "discrete")
     sol = _check_plant_solve(sys, F, U)
     assert np.all(np.abs(sol.closed_spectrum) < 1.0)
+
+
+def test_ctnare_kontroller_plant_p20():
+    # far past the reach of a subset search: C(40, 20) is about 1.4e11.
+    # A comes from a stable A + F C here, since pole placement at n = 40
+    # takes seconds.
+    p, n = 20, 40
+    rng = np.random.default_rng(620)
+    C = rng.normal(size=(p, n))
+    F = rng.normal(size=(n, p)) / np.sqrt(n)
+    A = rng.normal(size=(n, n)) / np.sqrt(n) - 2.0 * np.eye(n) - F @ C
+    B = rng.normal(size=(n, p))
+    sys = StateSpaceSystem(A, B, C, np.zeros((p, p)), "continuous")
+    _solve_plant(sys, F, np.linalg.qr(rng.normal(size=(p, p)))[0])
