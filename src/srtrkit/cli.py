@@ -380,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--seed", type=int, default=42)
     common.add_argument("--samples", type=int, default=5)
-    common.add_argument(
-        "--domain", choices=["continuous", "discrete"], default=None
-    )
     common.add_argument("-o", "--output", default=None)
 
     parser = argparse.ArgumentParser(prog="srtrkit")

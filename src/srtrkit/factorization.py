@@ -24,13 +24,13 @@ from .linalg import (
     check_domain,
     eigenvalues,
     in_stability_region,
+    is_stabilizable,
     is_stable_spectrum,
-    pbh_test,
     rank_with_tolerance,
     sample_complex_points,
+    zero_entries,
 )
-from .rational import realization_entry_numerators
-from .srtr import SparsityPattern, SrtrPair, srtr_is_stable, _coeff_scale
+from .srtr import SparsityPattern, SrtrPair, srtr_is_stable
 from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
@@ -463,21 +463,6 @@ class LcfReport:
         }
 
 
-def _closure_probes(domain: str, count: int, seed: int, spread: float) -> list[complex]:
-    """Random points in the closed complement of the stability region."""
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        z = spread * (rng.uniform(0, 1) + 1j * rng.uniform(-1, 1))
-        if domain == "continuous":
-            pts.append(complex(abs(z.real), z.imag))
-        else:
-            r = 1.0 + abs(z.real)
-            ang = np.pi * z.imag / spread
-            pts.append(r * np.exp(1j * ang))
-    return pts
-
-
 def verify_lcf(
     lcf: LcfOverS,
     source=None,
@@ -485,7 +470,9 @@ def verify_lcf(
     seed: int = 0,
 ) -> LcfReport:
     """Three-part certificate: factor stability, M^{-1} N = G at samples, and
-    coprimeness over the region's closed complement.
+    coprimeness over the region's closed complement, which is
+    stabilizability of (Ap, [F B]): [lam I - Ap, F, B] can lose rank only
+    at an eigenvalue of Ap.
 
     ``source`` supplies G: a StateSpaceSystem, an SrtrPair, or None for the
     transfer matrix realized by the stored blocks themselves.
@@ -529,11 +516,8 @@ def verify_lcf(
             if attempt == 4:
                 raise
             continue
-    Bpbh = np.block([[lcf.F1, lcf.blocks.B1], [lcf.F2, lcf.blocks.B2]])
-    check_at = [z for z in spectrum if not in_stability_region(z, lcf.domain)]
-    spread = 2.0 * (1.0 + float(np.max(np.abs(spectrum)))) if spectrum.size else 2.0
-    check_at += _closure_probes(lcf.domain, 10, seed + 7, spread)
-    coprime = all(pbh_test(Ap, Bpbh, "controllable", z) for z in check_at)
+    FB = np.block([[lcf.F1, lcf.blocks.B1], [lcf.F2, lcf.blocks.B2]])
+    coprime = is_stabilizable(Ap, FB, lcf.domain)
     return LcfReport(stable=stable, identity_residual=worst, coprime_over_s=coprime)
 
 
@@ -542,15 +526,8 @@ def mn_sparsity(lcf: LcfOverS, tol: float = 1e-9) -> SparsityPattern:
     match the pair convention (lam I - W has a structurally nonzero
     diagonal)."""
     sysmn = lcf.mn_system()
-    p, m = lcf.p, lcf.m
-    _, num = realization_entry_numerators(sysmn.A, sysmn.B, sysmn.C, sysmn.D)
-    coeffs = [num[i, j] for i in range(p) for j in range(p + m)]
-    scale = _coeff_scale([np.asarray(c) for c in coeffs])
-    cut = tol * scale
-    mask = np.array(
-        [[0 if np.all(np.abs(num[i, j]) <= cut) else 1 for j in range(p + m)]
-         for i in range(p)]
-    )
+    p = lcf.p
+    mask = (~zero_entries(sysmn.A, sysmn.B, sysmn.C, sysmn.D, tol)).astype(int)
     maskM, maskN = mask[:, :p].copy(), mask[:, p:].copy()
     np.fill_diagonal(maskM, 1)
     return SparsityPattern(maskM, maskN)

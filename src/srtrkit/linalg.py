@@ -1,5 +1,7 @@
 """Dense linear-algebra kernel: eigenvalues, tolerant rank, stability-region
-predicates, PBH tests, and Householder row compression.
+predicates, the controllability staircase that decides every structural
+question (reachable subspace, stabilizability, identically zero entries),
+and Householder row compression.
 
 Everything here works on plain ``numpy.ndarray`` values and is pure; the rest
 of the toolkit builds on these primitives.
@@ -118,51 +120,77 @@ def is_stable_spectrum(A, domain: str) -> bool:
     return all(in_stability_region(lam, domain) for lam in eigenvalues(A))
 
 
-def pbh_test(A, B_or_C, mode: str, lam: complex) -> bool:
-    """Rank test of ``[A - lam I, B]`` (controllability) or its dual.
+def controllability_staircase(A, B, tol: float | None = None) -> tuple[np.ndarray, int]:
+    """Orthogonal staircase form of (A, B) (Varga 1981; Van Dooren 1981).
 
-    mode: "controllable" or "observable".
+    Returns an orthogonal Z and the reachable dimension k. The first k
+    columns of Z span the controllable subspace of (A, B); in the basis Z,
+    A is block upper Hessenberg on that part and the remaining block
+    ``Z[:, k:].T @ A @ Z[:, k:]`` carries the uncontrollable modes. Each
+    step compresses the newest block by an SVD and keeps the singular
+    values above ``tol * max(||A||_2, ||B||_2)``; ``tol=None`` means 1e-9.
+    No power of A is ever formed.
     """
     A = as_real_matrix(A, "A")
-    M = as_real_matrix(B_or_C, "B_or_C")
+    B = as_real_matrix(B, "B")
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError("A must be square")
-    if mode == "controllable":
-        if M.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows, got {M.shape}")
-        pencil = np.hstack([A - lam * np.eye(n), M])
-    elif mode == "observable":
-        if M.shape[1] != n:
-            raise DimensionError(f"C must have {n} columns, got {M.shape}")
-        pencil = np.hstack([A.T - lam * np.eye(n), M.T])
-    else:
-        raise ValueError(f"mode must be 'controllable' or 'observable', got {mode!r}")
-    if n == 0:
-        return True
-    return rank_with_tolerance(pencil) == n
+    if A.shape[1] != n or B.shape[0] != n:
+        raise DimensionError(f"need square A and B with {n} rows, got {A.shape}, {B.shape}")
+    Z = np.eye(n)
+    if n == 0 or B.size == 0:
+        return Z, 0
+    cut = (1e-9 if tol is None else tol) * max(
+        np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+    )
+    H = A.copy()
+    block = B
+    k = 0
+    while k < n:
+        U, s, _ = np.linalg.svd(block)
+        r = int(np.count_nonzero(s > cut))
+        if r == 0:
+            break
+        Z[:, k:] = Z[:, k:] @ U
+        H[k:, :] = U.T @ H[k:, :]
+        H[:, k:] = H[:, k:] @ U
+        block = H[k + r :, k : k + r]
+        k += r
+    return Z, k
 
 
-def structural_property(A, B_or_C, mode: str, domain: str | None = None) -> bool:
-    """PBH test at every eigenvalue of A.
+def is_stabilizable(A, B, domain: str) -> bool:
+    """Every uncontrollable mode of (A, B) lies in the stability region.
 
-    mode "controllable"/"observable" tests the full spectrum;
-    "stabilizable"/"detectable" only eigenvalues outside the stability region
-    (``domain`` required for those two).
+    Detectability of (A, C) is ``is_stabilizable(A.T, C.T, domain)``.
+    """
+    check_domain(domain)
+    A = as_real_matrix(A, "A")
+    Z, k = controllability_staircase(A, B)
+    U = Z[:, k:]
+    return is_stable_spectrum(U.T @ A @ U, domain)
+
+
+def zero_entries(A, B, C, D, tol: float = 1e-9) -> np.ndarray:
+    """Boolean mask of the entries of ``C (lam I - A)^{-1} B + D`` that are
+    identically zero.
+
+    Entry (i, j) vanishes iff ``D[i, j]`` does and row i of C is orthogonal
+    to the reachable subspace of (A, b_j), read off one staircase per
+    column of B. Both tests cut at ``tol * ||[C D]||_2``.
     """
     A = as_real_matrix(A, "A")
-    if mode in ("controllable", "observable"):
-        points = eigenvalues(A)
-        pbh_mode = mode
-    elif mode in ("stabilizable", "detectable"):
-        if domain is None:
-            raise ValueError(f"mode {mode!r} needs a stability domain")
-        check_domain(domain)
-        points = [lam for lam in eigenvalues(A) if not in_stability_region(lam, domain)]
-        pbh_mode = "controllable" if mode == "stabilizable" else "observable"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return all(pbh_test(A, B_or_C, pbh_mode, lam) for lam in points)
+    B = as_real_matrix(B, "B")
+    C = as_real_matrix(C, "C")
+    D = as_real_matrix(D, "D")
+    if D.shape != (C.shape[0], B.shape[1]):
+        raise DimensionError(f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}")
+    CD = np.hstack([C, D])
+    cut = tol * np.linalg.norm(CD, 2) if CD.size else 0.0
+    zero = np.abs(D) <= cut
+    for j in range(B.shape[1]):
+        Z, k = controllability_staircase(A, B[:, j : j + 1], tol)
+        zero[:, j] &= np.linalg.norm(C @ Z[:, :k], axis=1) <= cut
+    return zero
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,12 @@ from .linalg import (
     check_domain,
     eigenvalues,
     in_stability_region,
+    is_stabilizable,
     is_stable_spectrum,
-    structural_property,
 )
 from .srtr import SrtrPair, srtr_is_stable
 from .synthesis import SynthesisSpec, dense_spec, reduce_rows
-from .systems import (
-    StateSpaceSystem,
-    eval_tfm,
-    is_minimal,
-    minimal_realization,
-)
+from .systems import StateSpaceSystem, minimal_realization
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,9 @@ def unstable_pole_count(sys: StateSpaceSystem, domain: str | None = None) -> int
     if domain is None:
         domain = sys.domain
     check_domain(domain)
-    work = sys if is_minimal(sys) else minimal_realization(sys)
     return sum(
-        0 if in_stability_region(z, domain) else 1 for z in eigenvalues(work.A)
+        0 if in_stability_region(z, domain) else 1
+        for z in eigenvalues(minimal_realization(sys).A)
     )
 
 
@@ -233,9 +228,9 @@ def assemble_closed_loop(
         raise DimensionError(
             f"plant has {plant.n_outputs} outputs but the rows expect {m}"
         )
-    if not structural_property(plant.A, plant.B, "stabilizable", plant.domain):
+    if not is_stabilizable(plant.A, plant.B, plant.domain):
         raise PreconditionError("plant must be stabilizable")
-    if not structural_property(plant.A, plant.C, "detectable", plant.domain):
+    if not is_stabilizable(plant.A.T, plant.C.T, plant.domain):
         raise PreconditionError("plant must be detectable")
     ctl = rows.assembled_system()
     Du = ctl.D[:, :p]

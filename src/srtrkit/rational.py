@@ -1,6 +1,11 @@
 """Scalar rational functions with real coefficients, plus the
 Leverrier-Faddeev recursion used to turn a state-space entry into an explicit
 numerator/denominator pair without ever forming symbolic inverses.
+
+Nothing here decides structure: zero entries, minimality and
+stabilizability come from the orthogonal staircase in ``linalg``. The
+coefficients serve only the normalized form (``srtr.nrf_from_srtr``) and
+printed coefficient comparisons.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from .linalg import (
     rank_with_tolerance,
     sample_complex_points,
     singular_values,
+    zero_entries,
 )
 from .rational import RationalFn, realization_entry_numerators
 from .systems import PartitionedRealization, StateSpaceSystem, eval_tfm
@@ -33,19 +34,28 @@ class SrtrPair:
 
     The four derived blocks give [W V] the state-space form
     (Aw, [A_K | K B1 + B2], A12, [A11 - A12 K | B1]) with
-    Aw = A22 + K A12 and A_K = K A11 - K A12 K + A21 - A22 K.
+    Aw = A22 + K A12 and A_K = K A11 - K A12 K + A21 - A22 K. They are
+    computed once, on construction.
     """
 
     base: PartitionedRealization
     K: np.ndarray
+    Aw: np.ndarray = field(init=False, repr=False, compare=False)
+    A_K: np.ndarray = field(init=False, repr=False, compare=False)
+    Bw: np.ndarray = field(init=False, repr=False, compare=False)
+    Dw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = as_real_matrix(self.K, "K")
-        if K.shape != (self.base.q, self.base.p):
-            raise DimensionError(
-                f"K must be {self.base.q}x{self.base.p}, got {K.shape}"
-            )
+        b = self.base
+        if K.shape != (b.q, b.p):
+            raise DimensionError(f"K must be {b.q}x{b.p}, got {K.shape}")
+        A_K = K @ b.A11 - K @ b.A12 @ K + b.A21 - b.A22 @ K
         object.__setattr__(self, "K", K)
+        object.__setattr__(self, "Aw", b.A22 + K @ b.A12)
+        object.__setattr__(self, "A_K", A_K)
+        object.__setattr__(self, "Bw", np.hstack([A_K, K @ b.B1 + b.B2]))
+        object.__setattr__(self, "Dw", np.hstack([b.A11 - b.A12 @ K, b.B1]))
 
     @property
     def p(self) -> int:
@@ -64,25 +74,8 @@ class SrtrPair:
         return self.base.domain
 
     @property
-    def Aw(self) -> np.ndarray:
-        return self.base.A22 + self.K @ self.base.A12
-
-    @property
-    def A_K(self) -> np.ndarray:
-        b, K = self.base, self.K
-        return K @ b.A11 - K @ b.A12 @ K + b.A21 - b.A22 @ K
-
-    @property
-    def Bw(self) -> np.ndarray:
-        return np.hstack([self.A_K, self.K @ self.base.B1 + self.base.B2])
-
-    @property
     def Cw(self) -> np.ndarray:
         return self.base.A12
-
-    @property
-    def Dw(self) -> np.ndarray:
-        return np.hstack([self.base.A11 - self.base.A12 @ self.K, self.base.B1])
 
     def wv_system(self) -> StateSpaceSystem:
         """[W V] as one system: p outputs, p + m inputs, q states."""
@@ -186,14 +179,6 @@ class NrfPair:
         )
 
 
-def _coeff_scale(coeff_arrays) -> float:
-    scale = 0.0
-    for c in coeff_arrays:
-        if c.size:
-            scale = max(scale, float(np.max(np.abs(c))))
-    return max(scale, 1.0)
-
-
 def nrf_from_srtr(pair: SrtrPair, cancel_tol: float = 1e-8) -> NrfPair:
     """Normalize the pair row by row.
 
@@ -264,33 +249,34 @@ class SparsityPattern:
 def sparsity_pattern(obj, tol: float = 1e-9) -> SparsityPattern:
     """Zero/nonzero masks of the pair entries.
 
-    An entry counts as zero when all its numerator coefficients fall below
-    ``tol`` times the largest coefficient seen anywhere in the object. The
-    coupling mask's diagonal is always 1: it describes the structurally
-    nonzero diagonal of (lam I - W), which the normalized form shares through
-    its row denominators.
+    For a pair, an entry counts as zero when the staircase test of
+    ``linalg.zero_entries`` finds it identically zero at relative cut
+    ``tol``. For a normalized form, when all its numerator coefficients
+    fall below ``tol`` times the largest coefficient seen anywhere in the
+    object. The coupling mask's diagonal is always 1: it describes the
+    structurally nonzero diagonal of (lam I - W), which the normalized form
+    shares through its row denominators.
     """
     if isinstance(obj, SrtrPair):
-        p, m = obj.p, obj.m
-        _, num = realization_entry_numerators(obj.Aw, obj.Bw, obj.Cw, obj.Dw)
-        coeffs_w = [num[i, j] for i in range(p) for j in range(p)]
-        coeffs_v = [num[i, p + k] for i in range(p) for k in range(m)]
+        p = obj.p
+        nonzero = ~zero_entries(obj.Aw, obj.Bw, obj.Cw, obj.Dw, tol)
+        maskW, maskV = nonzero[:, :p].astype(int), nonzero[:, p:].astype(int)
     elif isinstance(obj, NrfPair):
         p, m = obj.p, obj.m
         coeffs_w = [obj.Phi[i, j].num for i in range(p) for j in range(p)]
         coeffs_v = [obj.Gamma[i, k].num for i in range(p) for k in range(m)]
+        scale = max([1.0] + [float(np.max(np.abs(c))) for c in coeffs_w + coeffs_v])
+        cut = tol * scale
+        maskW = np.array(
+            [[0 if np.all(np.abs(coeffs_w[i * p + j]) <= cut) else 1 for j in range(p)]
+             for i in range(p)]
+        )
+        maskV = np.array(
+            [[0 if np.all(np.abs(coeffs_v[i * m + k]) <= cut) else 1 for k in range(m)]
+             for i in range(p)]
+        )
     else:
         raise TypeError(f"expected SrtrPair or NrfPair, got {type(obj).__name__}")
-    scale = _coeff_scale([np.asarray(c) for c in coeffs_w + coeffs_v])
-    cut = tol * scale
-    maskW = np.array(
-        [[0 if np.all(np.abs(coeffs_w[i * p + j]) <= cut) else 1 for j in range(p)]
-         for i in range(p)]
-    )
-    maskV = np.array(
-        [[0 if np.all(np.abs(coeffs_v[i * m + k]) <= cut) else 1 for k in range(m)]
-         for i in range(p)]
-    )
     np.fill_diagonal(maskW, 1)
     return SparsityPattern(maskW, maskV)
 

@@ -24,8 +24,8 @@ from .linalg import (
     stability_distance,
     stability_margin,
     row_compressor,
+    zero_entries,
 )
-from .rational import realization_entry_numerators
 from .srtr import SparsityPattern, SrtrPair, sparsity_pattern, srtr_is_stable
 from .systems import PartitionedRealization, StateSpaceSystem
 
@@ -458,24 +458,15 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = 1e-9) -> b
         raise TypeError(
             f"expected SrtrPair or a row collection, got {type(pair_or_rows).__name__}"
         )
-    p = len(rows)
     for i, row in enumerate(rows):
         if row.n and not all(
             stability_distance(z, row.domain) == 0.0 for z in row.poles()
         ):
             return False
-        _, num = realization_entry_numerators(row.A, row.B, row.C, row.D)
-        scale = max(1.0, float(np.max(np.abs(num))) if num.size else 1.0)
-        for j in range(p):
-            if j == i or spec.maskW[i, j]:
-                continue
-            if np.any(np.abs(num[0, j]) > tol * scale):
-                return False
-        for k in range(spec.m):
-            if spec.maskV[i, k]:
-                continue
-            if np.any(np.abs(num[0, p + k]) > tol * scale):
-                return False
+        allowed = np.concatenate([spec.maskW[i], spec.maskV[i]]).astype(bool)
+        allowed[i] = True
+        if not np.all(allowed | zero_entries(row.A, row.B, row.C, row.D, tol)[0]):
+            return False
     return True
 
 

@@ -22,11 +22,9 @@ from .errors import (
 from .linalg import (
     as_real_matrix,
     check_domain,
+    controllability_staircase,
     eigenvalues,
-    pbh_test,
     rank_with_tolerance,
-    row_compressor,
-    structural_property,
 )
 
 
@@ -110,42 +108,32 @@ def apply_transform(sys: StateSpaceSystem, T) -> StateSpaceSystem:
 
 
 def is_minimal(sys: StateSpaceSystem, tol: float | None = None) -> bool:
-    """Controllable and observable at every pole (PBH at the eigenvalues)."""
-    if sys.n == 0:
-        return True
-    return structural_property(sys.A, sys.B, "controllable") and structural_property(
-        sys.A, sys.C, "observable"
+    """Controllable and observable: the staircases of (A, B) and of
+    (A^T, C^T) both reach every state. ``tol`` is the staircase's relative
+    rank cut."""
+    n = sys.n
+    return (
+        controllability_staircase(sys.A, sys.B, tol)[1] == n
+        and controllability_staircase(sys.A.T, sys.C.T, tol)[1] == n
     )
-
-
-def _krylov_basis(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the controllability subspace via SVD rank cut."""
-    n = A.shape[0]
-    if n == 0 or B.size == 0:
-        return np.zeros((n, 0))
-    blocks = [B]
-    M = B
-    for _ in range(n - 1):
-        M = A @ M
-        blocks.append(M)
-    K = np.hstack(blocks)
-    U, s, _ = np.linalg.svd(K, full_matrices=False)
-    if tol is None:
-        tol = max(K.shape) * (s[0] if s.size else 0.0) * np.finfo(float).eps
-    r = int(np.count_nonzero(s > tol))
-    return U[:, :r]
 
 
 def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> StateSpaceSystem:
-    """Remove uncontrollable then unobservable states (two projection passes)."""
-    V = _krylov_basis(sys.A, sys.B, tol)
-    A1 = V.T @ sys.A @ V
-    B1 = V.T @ sys.B
-    C1 = sys.C @ V
-    W = _krylov_basis(A1.T, C1.T, tol)
-    return StateSpaceSystem(
-        W.T @ A1 @ W, W.T @ B1, C1 @ W, sys.D.copy(), sys.domain
-    )
+    """Keep the reachable states, then the observable ones: two orthogonal
+    staircase projections. ``tol`` is the staircase's relative rank cut. A
+    pass that keeps every state changes nothing, so a minimal input comes
+    back with its matrices, and eigenvalues on the stability boundary,
+    exactly as given."""
+    A, B, C = sys.A, sys.B, sys.C
+    Z, k = controllability_staircase(A, B, tol)
+    if k < A.shape[0]:
+        V = Z[:, :k]
+        A, B, C = V.T @ A @ V, V.T @ B, C @ V
+    Z, k = controllability_staircase(A.T, C.T, tol)
+    if k < A.shape[0]:
+        W = Z[:, :k]
+        A, B, C = W.T @ A @ W, W.T @ B, C @ W
+    return StateSpaceSystem(A, B, C, sys.D.copy(), sys.domain)
 
 
 @dataclass(frozen=True)
@@ -228,11 +216,10 @@ class PartitionedRealization:
         )
 
     def observable_pair(self) -> bool:
-        """PBH observability of (A22, A12): the hidden block must be seen
-        through the coupling rows."""
-        if self.q == 0:
-            return True
-        return structural_property(self.A22, self.A12, "observable")
+        """Observability of (A22, A12): the hidden block must be seen
+        through the coupling rows, so the dual staircase reaches all q
+        hidden states."""
+        return controllability_staircase(self.A22.T, self.A12.T)[1] == self.q
 
 
 def to_output_normal(sys: StateSpaceSystem, tol: float | None = None) -> tuple[

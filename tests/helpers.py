@@ -10,6 +10,7 @@ import numpy as np
 
 from srtrkit import fixtures
 from srtrkit.factorization import ThetaFactor
+from srtrkit.linalg import in_stability_region
 from srtrkit.srtr import SrtrPair
 from srtrkit.synthesis import assign_stable_spectrum, mm_conditions
 from srtrkit.systems import PartitionedRealization, is_minimal
@@ -119,6 +120,51 @@ def structured_pair(rng, block_sizes=(1, 2), domain="continuous"):
         mask[at : at + b, at : at + b] = 1
         at += b
     return pair, mask
+
+
+def rotation(rng, n):
+    """Haar-distributed orthogonal matrix."""
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def rotate_hidden(pair, Q):
+    """The same pair (W, V) in hidden coordinates x2 -> Q^T x2."""
+    b = pair.base
+    base = PartitionedRealization(
+        A11=b.A11, A12=b.A12 @ Q, A21=Q.T @ b.A21, A22=Q.T @ b.A22 @ Q,
+        B1=b.B1, B2=Q.T @ b.B2, domain=b.domain,
+    )
+    return SrtrPair(base, Q.T @ pair.K)
+
+
+def block_network(rng, p):
+    """Rotated block network: the direct sum of stable pairs with block
+    sizes 1, 2, 1, 2, ... (p = q = m, p a multiple of 3), hidden
+    coordinates rotated across all blocks. Returns the pair, its block
+    mask and the block size of each row; row i of the controller has
+    order 1 + its block size."""
+    sizes = (1, 2) * (p // 3)
+    pair, mask = structured_pair(rng, block_sizes=sizes)
+    return rotate_hidden(pair, rotation(rng, p)), mask, [b for b in sizes for _ in range(b)]
+
+
+def pbh_holds(A, M, domain=None, dual=False, tol=1e-8):
+    """Reference PBH rank test: [A - lam I, B] (or, with ``dual``, the
+    stacked [A - lam I; C]) keeps full rank at every eigenvalue lam of A
+    outside the stability region. With ``domain`` None every eigenvalue is
+    tested, which is controllability (observability)."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    scale = 1.0 + np.linalg.norm(A, 2)
+    for lam in np.linalg.eigvals(A):
+        if domain is not None and in_stability_region(lam, domain):
+            continue
+        shifted = A - lam * np.eye(n)
+        pencil = np.vstack([shifted, M]) if dual else np.hstack([shifted, M])
+        if np.linalg.svd(pencil, compute_uv=False)[-1] <= tol * scale:
+            return False
+    return True
 
 
 def exact_ring_base():

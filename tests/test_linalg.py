@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import pbh_holds, rotation
 from srtrkit.linalg import (
+    DOMAINS,
     auto_rank_tol,
+    controllability_staircase,
     eigenvalues,
     in_stability_region,
+    is_stabilizable,
     is_stable_spectrum,
-    pbh_test,
     rank_with_tolerance,
     row_compressor,
     sample_complex_points,
     stability_distance,
     stability_margin,
-    structural_property,
+    zero_entries,
 )
+from srtrkit.systems import StateSpaceSystem, is_minimal
 
 
 def test_stability_region_is_open():
@@ -60,30 +64,104 @@ def test_rank_with_tolerance():
     assert auto_rank_tol(M) > 0
 
 
-def test_pbh_controllable_and_not():
+def _unreached_block(A, B):
+    Z, k = controllability_staircase(A, B)
+    assert np.allclose(Z.T @ Z, np.eye(A.shape[0]), atol=1e-12)
+    return k, Z[:, k:].T @ A @ Z[:, k:]
+
+
+def test_staircase_controllable_and_not():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    assert pbh_test(A, B, "controllable", 0.0)
-    B_bad = np.array([[1.0], [0.0]])
-    assert not pbh_test(A, B_bad, "controllable", 0.0)
-    assert pbh_test(A.T, B.T.copy().T, "controllable", 1.0)
+    assert controllability_staircase(A, B)[1] == 2
+    k, unreached = _unreached_block(A, np.array([[1.0], [0.0]]))
+    assert k == 1 and np.allclose(unreached, 0.0)
+    # (A^T, B) can lose rank only at lam = 0, never at lam = 1
+    k, unreached = _unreached_block(A.T, B)
+    assert k == 1 and np.allclose(unreached, 0.0)
 
 
-def test_pbh_observable_dual():
+def test_staircase_observable_dual():
     A = np.diag([1.0, 2.0])
     C = np.array([[1.0, 0.0]])
-    assert pbh_test(A, C, "observable", 1.0)
-    assert not pbh_test(A, C, "observable", 2.0)
+    # the mode at 1 is seen, the mode at 2 is not
+    k, unseen = _unreached_block(A.T, C.T)
+    assert k == 1 and np.allclose(unseen, [[2.0]])
 
 
-def test_structural_property_stabilizable():
+def test_staircase_stabilizable_and_detectable():
     A = np.diag([-1.0, 2.0])
     B_good = np.array([[0.0], [1.0]])
     B_bad = np.array([[1.0], [0.0]])
-    assert structural_property(A, B_good, "stabilizable", domain="continuous")
-    assert not structural_property(A, B_bad, "stabilizable", domain="continuous")
+    assert is_stabilizable(A, B_good, "continuous")
+    assert not is_stabilizable(A, B_bad, "continuous")
     C = np.array([[0.0, 1.0]])
-    assert structural_property(A, C, "detectable", domain="continuous")
+    assert is_stabilizable(A.T, C.T, "continuous")
+
+
+def test_staircase_empty_and_zero_input():
+    assert controllability_staircase(np.zeros((0, 0)), np.zeros((0, 2)))[1] == 0
+    assert controllability_staircase(-np.eye(3), np.zeros((3, 1)))[1] == 0
+    assert is_stabilizable(-np.eye(3), np.zeros((3, 1)), "continuous")
+    assert not is_stabilizable(np.eye(3), np.zeros((3, 1)), "continuous")
+
+
+def _planted(rng, n_c, n_u, m, domain, stable):
+    """Rotated (A, B) with a random reachable part of order n_c and an
+    unreachable block of order n_u whose modes are all stable or all
+    unstable; two unreachable modes form a conjugate pair."""
+    if domain == "continuous":
+        size = -rng.uniform(0.2, 2.0) if stable else rng.uniform(0.2, 2.0)
+        pair = np.array([[size, 0.7], [-0.7, size]])
+    else:
+        size = rng.uniform(0.2, 0.9) if stable else rng.uniform(1.1, 2.0)
+        pair = size * np.array([[0.6, 0.8], [-0.8, 0.6]])
+    Au = pair if n_u == 2 else size * np.eye(n_u)
+    A = np.block([
+        [rng.normal(size=(n_c, n_c)), rng.normal(size=(n_c, n_u))],
+        [np.zeros((n_u, n_c)), Au],
+    ])
+    B = np.vstack([rng.normal(size=(n_c, m)), np.zeros((n_u, m))])
+    T = rotation(rng, n_c + n_u)
+    return T @ A @ T.T, T @ B
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("seed", range(12))
+def test_staircase_agrees_with_pbh_oracle(domain, seed):
+    rng = np.random.default_rng(4100 + seed)
+    n_c, n_u = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    m = int(rng.integers(1, 3))
+    stable = seed % 2 == 0
+    A, B = _planted(rng, n_c, n_u, m, domain, stable)
+    n = n_c + n_u
+    assert controllability_staircase(A, B)[1] == n_c
+    assert is_stabilizable(A, B, domain) == pbh_holds(A, B, domain) == (stable or n_u == 0)
+    # the transposed pair has the planted modes unobservable
+    Ao, Co = A.T, B.T
+    assert is_stabilizable(Ao.T, Co.T, domain) == pbh_holds(Ao, Co, domain, dual=True)
+    C = rng.normal(size=(2, n))
+    sys = StateSpaceSystem(A, B, C, np.zeros((2, m)), domain)
+    assert is_minimal(sys) == (pbh_holds(A, B) and pbh_holds(A, C, dual=True))
+    assert is_minimal(sys) == (n_u == 0)
+    dual = StateSpaceSystem(Ao, C.T, Co, np.zeros((m, 2)), domain)
+    assert is_minimal(dual) == (pbh_holds(Ao, C.T) and pbh_holds(Ao, Co, dual=True))
+
+
+def test_zero_entries_follow_reachable_subspaces():
+    # input 0 reaches state 0 only; input 1 reaches state 1, which state 2
+    # then follows; output 0 reads state 0, output 1 reads state 2
+    A = np.array([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 1.0, -3.0]])
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    D = np.array([[0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(zero_entries(A, B, C, D), [[False, True], [True, False]])
+    D[0, 1] = 0.5
+    assert np.array_equal(zero_entries(A, B, C, D), [[False, False], [True, False]])
+    Q = rotation(np.random.default_rng(5), 3)
+    assert np.array_equal(
+        zero_entries(Q @ A @ Q.T, Q @ B, C @ Q.T, D), [[False, False], [True, False]]
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -97,6 +97,17 @@ def test_minimal_realization_prunes_unreachable_modes():
     assert is_minimal(red)
 
 
+def test_is_minimal_tol_is_the_staircase_rank_cut():
+    # the second mode is reached only through the 1e-7 entry of B
+    sys = StateSpaceSystem(
+        np.diag([-1.0, -2.0]), np.array([[1.0], [1e-7]]), np.array([[1.0, 1.0]]),
+        np.zeros((1, 1)), "continuous",
+    )
+    assert is_minimal(sys)
+    assert not is_minimal(sys, tol=1e-5)
+    assert minimal_realization(sys, tol=1e-5).n == 1
+
+
 def test_to_output_normal_shape_and_invariance():
     sys = _sys(5, n=5, p=2, m=2)
     part, T = to_output_normal(sys)
