@@ -6,7 +6,7 @@ algebraic Riccati equation built from the factor data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +27,7 @@ from .linalg import (
     is_stabilizable,
     is_stable_spectrum,
     rank_with_tolerance,
-    sample_complex_points,
+    sampled_residual,
     zero_entries,
 )
 from .srtr import SparsityPattern, SrtrPair, srtr_is_stable
@@ -426,21 +426,16 @@ def srtr_from_lcf(lcf: LcfOverS, solution: RiccatiSolution | None = None) -> Srt
     poles = np.concatenate(
         [eigenvalues(lcf.pole_matrix()), eigenvalues(pair.Aw), eigenvalues(Ax)]
     )
-    points = sample_complex_points(poles, 5, seed=11)
-    worst = 0.0
-    for lam in points:
+    eye = np.eye(lcf.p)
+    pad = np.zeros((lcf.p, lcf.m))
+
+    def recoveries(lam):
         M, N = lcf.eval_mn(lam)
-        direct = eval_tfm(pair.wv_system(), lam)
-        closed_form = np.hstack(
-            [lam * np.eye(lcf.p), np.zeros((lcf.p, lcf.m))]
-        ) + (lam * np.eye(lcf.p) - Ax) @ Uinv @ np.hstack([-M, N])
-        worst = max(
-            worst,
-            float(
-                np.linalg.norm(direct - closed_form)
-                / (1.0 + np.linalg.norm(direct))
-            ),
-        )
+        MN = np.hstack([-M, N])
+        closed_form = np.hstack([lam * eye, pad]) + (lam * eye - Ax) @ Uinv @ MN
+        return eval_tfm(pair.wv_system(), lam), closed_form
+
+    worst = sampled_residual(recoveries, poles, 5, seed=11)
     if worst > 1e-8:
         raise NumericalFailureError(
             f"closed-form recovery disagrees with the gain construction "
@@ -493,29 +488,12 @@ def verify_lcf(
         pole_pool += list(eigenvalues(gsys.A))
     elif isinstance(source, SrtrPair):
         pole_pool += list(eigenvalues(source.base.A)) + list(eigenvalues(source.Aw))
-    worst = 0.0
-    for attempt in range(5):
-        try:
-            points = sample_complex_points(
-                np.array(pole_pool), n_samples, seed=seed + attempt
-            )
-            worst = 0.0
-            for lam in points:
-                G = (
-                    source.response(lam)
-                    if isinstance(source, SrtrPair)
-                    else eval_tfm(gsys, lam)
-                )
-                rec = lcf.response(lam)
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(rec - G) / (1.0 + np.linalg.norm(G))),
-                )
-            break
-        except (np.linalg.LinAlgError, NumericalFailureError):
-            if attempt == 4:
-                raise
-            continue
+
+    def responses(lam):
+        G = source.response(lam) if gsys is None else eval_tfm(gsys, lam)
+        return G, lcf.response(lam)
+
+    worst = sampled_residual(responses, np.array(pole_pool), n_samples, seed)
     FB = np.block([[lcf.F1, lcf.blocks.B1], [lcf.F2, lcf.blocks.B2]])
     coprime = is_stabilizable(Ap, FB, lcf.domain)
     return LcfReport(stable=stable, identity_residual=worst, coprime_over_s=coprime)

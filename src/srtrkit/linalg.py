@@ -37,15 +37,18 @@ def as_real_matrix(M, name: str = "matrix") -> np.ndarray:
 def eigenvalues(A) -> np.ndarray:
     """Eigenvalues of a square real matrix, with multiplicity.
 
-    Complex values come in conjugate pairs. Raises DimensionError for
-    non-square input and NumericalFailureError if the QR iteration does not
-    converge.
+    A stack of shape (..., n, n) gives the eigenvalues of each matrix, of
+    shape (..., n). Complex values come in conjugate pairs. Raises
+    DimensionError for non-square input and NumericalFailureError if the
+    QR iteration does not converge.
     """
-    A = as_real_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"square matrix required, got {A.shape}")
-    if A.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
+    if A.size and not np.all(np.isfinite(A)):
+        raise NonFiniteError("A contains non-finite entries")
+    if A.shape[-1] == 0:
+        return np.zeros(A.shape[:-1], dtype=complex)
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -59,8 +62,11 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)
 
 
-def auto_rank_tol(M) -> float:
-    sv = singular_values(M)
+def auto_rank_tol(M, sv=None) -> float:
+    """The threshold ``max(rows, cols) * ||M||_2 * eps``; ``sv`` passes the
+    singular values of M when they are already known."""
+    if sv is None:
+        sv = singular_values(M)
     if sv.size == 0:
         return 0.0
     return max(M.shape) * sv[0] * np.finfo(float).eps
@@ -81,7 +87,7 @@ def rank_with_tolerance(M, tol: float | None = None) -> int:
         raise NonFiniteError("rank input contains non-finite entries")
     sv = singular_values(M)
     if tol is None:
-        tol = auto_rank_tol(M)
+        tol = auto_rank_tol(M, sv)
     elif tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return int(np.count_nonzero(sv > tol))
@@ -95,24 +101,30 @@ def in_stability_region(lam: complex, domain: str) -> bool:
     return abs(lam) < 1.0
 
 
-def stability_distance(lam: complex, domain: str) -> float:
-    """Distance of ``lam`` outside the stability region (0 when inside)."""
+def stability_distance(lam, domain: str):
+    """Distance of ``lam`` outside the stability region (0 when inside),
+    elementwise on arrays."""
     check_domain(domain)
+    lam = np.asarray(lam)
     if domain == "continuous":
-        return max(lam.real, 0.0)
-    return max(abs(lam) - 1.0, 0.0)
+        dist = np.maximum(lam.real, 0.0)
+    else:
+        dist = np.maximum(np.abs(lam) - 1.0, 0.0)
+    return dist if dist.ndim else float(dist)
 
 
-def stability_margin(eigs, domain: str) -> float:
+def stability_margin(eigs, domain: str):
     """How far inside the region the worst eigenvalue sits (negative when
-    some eigenvalue is outside)."""
+    some eigenvalue is outside), taken over the last axis of ``eigs``."""
     check_domain(domain)
     eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    if eigs.size == 0:
-        return np.inf
-    if domain == "continuous":
-        return float(-np.max(eigs.real))
-    return float(1.0 - np.max(np.abs(eigs)))
+    if eigs.shape[-1] == 0:
+        margin = np.full(eigs.shape[:-1], np.inf)
+    elif domain == "continuous":
+        margin = -np.max(eigs.real, axis=-1)
+    else:
+        margin = 1.0 - np.max(np.abs(eigs), axis=-1)
+    return margin if margin.ndim else float(margin)
 
 
 def is_stable_spectrum(A, domain: str) -> bool:
@@ -267,3 +279,27 @@ def sample_complex_points(
             continue
         picked.append(z)
     return np.array(picked)
+
+
+def sampled_residual(evaluate, poles, count: int, seed: int = 0) -> float:
+    """Max relative residual ``||ref - got|| / (1 + ||ref||)`` over seeded
+    sample points clear of ``poles``; ``evaluate(lam)`` returns the pair
+    (ref, got) at one point.
+
+    A draw on which sampling or evaluation fails (a singular solve, no room
+    between the poles) is replaced by the draw of the next seed, up to five
+    draws.
+    """
+    for attempt in range(5):
+        try:
+            worst = 0.0
+            for lam in sample_complex_points(poles, count, seed=seed + attempt):
+                ref, got = evaluate(lam)
+                worst = max(
+                    worst,
+                    float(np.linalg.norm(ref - got) / (1.0 + np.linalg.norm(ref))),
+                )
+            return worst
+        except (np.linalg.LinAlgError, NumericalFailureError):
+            continue
+    raise NumericalFailureError("could not find sample points clear of the poles")

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DimensionError, NumericalFailureError
+from .errors import DimensionError
 from .linalg import (
     as_real_matrix,
+    auto_rank_tol,
     eigenvalues,
     is_stable_spectrum,
-    rank_with_tolerance,
     sample_complex_points,
+    sampled_residual,
     singular_values,
     zero_entries,
 )
@@ -114,23 +115,8 @@ def verify_srtr_identity(
         base = pair.base
     G = base.full_system()
     poles = np.concatenate([eigenvalues(base.A), eigenvalues(pair.Aw)])
-    worst = 0.0
-    for attempt in range(5):
-        points = sample_complex_points(poles, n_samples, seed=seed + attempt)
-        try:
-            worst = 0.0
-            for lam in points:
-                g = eval_tfm(G, lam)
-                rec = pair.response(lam)
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(g - rec) / (1.0 + np.linalg.norm(g))),
-                )
-            return worst
-        except (np.linalg.LinAlgError, NumericalFailureError):
-            continue
-    raise NumericalFailureError(
-        "could not find sample points clear of the poles"
+    return sampled_residual(
+        lambda lam: (eval_tfm(G, lam), pair.response(lam)), poles, n_samples, seed
     )
 
 
@@ -342,21 +328,17 @@ def check_flcf(pair: SrtrPair, probes: int = 20, seed: int = 0) -> CoprimeReport
     sig_finite = np.inf
     no_finite = True
     for lam in candidates:
-        S = S0 + lam * S1
-        sv = singular_values(S)
-        sig_finite = min(sig_finite, float(sv[rows - 1]))
-        if rank_with_tolerance(S) < rows:
-            no_finite = False
+        sig, full = _row_rank_test(S0 + lam * S1)
+        sig_finite = min(sig_finite, sig)
+        no_finite &= full
     S_inf = np.zeros_like(S0)
     q, p = pair.q, pair.p
     S_inf[:q, :q] = np.eye(q)
     S_inf[q : q + p, q + p : q + 2 * p] = np.eye(p)
     S_inf[q + p :, :] = S0[q + p :, :]
-    sv_inf = singular_values(S_inf)
-    no_infinite = rank_with_tolerance(S_inf) == rows
+    sig_inf, no_infinite = _row_rank_test(S_inf)
     generic = sample_complex_points(np.array(candidates), 1, seed=seed + 1)[0]
-    sv_gen = singular_values(S0 + generic * S1)
-    full_normal = rank_with_tolerance(S0 + generic * S1) == rows
+    sig_gen, full_normal = _row_rank_test(S0 + generic * S1)
     return CoprimeReport(
         full_normal_rank=full_normal,
         no_finite_zeros=no_finite,
@@ -364,7 +346,16 @@ def check_flcf(pair: SrtrPair, probes: int = 20, seed: int = 0) -> CoprimeReport
         coprime=bool(full_normal and no_finite and no_infinite),
         min_singular={
             "finite": sig_finite,
-            "infinite": float(sv_inf[rows - 1]),
-            "normalRank": float(sv_gen[rows - 1]),
+            "infinite": sig_inf,
+            "normalRank": sig_gen,
         },
     )
+
+
+def _row_rank_test(S: np.ndarray) -> tuple[float, bool]:
+    """Smallest singular value of a wide matrix S and whether S has full row
+    rank at the automatic threshold, both from one SVD."""
+    sv = singular_values(S)
+    rows = S.shape[0]
+    full = np.count_nonzero(sv > auto_rank_tol(S, sv)) == rows
+    return float(sv[rows - 1]), bool(full)

@@ -127,6 +127,59 @@ def _check_spec_dims(base: PartitionedRealization, spec: SynthesisSpec):
         raise ValueError(f"row orders must not exceed the hidden dimension {base.q}")
 
 
+def _condition_rows(
+    base: PartitionedRealization,
+    Ks: np.ndarray,
+    spec: SynthesisSpec,
+    comps: list[RowCompression],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual rows and corner margins for a stack of gains.
+
+    ``Ks`` has shape (N, q, p); the result is the (N, p, 6) residual rows
+    and the (N, p) margins that ``mm_conditions`` reports for each gain.
+    Rows are grouped by order so that each group's compressed tails and
+    heads are stacked once and every product, norm and spectrum is one
+    batched call.
+    """
+    p, q = base.p, base.q
+    N = Ks.shape[0]
+    outW = spec.maskW == 0
+    outV = spec.maskV == 0
+    KA12 = Ks @ base.A12
+    Wd = base.A11 - base.A12 @ Ks
+    AK = Ks @ base.A11 - KA12 @ Ks + base.A21 - base.A22 @ Ks
+    Bh = Ks @ base.B1 + base.B2
+    Aw = base.A22 + KA12
+    rows = np.zeros((N, p, 6))
+    margins = np.full((N, p), np.inf)
+    rows[:, :, 0] = np.max(np.abs(Wd) * outW, axis=-1, initial=0.0)
+    rows[:, :, 1] = np.max(np.abs(base.B1) * outV, axis=-1, initial=0.0)
+    groups: dict[int, list[int]] = {}
+    for i in range(p):
+        if q and not comps[i].is_zero:
+            groups.setdefault(spec.orders[i], []).append(i)
+    for ni, idx in groups.items():
+        Q = np.stack([comps[i].Q for i in idx])
+        tail = Q[:, q - ni :, :]
+        head = Q[:, : q - ni, :]
+        TW = tail @ AK[:, None]
+        TV = tail @ Bh[:, None]
+        rows[:, idx, 2] = np.max(
+            np.abs(TW) * outW[idx, None, :], axis=(-2, -1), initial=0.0
+        )
+        rows[:, idx, 3] = np.max(
+            np.abs(TV) * outV[idx, None, :], axis=(-2, -1), initial=0.0
+        )
+        tailAw = tail @ Aw[:, None]
+        if ni < q:
+            coupling = tailAw @ head.swapaxes(-2, -1)
+            rows[:, idx, 4] = np.linalg.norm(coupling, 2, axis=(-2, -1))
+        eigs = eigenvalues(tailAw @ tail.swapaxes(-2, -1))
+        rows[:, idx, 5] = np.max(stability_distance(eigs, base.domain), axis=-1)
+        margins[:, idx] = stability_margin(eigs, base.domain)
+    return rows, margins
+
+
 def mm_conditions(
     base: PartitionedRealization,
     K,
@@ -141,38 +194,9 @@ def mm_conditions(
     truncation would discard; condition 6 is corner-spectrum stability.
     """
     _check_spec_dims(base, spec)
-    pair = SrtrPair(base, K)
-    p, q, m = base.p, base.q, base.m
-    Wd = base.A11 - base.A12 @ pair.K
-    AK = pair.A_K
-    Bh = pair.K @ base.B1 + base.B2
-    Aw = pair.Aw
-    comps = compress_rows(base)
-    rows = np.zeros((p, 6))
-    margins = np.full(p, np.inf)
-    for i in range(p):
-        outW = spec.maskW[i] == 0
-        outV = spec.maskV[i] == 0
-        rows[i, 0] = np.max(np.abs(Wd[i, outW])) if outW.any() else 0.0
-        rows[i, 1] = np.max(np.abs(base.B1[i, outV])) if outV.any() else 0.0
-        if comps[i].is_zero or q == 0:
-            continue
-        ni = spec.orders[i]
-        Qi = comps[i].Q
-        tail = Qi[q - ni :, :]
-        head = Qi[: q - ni, :]
-        TW = tail @ AK
-        TV = tail @ Bh
-        rows[i, 2] = np.max(np.abs(TW[:, outW])) if outW.any() else 0.0
-        rows[i, 3] = np.max(np.abs(TV[:, outV])) if outV.any() else 0.0
-        coupling = tail @ Aw @ head.T
-        rows[i, 4] = float(np.linalg.norm(coupling, 2)) if coupling.size else 0.0
-        corner = tail @ Aw @ tail.T
-        eigs = eigenvalues(corner)
-        rows[i, 5] = max(
-            (stability_distance(z, base.domain) for z in eigs), default=0.0
-        )
-        margins[i] = stability_margin(eigs, base.domain)
+    K = SrtrPair(base, K).K
+    rows, margins = _condition_rows(base, K[None], spec, compress_rows(base))
+    rows, margins = rows[0], margins[0]
     passed = bool(np.all(rows <= tol))
     return ConditionReport(rows=rows, margins=margins, tol=tol, passed=passed)
 
@@ -186,32 +210,33 @@ class SolveOptions:
     restarts: int = 8
 
 
-def _ring_homogeneous_candidates(
-    base: PartitionedRealization, spec: SynthesisSpec, opts: SolveOptions
-):
+def _ring_homogeneous_candidates(base: PartitionedRealization, spec: SynthesisSpec):
     """For the homogeneous constraint with square invertible A12 the gain is
-    pinned down by one scalar: K(alpha) = (alpha I - A22) A12^{-1}."""
+    pinned down by one scalar: K(alpha) = (alpha I - A22) A12^{-1}. Yields
+    the best grid point's gain, then, only when asked for, the polished
+    one."""
     q = base.q
-    if q == 0 or base.p != q:
-        return []
-    if np.linalg.matrix_rank(base.A12) < q:
-        return []
+    if q == 0 or base.p != q or np.linalg.matrix_rank(base.A12) < q:
+        return
     A12inv = np.linalg.inv(base.A12)
+    comps = compress_rows(base)
 
-    def gain(alpha: float) -> np.ndarray:
-        return (alpha * np.eye(q) - base.A22) @ A12inv
+    def gain(alpha):
+        return (np.multiply.outer(alpha, np.eye(q)) - base.A22) @ A12inv
 
     def score(alpha: float) -> float:
-        return mm_conditions(base, gain(alpha), spec, opts.tol).max_residual()
+        rows, _ = _condition_rows(base, gain(alpha)[None], spec, comps)
+        return float(np.max(rows))
 
     scale = 1.0 + float(np.linalg.norm(base.A, 2))
     if base.domain == "continuous":
         grid = -np.geomspace(1e-2, 10.0 * scale, 120)
     else:
-        grid = np.concatenate([np.linspace(-0.95, 0.95, 120)])
-    scores = [score(a) for a in grid]
-    order = np.argsort(scores)
+        grid = np.linspace(-0.95, 0.95, 120)
+    rows, _ = _condition_rows(base, gain(grid), spec, comps)
+    order = np.argsort(rows.max(axis=(1, 2)))
     best_alpha = grid[order[0]]
+    yield gain(best_alpha)
     # local polish around the best grid point
     res = scipy.optimize.minimize_scalar(
         score,
@@ -221,7 +246,7 @@ def _ring_homogeneous_candidates(
         method="bounded",
         options={"xatol": 1e-10},
     )
-    return [gain(best_alpha), gain(float(res.x))]
+    yield gain(float(res.x))
 
 
 def _masked_lsq_gain(
@@ -338,7 +363,7 @@ def mm_solve(
     def candidates():
         # generated lazily, so no restart runs once a candidate passes
         if spec.extra == RING_HOMOGENEOUS:
-            yield from _ring_homogeneous_candidates(base, spec, opts)
+            yield from _ring_homogeneous_candidates(base, spec)
         if q == 0:
             return
         rng = np.random.default_rng(opts.seed)

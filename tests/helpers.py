@@ -10,9 +10,14 @@ import numpy as np
 
 from srtrkit import fixtures
 from srtrkit.factorization import ThetaFactor
-from srtrkit.linalg import in_stability_region
+from srtrkit.linalg import (
+    eigenvalues,
+    in_stability_region,
+    stability_distance,
+    stability_margin,
+)
 from srtrkit.srtr import SrtrPair
-from srtrkit.synthesis import assign_stable_spectrum, mm_conditions
+from srtrkit.synthesis import assign_stable_spectrum, compress_rows, mm_conditions
 from srtrkit.systems import PartitionedRealization, is_minimal
 
 
@@ -165,6 +170,76 @@ def pbh_holds(A, M, domain=None, dual=False, tol=1e-8):
         if np.linalg.svd(pencil, compute_uv=False)[-1] <= tol * scale:
             return False
     return True
+
+
+def exact_ring(rng, p, alpha, domain="continuous"):
+    """p-node ring base on which first-order rows on the ring masks exist
+    exactly, with every corner at ``alpha``.
+
+    With L = (alpha I - A22) A12^{-1}, the masked-out entries of
+    A11 - A12 L, A12 A_K(L) and A12 (L B1 + B2) are zeroed and A11, A21,
+    A22, B2 rebuilt from them; then the hidden coordinates are rotated.
+    Returns the base, the ring mask and the gain L.
+    """
+    eye = np.eye(p)
+    shift = np.roll(eye, 1, axis=0)
+    mask = (eye + shift).astype(int)
+    A11 = -12.0 * eye + rng.normal(size=(p, p))
+    A12 = 15.0 * rng.normal(size=(p, p))
+    A21 = 0.3 * rng.normal(size=(p, p))
+    A22 = 1.5 * rng.normal(size=(p, p)) - 3.0 * eye
+    B1 = (-1.08 * eye + 15.8 * shift) * (1.0 + 0.1 * rng.normal(size=(p, p)))
+    B2 = rng.normal(size=(p, p))
+    L = (alpha * eye - A22) @ np.linalg.inv(A12)
+    A11 = (A11 - A12 @ L) * mask + A12 @ L
+    A_K = L @ A11 - L @ A12 @ L + A21 - A22 @ L
+    A_K = np.linalg.solve(A12, (A12 @ A_K) * mask)
+    B_K = np.linalg.solve(A12, (A12 @ (L @ B1 + B2)) * mask)
+    A22 = alpha * eye - L @ A12
+    base = PartitionedRealization(
+        A11=A11, A12=A12, A21=A_K - L @ A11 + L @ A12 @ L + A22 @ L, A22=A22,
+        B1=B1, B2=B_K - L @ B1, domain=domain,
+    )
+    pair = rotate_hidden(SrtrPair(base, L), rotation(rng, p))
+    return pair.base, mask, pair.K
+
+
+def conditions_reference(base, K, spec):
+    """Reference condition rows and margins, one output row at a time: the
+    six residuals of ``mm_conditions`` with its mask, product, norm and
+    spectrum taken per row."""
+    pair = SrtrPair(base, K)
+    p, q = base.p, base.q
+    Wd = base.A11 - base.A12 @ pair.K
+    AK = pair.A_K
+    Bh = pair.K @ base.B1 + base.B2
+    Aw = pair.Aw
+    comps = compress_rows(base)
+    rows = np.zeros((p, 6))
+    margins = np.full(p, np.inf)
+    for i in range(p):
+        outW = spec.maskW[i] == 0
+        outV = spec.maskV[i] == 0
+        rows[i, 0] = np.max(np.abs(Wd[i, outW])) if outW.any() else 0.0
+        rows[i, 1] = np.max(np.abs(base.B1[i, outV])) if outV.any() else 0.0
+        if comps[i].is_zero or q == 0:
+            continue
+        ni = spec.orders[i]
+        Qi = comps[i].Q
+        tail = Qi[q - ni :, :]
+        head = Qi[: q - ni, :]
+        TW = tail @ AK
+        TV = tail @ Bh
+        rows[i, 2] = np.max(np.abs(TW[:, outW])) if outW.any() else 0.0
+        rows[i, 3] = np.max(np.abs(TV[:, outV])) if outV.any() else 0.0
+        coupling = tail @ Aw @ head.T
+        rows[i, 4] = float(np.linalg.norm(coupling, 2)) if coupling.size else 0.0
+        eigs = eigenvalues(tail @ Aw @ tail.T)
+        rows[i, 5] = max(
+            (stability_distance(z, base.domain) for z in eigs), default=0.0
+        )
+        margins[i] = stability_margin(eigs, base.domain)
+    return rows, margins
 
 
 def exact_ring_base():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import pbh_holds, rotation
+from srtrkit.errors import NumericalFailureError
 from srtrkit.linalg import (
     DOMAINS,
     auto_rank_tol,
@@ -14,6 +15,7 @@ from srtrkit.linalg import (
     rank_with_tolerance,
     row_compressor,
     sample_complex_points,
+    sampled_residual,
     stability_distance,
     stability_margin,
     zero_entries,
@@ -43,6 +45,23 @@ def test_stability_margin_values():
     assert stability_margin(np.zeros(0, dtype=complex), "continuous") == np.inf
 
 
+def test_stability_predicates_on_stacks():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(4, 3, 5, 5))
+    eigs = eigenvalues(stack)
+    assert eigs.shape == (4, 3, 5)
+    assert eigenvalues(np.zeros((2, 0, 0))).shape == (2, 0)
+    for domain in DOMAINS:
+        dist = stability_distance(eigs, domain)
+        margin = stability_margin(eigs, domain)
+        assert dist.shape == (4, 3, 5) and margin.shape == (4, 3)
+        for a in range(4):
+            for b in range(3):
+                assert margin[a, b] == stability_margin(eigs[a, b], domain)
+                one = [stability_distance(z, domain) for z in eigs[a, b]]
+                assert list(dist[a, b]) == one
+
+
 def test_is_stable_spectrum():
     assert is_stable_spectrum(np.diag([-1.0, -2.0]), "continuous")
     assert not is_stable_spectrum(np.diag([-1.0, 0.0]), "continuous")
@@ -62,6 +81,28 @@ def test_rank_with_tolerance():
     assert rank_with_tolerance(np.eye(3)) == 3
     assert rank_with_tolerance(np.zeros((2, 2))) == 0
     assert auto_rank_tol(M) > 0
+    assert auto_rank_tol(M, np.linalg.svd(M, compute_uv=False)) == auto_rank_tol(M)
+
+
+def test_sampled_residual_redraws_failed_points():
+    poles = np.array([-1.0, 2.0j, -2.0j])
+    first = sample_complex_points(poles, 3, seed=5)
+    second = sample_complex_points(poles, 3, seed=6)
+
+    def evaluate(lam):
+        if lam in first:
+            raise np.linalg.LinAlgError("singular")
+        return np.array([[lam, 1.0]]), np.array([[lam, 1.0 + 1e-3]])
+
+    got = sampled_residual(evaluate, poles, 3, seed=5)
+    want = max(1e-3 / (1.0 + np.hypot(abs(z), 1.0)) for z in second)
+    assert got == pytest.approx(want, rel=1e-12)
+    with pytest.raises(NumericalFailureError):
+        sampled_residual(_fail, poles, 3)
+
+
+def _fail(lam):
+    raise NumericalFailureError("no room")
 
 
 def _unreached_block(A, B):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_pair, random_partitioned, stable_targets, structured_pair
+from helpers import (
+    block_network,
+    conditions_reference,
+    exact_ring,
+    random_pair,
+    random_partitioned,
+    stable_targets,
+    structured_pair,
+)
 import srtrkit
 from srtrkit import fixtures
 from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
@@ -15,6 +23,7 @@ from srtrkit.systems import eval_tfm
 from srtrkit.synthesis import (
     SolveOptions,
     SynthesisSpec,
+    _condition_rows,
     assign_stable_spectrum,
     compress_rows,
     dense_spec,
@@ -118,6 +127,66 @@ def test_unstable_gain_fails_condition_vi():
     report = mm_conditions(base, hot, spec, tol=1e-6)
     assert not report.passed
     assert report.per_condition_max()[5] > 0.9
+
+
+def _kernel_cases():
+    """(base, gains, spec) triples that reach every branch of the kernel:
+    rotated block networks with first-order and full block-order rows, a
+    zero coupling row, no hidden state, and discrete time."""
+    rng = np.random.default_rng(808)
+    for p in (3, 9, 15):
+        pair, mask, sizes = block_network(rng, p)
+        gains = [pair.K + t * rng.normal(size=pair.K.shape) for t in (0.0, 0.3, 0.3)]
+        for orders in ((1,) * p, tuple(1 + b for b in sizes)):
+            yield pair.base, gains, SynthesisSpec(mask, mask, orders)
+    base = random_partitioned(rng, 3, 4, 2)
+    base = base.__class__(
+        base.A11, np.vstack([np.zeros((1, 4)), base.A12[1:]]), base.A21,
+        base.A22, base.B1, base.B2,
+    )
+    spec = SynthesisSpec(np.eye(3), np.ones((3, 2)), (1, 2, 4))
+    yield base, [rng.normal(size=(4, 3)) for _ in range(3)], spec
+    bank = fixtures.integrator_bank_pair(3).base
+    yield bank, [np.zeros((0, 3))] * 2, SynthesisSpec(np.eye(3), np.eye(3), (1, 1, 1))
+    pair = random_pair(rng, 3, 5, 2, domain="discrete")
+    spec = SynthesisSpec(
+        rng.integers(0, 2, (3, 3)), rng.integers(0, 2, (3, 2)), (1, 3, 5)
+    )
+    gains = [pair.K + t * rng.normal(size=pair.K.shape) for t in (0.0, 0.5, 0.5)]
+    yield pair.base, gains, spec
+
+
+def test_condition_kernel_matches_row_reference():
+    for base, gains, spec in _kernel_cases():
+        for K in gains:
+            ref_rows, ref_margins = conditions_reference(base, K, spec)
+            report = mm_conditions(base, K, spec)
+            close = dict(rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(report.rows, ref_rows, **close)
+            np.testing.assert_allclose(report.margins, ref_margins, **close)
+
+
+def test_condition_kernel_stack_equals_single_calls():
+    for base, gains, spec in _kernel_cases():
+        comps = compress_rows(base)
+        rows, margins = _condition_rows(base, np.stack(gains), spec, comps)
+        assert rows.shape == (len(gains), base.p, 6)
+        for k, K in enumerate(gains):
+            one_rows, one_margins = _condition_rows(base, K[None], spec, comps)
+            np.testing.assert_allclose(rows[k], one_rows[0], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(margins[k], one_margins[0], rtol=1e-14, atol=0.0)
+
+
+def test_mm_solve_discrete_exact_ring():
+    rng = np.random.default_rng(4242)
+    base, mask, _ = exact_ring(rng, 7, alpha=-0.43, domain="discrete")
+    spec = SynthesisSpec(mask, mask, (1,) * 7, extra="ring-homogeneous")
+    assert not mm_conditions(base, np.zeros((7, 7)), spec).passed
+    K = mm_solve(base, spec, SolveOptions(tol=1e-6))
+    report = mm_conditions(base, K, spec, tol=1e-6)
+    assert report.passed, report.per_condition_max()
+    for row in reduce_rows(base, K, spec):
+        assert np.all(np.abs(np.linalg.eigvals(row.A)) < 1.0)
 
 
 def test_mm_solve_trivial_when_a22_stable():
