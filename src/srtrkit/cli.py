@@ -47,12 +47,12 @@ from .loop import (
     simulate,
     unstable_pole_count,
 )
-from .rational import realization_entry_numerators
+from .rational import siso_rational
 from .srtr import (
+    SrtrPair,
     check_flcf,
     nrf_from_srtr,
     sparsity_pattern,
-    srtr_from_k,
     srtr_is_stable,
     verify_srtr_identity,
 )
@@ -109,7 +109,7 @@ def _default_theta(p: int, domain: str) -> ThetaFactor:
 def cmd_srtr_build(args) -> int:
     base = jsonio.partitioned_from_dict(jsonio.load_json(args.base))
     K = jsonio.gain_from_dict(jsonio.load_json(args.gain), p=base.p, q=base.q)
-    pair = srtr_from_k(base, K)
+    pair = SrtrPair(base, K)
     if not is_minimal(base.full_system()):
         print("note: base realization is not minimal", file=sys.stderr)
     _emit_json(args, jsonio.pair_to_dict(pair))
@@ -319,14 +319,12 @@ def run_ring_reproduction() -> tuple[list[str], float]:
     lines = []
     worst = 0.0
     for i, row in enumerate(rows):
-        chi, num = realization_entry_numerators(row.A, row.B, row.C, row.D)
         prev = (i - 1) % p
-        got = {
-            "W_local": (num[0, i], chi),
-            "W_prev": (num[0, prev], chi),
-            "V_local": (num[0, p + i], chi),
-            "V_prev": (num[0, p + prev], chi),
-        }
+        got = {}
+        cols = {"W_local": i, "W_prev": prev, "V_local": p + i, "V_prev": p + prev}
+        for name, j in cols.items():
+            fn = siso_rational(row.A, row.B[:, j], row.C, row.D[0, j])
+            got[name] = (np.pad(fn.num, (0, fn.den.size - fn.num.size)), fn.den)
         for name, (gnum, gden) in got.items():
             enum_ = expected[name]["num"]
             eden = expected[name]["den"]

@@ -135,36 +135,13 @@ def _rational_to_dict(fn: RationalFn) -> dict:
     return {"num": fn.num.tolist(), "den": fn.den.tolist()}
 
 
-def _rational_from_dict(d: dict, name: str) -> RationalFn:
-    try:
-        return RationalFn(np.asarray(_need(d, "num"), dtype=float),
-                          np.asarray(_need(d, "den"), dtype=float))
-    except (SrtrKitError, ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"bad rational entry {name}: {exc}") from exc
-
-
 def nrf_to_dict(nrf: NrfPair) -> dict:
     p, m = nrf.p, nrf.m
     return {
         "Phi": [[_rational_to_dict(nrf.Phi[i, j]) for j in range(p)] for i in range(p)],
         "Gamma": [[_rational_to_dict(nrf.Gamma[i, k]) for k in range(m)] for i in range(p)],
-        "notes": list(nrf.notes),
+        "notes": [],
     }
-
-
-def nrf_from_dict(d: dict) -> NrfPair:
-    phi_rows = _need(d, "Phi")
-    gam_rows = _need(d, "Gamma")
-    p = len(phi_rows)
-    m = len(gam_rows[0]) if gam_rows and gam_rows[0] else 0
-    Phi = np.empty((p, p), dtype=object)
-    Gamma = np.empty((p, m), dtype=object)
-    for i in range(p):
-        for j in range(p):
-            Phi[i, j] = _rational_from_dict(phi_rows[i][j], f"Phi[{i}][{j}]")
-        for k in range(m):
-            Gamma[i, k] = _rational_from_dict(gam_rows[i][k], f"Gamma[{i}][{k}]")
-    return NrfPair(Phi, Gamma, tuple(d.get("notes", ())))
 
 
 def pattern_to_dict(pat: SparsityPattern) -> dict:

@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .srtr import SrtrPair, srtr_is_stable
 from .synthesis import SynthesisSpec, dense_spec, reduce_rows
-from .systems import StateSpaceSystem, minimal_realization
+from .systems import StateSpaceSystem, _row_with_integrator, minimal_realization
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,6 @@ class RowImplementation:
             D[i, :] = row.D[0]
             at += k
         return StateSpaceSystem(A, B, C, D, self.domain)
-
-
-def _row_with_integrator(row_wv: StateSpaceSystem) -> StateSpaceSystem:
-    """Divide a single-output row of [W V] by lam: one extra leading state."""
-    k = row_wv.n
-    A = np.zeros((k + 1, k + 1))
-    A[0, 1:] = row_wv.C[0]
-    A[1:, 1:] = row_wv.A
-    B = np.vstack([row_wv.D, row_wv.B])
-    C = np.zeros((1, k + 1))
-    C[0, 0] = 1.0
-    D = np.zeros((1, row_wv.n_inputs))
-    return StateSpaceSystem(A, B, C, D, row_wv.domain)
 
 
 def rowwise_implementation(

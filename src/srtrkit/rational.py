@@ -1,9 +1,10 @@
-"""Scalar rational functions with real coefficients, plus the
-Leverrier-Faddeev recursion used to turn a state-space entry into an explicit
-numerator/denominator pair without ever forming symbolic inverses.
+"""Scalar rational functions with real coefficients.
 
-Nothing here decides structure: zero entries, minimality and
-stabilizability come from the orthogonal staircase in ``linalg``. The
+``siso_rational`` forms the numerator and denominator of one entry of a
+state-space system from two eigenvalue problems. Nothing here decides
+structure: zero entries, minimality and stabilizability come from the
+orthogonal staircase in ``linalg``, and ``systems.minimal_realization``
+prunes an entry with it before its coefficients are formed. The
 coefficients serve only the normalized form (``srtr.nrf_from_srtr``) and
 printed coefficient comparisons.
 """
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DimensionError, NonFiniteError
+from .errors import NonFiniteError
+from .linalg import eigenvalues
 
 _TRIM_REL = 1e-12
 
@@ -64,8 +66,8 @@ class RationalFn:
     def den_degree(self) -> int:
         return int(self.den.size - 1)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.num) <= tol))
+    def is_zero(self) -> bool:
+        return not np.any(self.num)
 
     def is_proper(self) -> bool:
         return self.num_degree <= self.den_degree
@@ -77,113 +79,27 @@ class RationalFn:
         lam = np.asarray(lam)
         return P.polyval(lam, self.num) / P.polyval(lam, self.den)
 
-    def __add__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(
-            P.polyadd(P.polymul(self.num, other.den), P.polymul(other.num, self.den)),
-            P.polymul(self.den, other.den),
-        )
 
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + RationalFn(-other.num, other.den)
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(P.polymul(self.num, other.num), P.polymul(self.den, other.den))
-
-    def scaled(self, alpha: float) -> "RationalFn":
-        return RationalFn(alpha * self.num, self.den)
-
-    def reduce(self, tol: float = 1e-8) -> "RationalFn":
-        """Cancel near-common roots of numerator and denominator.
-
-        Root pairing within ``tol`` (absolute, after clustering) removes one
-        factor from each side; the result is rebuilt from the surviving roots
-        so the reduction is exact by construction.
-        """
-        if self.is_zero():
-            return RationalFn(np.zeros(1), np.ones(1))
-        if self.num_degree == 0 or self.den_degree == 0:
-            return self
-        nroots = list(P.polyroots(self.num))
-        droots = list(P.polyroots(self.den))
-        lead = self.num[-1]
-        kept_n = []
-        for r in nroots:
-            hit = None
-            for j, s in enumerate(droots):
-                if abs(r - s) < tol:
-                    hit = j
-                    break
-            if hit is None:
-                kept_n.append(r)
-            else:
-                droots.pop(hit)
-        if len(kept_n) == len(nroots):
-            # nothing cancelled; keep the original coefficients rather than
-            # a root-rebuilt copy, which would only add rounding noise
-            return self
-        new_num = lead * np.real_if_close(P.polyfromroots(kept_n), tol=1e6)
-        new_den = np.real_if_close(P.polyfromroots(droots), tol=1e6)
-        return RationalFn(np.real(new_num), np.real(new_den))
-
-    def close_to(self, other: "RationalFn", points, tol: float = 1e-9) -> bool:
-        va = self(np.asarray(points, dtype=complex))
-        vb = other(np.asarray(points, dtype=complex))
-        return bool(np.all(np.abs(va - vb) <= tol * (1.0 + np.abs(vb))))
+def _charpoly(A: np.ndarray) -> np.ndarray:
+    """Ascending monic characteristic polynomial of A, from its spectrum."""
+    return np.real(P.polyfromroots(eigenvalues(A)))
 
 
-def constant(c: float) -> RationalFn:
-    return RationalFn(np.array([float(c)]), np.array([1.0]))
+def siso_rational(A, b, c, d) -> RationalFn:
+    """The entry ``c (lam I - A)^{-1} b + d`` of one input and one output.
 
-
-def faddeev(A) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Leverrier-Faddeev recursion.
-
-    Returns the characteristic polynomial of A (ascending coefficients,
-    monic: chi[n] == 1) and the matrix sequence ``M_1 .. M_n`` with
-    ``(lam I - A)^{-1} = sum_k lam^{n-k} M_k / chi(lam)``.
+    By the determinant lemma, det(lam I - A + b c) equals
+    det(lam I - A) (1 + c (lam I - A)^{-1} b), so the strictly proper part
+    has numerator charpoly(A - b c) - charpoly(A), whose leading terms
+    cancel exactly. Pass a minimal realization
+    (``systems.minimal_realization``): the modes of a non-minimal one stay
+    behind as common roots of numerator and denominator.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"square matrix required, got shape {A.shape}")
-    n = A.shape[0]
-    if n == 0:
-        return np.array([1.0]), []
-    coeffs_desc = np.zeros(n + 1)
-    coeffs_desc[0] = 1.0
-    mats: list[np.ndarray] = []
-    M = np.eye(n)
-    for k in range(1, n + 1):
-        mats.append(M)
-        AM = A @ M
-        c = -np.trace(AM) / k
-        coeffs_desc[k] = c
-        M = AM + c * np.eye(n)
-    # at this point M should be the zero matrix (Cayley-Hamilton)
-    return coeffs_desc[::-1].copy(), mats
-
-
-def realization_entry_numerators(A, B, C, D) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise numerators of ``C (lam I - A)^{-1} B + D`` over det(lam I - A).
-
-    Returns (chi, num) where chi is ascending of length n+1 and num has shape
-    (p, m, n+1) so entry (i, j) of the transfer matrix equals
-    ``poly(num[i, j]) / poly(chi)``.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    D = np.asarray(D, dtype=float)
-    n = A.shape[0]
-    p, m = C.shape[0], B.shape[1]
-    chi, mats = faddeev(A)
-    num = np.zeros((p, m, n + 1))
-    for k, M in enumerate(mats, start=1):
-        # contributes at power lam**(n-k)
-        num[:, :, n - k] += C @ M @ B
-    if D.size:
-        num += D[:, :, None] * chi[None, None, :]
-    return chi, num
-
-
-def entry_rational(chi: np.ndarray, num: np.ndarray, i: int, j: int) -> RationalFn:
-    return RationalFn(num[i, j], chi)
+    k = A.shape[0]
+    b = np.asarray(b, dtype=float).reshape(k)
+    c = np.asarray(c, dtype=float).reshape(k)
+    d = float(np.asarray(d).item())
+    den = _charpoly(A)
+    num = np.append((_charpoly(A - np.outer(b, c)) - den)[:k], 0.0)
+    return RationalFn(num + d * den, den)

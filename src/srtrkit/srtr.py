@@ -2,9 +2,9 @@
 
 A gain K on a partitioned realization produces the pair (W, V) with hidden
 state dimension n - p; this module constructs the pair, verifies the defining
-identity by sampling, extracts the normalized (zero-diagonal) form, reads off
-sparsity masks, and certifies coprimeness of [lam I - W, V] through rank
-tests on a linear pencil.
+identity by sampling, builds the normalized (zero-diagonal) form row by row
+in state space, reads off sparsity masks, and certifies coprimeness of
+[lam I - W, V] through rank tests on a linear pencil.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DimensionError
 from .linalg import (
@@ -25,8 +24,14 @@ from .linalg import (
     singular_values,
     zero_entries,
 )
-from .rational import RationalFn, realization_entry_numerators
-from .systems import PartitionedRealization, StateSpaceSystem, eval_tfm
+from .rational import siso_rational
+from .systems import (
+    PartitionedRealization,
+    StateSpaceSystem,
+    _row_with_integrator,
+    eval_tfm,
+    minimal_realization,
+)
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,6 @@ class SrtrPair:
         return np.linalg.solve(pencil, wv[:, self.p :])
 
 
-def srtr_from_k(base: PartitionedRealization, K) -> SrtrPair:
-    """Build the pair determined by gain K on the given partitioned base."""
-    return SrtrPair(base, K)
-
-
 def verify_srtr_identity(
     pair: SrtrPair,
     base: PartitionedRealization | None = None,
@@ -130,11 +130,11 @@ def srtr_is_stable(pair: SrtrPair) -> bool:
 @dataclass(frozen=True)
 class NrfPair:
     """Normalized form: Phi has an identically zero diagonal and
-    G = (I - Phi)^{-1} Gamma. Entries are RationalFn objects."""
+    G = (I - Phi)^{-1} Gamma. Entries are RationalFn objects, each formed
+    from a minimal realization, so no entry carries a cancelling root pair."""
 
     Phi: np.ndarray
     Gamma: np.ndarray
-    notes: tuple = ()
 
     @property
     def p(self) -> int:
@@ -165,51 +165,39 @@ class NrfPair:
         )
 
 
-def nrf_from_srtr(pair: SrtrPair, cancel_tol: float = 1e-8) -> NrfPair:
-    """Normalize the pair row by row.
+def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
+    """Normalize the pair row by row, in state space.
 
-    Every entry of [W V] shares the denominator chi = det(lam I - Aw), so row
-    i of the normalized form divides the off-diagonal numerators by
-    lam * chi - num_ii. Numerically coincident numerator/denominator roots
-    are cancelled; near-misses are left alone and noted.
+    Row i of lam^{-1} [W V] maps (u, z) to u_i. Feeding its output back
+    into its own input i solves (lam - W_ii) u_i = sum_j W_ij u_j + V_i z
+    for u_i, so Phi[i, j] = W_ij / (lam - W_ii) for j != i and
+    Gamma[i, k] = V_ik / (lam - W_ii), and input i no longer reaches the
+    row: the diagonal is exactly zero. Each entry is pruned to its minimal
+    part by the orthogonal staircase before ``siso_rational`` forms its
+    coefficients, so its degree is its true McMillan degree and no root is
+    cancelled by tolerance.
     """
     p, m = pair.p, pair.m
-    chi, num = realization_entry_numerators(pair.Aw, pair.Bw, pair.Cw, pair.Dw)
-    wnum, vnum = num[:, :p, :], num[:, p:, :]
-    lam_chi = P.polymulx(chi)
-    # root-pairing tolerances must follow the magnitude of the spectrum,
-    # not of the characteristic coefficients, which grow combinatorially
-    aw_eigs = eigenvalues(pair.Aw)
-    root_scale = 1.0 + (float(np.max(np.abs(aw_eigs))) if aw_eigs.size else 0.0)
-    tol = cancel_tol * root_scale
-    near = 1e-5 * root_scale
+    wv = pair.wv_system()
     Phi = np.empty((p, p), dtype=object)
     Gamma = np.empty((p, m), dtype=object)
-    notes: list[str] = []
     for i in range(p):
-        den = P.polysub(lam_chi, wnum[i, i])
-        for j in range(p):
-            if i == j:
-                Phi[i, j] = RationalFn(np.zeros(1), np.ones(1))
-                continue
-            entry = RationalFn(wnum[i, j], den).reduce(tol)
-            Phi[i, j] = entry
-            if _has_near_common_root(entry, near):
-                notes.append(f"Phi[{i},{j}]: near-common roots left uncancelled")
-        for k in range(m):
-            entry = RationalFn(vnum[i, k], den).reduce(tol)
-            Gamma[i, k] = entry
-            if _has_near_common_root(entry, near):
-                notes.append(f"Gamma[{i},{k}]: near-common roots left uncancelled")
-    return NrfPair(Phi, Gamma, tuple(notes))
-
-
-def _has_near_common_root(fn: RationalFn, tol: float) -> bool:
-    if fn.is_zero() or fn.num_degree == 0 or fn.den_degree == 0:
-        return False
-    nr = P.polyroots(fn.num)
-    dr = P.polyroots(fn.den)
-    return bool(np.min(np.abs(nr[:, None] - dr[None, :])) < tol)
+        row = _row_with_integrator(
+            StateSpaceSystem(wv.A, wv.B, wv.C[i : i + 1], wv.D[i : i + 1], wv.domain)
+        )
+        A = row.A + np.outer(row.B[:, i], row.C[0])
+        B = row.B.copy()
+        B[:, i] = 0.0
+        for j in range(p + m):
+            e = minimal_realization(
+                StateSpaceSystem(A, B[:, j : j + 1], row.C, row.D[:, j : j + 1], wv.domain)
+            )
+            fn = siso_rational(e.A, e.B, e.C, e.D)
+            if j < p:
+                Phi[i, j] = fn
+            else:
+                Gamma[i, j - p] = fn
+    return NrfPair(Phi, Gamma)
 
 
 @dataclass(eq=False)

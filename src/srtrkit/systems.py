@@ -136,6 +136,19 @@ def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> Stat
     return StateSpaceSystem(A, B, C, sys.D.copy(), sys.domain)
 
 
+def _row_with_integrator(row_wv: StateSpaceSystem) -> StateSpaceSystem:
+    """Divide a single-output row of [W V] by lam: one extra leading state."""
+    k = row_wv.n
+    A = np.zeros((k + 1, k + 1))
+    A[0, 1:] = row_wv.C[0]
+    A[1:, 1:] = row_wv.A
+    B = np.vstack([row_wv.D, row_wv.B])
+    C = np.zeros((1, k + 1))
+    C[0, 0] = 1.0
+    D = np.zeros((1, row_wv.n_inputs))
+    return StateSpaceSystem(A, B, C, D, row_wv.domain)
+
+
 @dataclass(frozen=True)
 class PartitionedRealization:
     """Realization with C = [I_p 0]: the first p states are the outputs.

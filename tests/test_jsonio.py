@@ -8,6 +8,7 @@ from srtrkit import fixtures, jsonio
 from srtrkit.errors import InvalidInputError
 from srtrkit.factorization import lcf_from_srtr
 from srtrkit.loop import assemble_closed_loop, rowwise_implementation
+from srtrkit.rational import RationalFn
 from srtrkit.srtr import nrf_from_srtr, sparsity_pattern
 from srtrkit.synthesis import dense_spec
 from srtrkit.systems import eval_tfm
@@ -53,10 +54,16 @@ def test_nrf_roundtrip():
     rng = np.random.default_rng(12)
     pair = random_pair(rng, 2, 2, 1, stable=True)
     nrf = nrf_from_srtr(pair)
-    back = jsonio.nrf_from_dict(json.loads(json.dumps(jsonio.nrf_to_dict(nrf))))
+    d = json.loads(json.dumps(jsonio.nrf_to_dict(nrf)))
+    assert set(d) == {"Phi", "Gamma", "notes"} and d["notes"] == []
     lam = 0.4 + 0.2j
-    assert np.allclose(back.eval_phi(lam), nrf.eval_phi(lam), atol=1e-12)
-    assert np.allclose(back.eval_gamma(lam), nrf.eval_gamma(lam), atol=1e-12)
+    for key, want in (("Phi", nrf.eval_phi(lam)), ("Gamma", nrf.eval_gamma(lam))):
+        assert np.shape(d[key]) == want.shape
+        for i, row in enumerate(d[key]):
+            for j, entry in enumerate(row):
+                assert set(entry) == {"num", "den"}
+                back = RationalFn(entry["num"], entry["den"])
+                assert back(lam) == pytest.approx(want[i, j], rel=1e-12, abs=1e-12)
 
 
 def test_pattern_dict():

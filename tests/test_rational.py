@@ -1,19 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import polynomial as npoly
 
-from srtrkit.rational import (
-    RationalFn,
-    constant,
-    entry_rational,
-    faddeev,
-    realization_entry_numerators,
-)
-
-coeff = st.floats(
-    min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
-)
+from srtrkit.rational import RationalFn, siso_rational
 
 
 def test_monic_normalization():
@@ -35,103 +24,42 @@ def test_degree_and_properness():
 def test_zero_function():
     z = RationalFn([0.0], [1.0, 2.0])
     assert z.is_zero()
-    assert not constant(3.0).is_zero()
+    assert not RationalFn([3.0]).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(coeff, min_size=1, max_size=3),
-    st.lists(coeff, min_size=1, max_size=3),
-)
-def test_arithmetic_matches_pointwise(a, b):
-    if abs(a[-1]) < 1e-3 or abs(b[-1]) < 1e-3:
-        return
-    f = RationalFn(a, [1.0, 0.5, 1.0])
-    g = RationalFn(b, [2.0, 1.0])
-    for lam in (0.3, -1.7, 2.2j):
-        fs = f(lam)
-        gs = g(lam)
-        assert (f + g)(lam) == pytest.approx(fs + gs, rel=1e-9, abs=1e-9)
-        assert (f - g)(lam) == pytest.approx(fs - gs, rel=1e-9, abs=1e-9)
-        assert (f * g)(lam) == pytest.approx(fs * gs, rel=1e-9, abs=1e-9)
-        assert f.scaled(2.5)(lam) == pytest.approx(2.5 * fs, rel=1e-9, abs=1e-9)
-
-
-def test_reduce_cancels_shared_root():
-    num = npoly.polyfromroots([-1.0, -2.0])
-    den = npoly.polyfromroots([-1.0, -3.0])
-    r = RationalFn(num, den).reduce(tol=1e-9)
-    assert r.den_degree == 1
-    assert r.num_degree == 1
-    for lam in (0.0, 1.0, -0.5):
-        assert r(lam) == pytest.approx((lam + 2) / (lam + 3), rel=1e-10)
-
-
-def test_reduce_keeps_distinct_roots():
-    r = RationalFn(npoly.polyfromroots([-1.0]), npoly.polyfromroots([-1.5]))
-    s = r.reduce(tol=1e-9)
-    assert s.den_degree == 1 and s.num_degree == 1
-
-
-def test_close_to():
-    f = RationalFn([1.0], [1.0, 1.0])
-    g = RationalFn([1.0 + 1e-12], [1.0, 1.0])
-    assert f.close_to(g, points=(0.5, 1.5j), tol=1e-8)
-    h = RationalFn([2.0], [1.0, 1.0])
-    assert not f.close_to(h, points=(0.5,), tol=1e-8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
-def test_faddeev_matches_charpoly(n, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, n))
-    chi, mats = faddeev(A)
-    ref = np.poly(A)[::-1]
-    scale = 1 + np.max(np.abs(ref))
-    assert np.allclose(chi, ref, atol=1e-8 * scale)
-    assert len(mats) == n
-    lam = 0.37 + 0.81j
-    adj = sum(
-        mats[k] * lam ** (n - 1 - k) for k in range(n)
-    )
-    lhs = (lam * np.eye(n) - A) @ adj
-    rhs = npoly.polyval(lam, chi) * np.eye(n)
-    assert np.allclose(lhs, rhs, atol=1e-7 * (1 + abs(npoly.polyval(lam, chi))))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=5),
+    st.booleans(),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_entry_numerators_reproduce_transfer(n, p, m, seed):
+def test_siso_rational_matches_direct_evaluation(k, with_d, seed):
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, n))
-    B = rng.normal(size=(n, m))
-    C = rng.normal(size=(p, n))
-    D = rng.normal(size=(p, m))
-    chi, num = realization_entry_numerators(A, B, C, D)
-    assert num.shape == (p, m, n + 1)
-    for lam in (0.9 + 0.4j, -1.3):
-        chival = npoly.polyval(lam, chi)
-        if abs(chival) < 1e-6:
-            continue
-        G = C @ np.linalg.solve(lam * np.eye(n) - A, B) + D
-        for i in range(p):
-            for j in range(m):
-                val = npoly.polyval(lam, num[i, j]) / chival
-                assert val == pytest.approx(G[i, j], rel=1e-7, abs=1e-7)
+    A = rng.normal(size=(k, k))
+    b = rng.normal(size=k)
+    c = rng.normal(size=k)
+    d = rng.normal() if with_d else 0.0
+    r = siso_rational(A, b, c, d)
+    assert r.is_strictly_proper() == (d == 0.0)
+    for lam in (0.9 + 0.4j, -1.3, 2.1j):
+        want = c @ np.linalg.solve(lam * np.eye(k) - A, b) + d if k else d
+        assert r(lam) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-def test_entry_rational_view():
-    A = np.array([[-2.0]])
-    B = np.array([[1.0]])
-    C = np.array([[3.0]])
-    D = np.array([[0.0]])
-    chi, num = realization_entry_numerators(A, B, C, D)
-    r = entry_rational(chi, num, 0, 0)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=10**6))
+def test_siso_rational_denominator_is_charpoly(k, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(k, k))
+    r = siso_rational(A, rng.normal(size=k), rng.normal(size=k), 0.0)
+    assert r.den_degree == k
+    assert np.allclose(r.den, np.poly(A)[::-1] if k else [1.0], atol=1e-10)
+
+
+def test_siso_rational_first_order():
+    r = siso_rational([[-2.0]], [1.0], [3.0], 0.0)
+    assert np.array_equal(r.num, [3.0]) and np.array_equal(r.den, [2.0, 1.0])
     for lam in (0.0, 1.0, 2.0j):
         assert r(lam) == pytest.approx(3.0 / (lam + 2.0), rel=1e-12)
+    s = siso_rational(np.zeros((0, 0)), [], [], 0.5)
+    assert np.array_equal(s.num, [0.5]) and np.array_equal(s.den, [1.0])

@@ -10,7 +10,6 @@ from srtrkit.srtr import (
     check_flcf,
     nrf_from_srtr,
     sparsity_pattern,
-    srtr_from_k,
     srtr_is_stable,
     verify_srtr_identity,
 )
@@ -103,15 +102,6 @@ def test_integrator_bank_response():
     assert np.allclose(pair.response(lam), np.eye(2) / lam)
 
 
-def test_srtr_from_k_matches_constructor():
-    rng = np.random.default_rng(9)
-    base = random_partitioned(rng, 2, 2, 2)
-    K = rng.normal(size=(2, 2))
-    a = srtr_from_k(base, K)
-    b = SrtrPair(base, K)
-    assert np.allclose(a.Aw, b.Aw)
-
-
 def test_nrf_zero_diagonal_and_closure():
     rng = np.random.default_rng(21)
     pair = random_pair(rng, 3, 3, 2, stable=True)
@@ -132,11 +122,16 @@ def test_nrf_zero_diagonal_and_closure():
 
 def test_nrf_scalar_class():
     # The scalar family has p = 1, so Phi must vanish and Gamma must equal G.
-    pair = scalar_pair(0.3)
-    nrf = nrf_from_srtr(pair)
-    assert nrf.Phi[0][0].is_zero()
-    lam = 1.7
-    assert nrf.Gamma[0][0](lam) == pytest.approx(pair.response(lam)[0, 0], rel=1e-9)
+    # Gamma = V / (lam - W) = (lam + 1) / (lam + 1)^2 for every k: the common
+    # root is pruned in state space, so Gamma has degree 1.
+    for k in (0.3, 0.0, -0.7, 2.0):
+        pair = scalar_pair(k)
+        nrf = nrf_from_srtr(pair)
+        assert nrf.Phi[0][0].is_zero()
+        lam = 1.7
+        g = nrf.Gamma[0][0]
+        assert g(lam) == pytest.approx(pair.response(lam)[0, 0], rel=1e-9)
+        assert np.allclose(g.num, [1.0]) and np.allclose(g.den, [1.0, 1.0])
 
 
 def test_sparsity_pattern_block_structure():

@@ -18,7 +18,7 @@ from helpers import (
 import srtrkit
 from srtrkit import fixtures
 from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
-from srtrkit.rational import realization_entry_numerators
+from srtrkit.rational import siso_rational
 from srtrkit.systems import eval_tfm
 from srtrkit.synthesis import (
     SolveOptions,
@@ -242,18 +242,15 @@ def test_reduce_rows_matches_printed_coefficients():
     worst = 0.0
     for i, row in enumerate(rows):
         assert row.n == 1
-        chi, num = realization_entry_numerators(row.A, row.B, row.C, row.D)
         prev = (i - 1) % 6
-        checks = {
-            "W_local": num[0, i],
-            "W_prev": num[0, prev],
-            "V_local": num[0, 6 + i],
-            "V_prev": num[0, 6 + prev],
-        }
-        for name, gnum in checks.items():
+        checks = {"W_local": i, "W_prev": prev, "V_local": 6 + i, "V_prev": 6 + prev}
+        for name, j in checks.items():
+            fn = siso_rational(row.A, row.B[:, j], row.C, row.D[0, j])
+            assert fn.den_degree == 1 and fn.num_degree <= 1
+            gnum = np.pad(fn.num, (0, 2 - fn.num.size))
             ev = expected[name]
             scale = max(abs(v) for v in ev["num"] + ev["den"])
-            for g, e in zip(list(gnum) + list(chi), ev["num"] + ev["den"]):
+            for g, e in zip(list(gnum) + list(fn.den), ev["num"] + ev["den"]):
                 err = abs(g - e) / (abs(e) if e != 0.0 else scale)
                 worst = max(worst, err)
     assert worst <= 0.01, f"worst deviation {worst:.4%}"
