@@ -339,8 +339,11 @@ def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
     the eigenvalue (or pair) whose real eigenvector columns most enlarge the
     volume of the top p rows V1 of the orthonormalized basis, until p
     columns are chosen. The basis itself then comes from one real Schur
-    form ordered to put the chosen eigenvalues first, which stays accurate
-    on near-defective spectra. The cost is polynomial in p.
+    form, reordered by position (LAPACK ``trsen``) to put the chosen
+    eigenvalues first, which stays accurate on near-defective spectra. Each
+    chosen eigenvalue claims the nearest diagonal block of its own, so it is
+    split from an equal eigenvalue that is left out. The cost is polynomial
+    in p.
     """
     p, q = lcf.p, lcf.q
     if tol is None:
@@ -374,20 +377,33 @@ def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
             f"conjugate-closed set"
         )
     chosen = w[[stable[j] for j in picked]]
-    others = np.setdiff1d(w[upper], chosen)
-
-    def first(wr, wi):
-        # each Schur eigenvalue is matched to the nearest eig() eigenvalue
-        z = complex(wr, abs(wi))
-        return np.min(np.abs(chosen - z)) < np.min(np.abs(others - z), initial=np.inf)
-
     try:
-        _, Z, sdim = scipy.linalg.schur(Aplus, output="real", sort=first)
+        T, Z = scipy.linalg.schur(Aplus, output="real")
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"ordered Schur form failed: {exc}") from exc
+        raise NumericalFailureError(f"real Schur form failed: {exc}") from exc
+    # diagonal blocks of T as (first row, size, eigenvalue with imag >= 0); a
+    # standardized 2 x 2 block [[a, b], [c, a]] has eigenvalues a +- i sqrt(-bc)
+    spots, i = [], 0
+    while i < len(T):
+        if i + 1 < len(T) and T[i + 1, i] != 0.0:
+            spots.append((i, 2, complex(T[i, i], np.sqrt(-T[i, i + 1] * T[i + 1, i]))))
+            i += 2
+        else:
+            spots.append((i, 1, complex(T[i, i])))
+            i += 1
+    # each chosen eigenvalue claims the nearest unclaimed block, so it is
+    # split from an equal eigenvalue that stays behind
+    select = np.zeros(len(T), dtype=np.int32)
+    for z in chosen:
+        spot = min(spots, key=lambda s: abs(s[2] - z))
+        spots.remove(spot)
+        select[spot[0] : spot[0] + spot[1]] = 1
+    _, Z, _, _, sdim, _, _, info = scipy.linalg.lapack.dtrsen(select, T, Z, job="N")
+    if info != 0:
+        raise NumericalFailureError(f"Schur reordering failed (LAPACK info {info})")
     if sdim != p:
         raise NumericalFailureError(
-            f"ordered Schur form put {sdim} eigenvalues first, expected {p}"
+            f"Schur reordering put {sdim} eigenvalues first, expected {p}"
         )
     subset = np.concatenate([[z] if z.imag == 0.0 else [z, np.conj(z)] for z in chosen])
     best, cond1 = _candidate_from_basis(lcf, Z[:, :p], subset)

@@ -152,7 +152,7 @@ def controllability_staircase(A, B, tol: float | None = None) -> tuple[np.ndarra
     if n == 0 or B.size == 0:
         return Z, 0
     cut = (1e-9 if tol is None else tol) * max(
-        np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+        singular_values(A)[0], singular_values(B)[0]
     )
     H = A.copy()
     block = B

@@ -1,12 +1,13 @@
 """Scalar rational functions with real coefficients.
 
-``siso_rational`` forms the numerator and denominator of one entry of a
-state-space system from two eigenvalue problems. Nothing here decides
+``siso_rational`` forms the numerator and denominator of single-input,
+single-output state-space entries from two eigenvalue problems each. It
+takes one entry or a stack of entries of one order, so a caller that forms
+many entries pays one eigenvalue call per stack. Nothing here decides
 structure: zero entries, minimality and stabilizability come from the
-orthogonal staircase in ``linalg``, and ``systems.minimal_realization``
-prunes an entry with it before its coefficients are formed. The
-coefficients serve only the normalized form (``srtr.nrf_from_srtr``) and
-printed coefficient comparisons.
+orthogonal staircase in ``linalg``, which prunes an entry before its
+coefficients are formed. The coefficients serve only the normalized form
+(``srtr.nrf_from_srtr``) and printed coefficient comparisons.
 """
 
 from __future__ import annotations
@@ -80,12 +81,19 @@ class RationalFn:
         return P.polyval(lam, self.num) / P.polyval(lam, self.den)
 
 
-def _charpoly(A: np.ndarray) -> np.ndarray:
-    """Ascending monic characteristic polynomial of A, from its spectrum."""
-    return np.real(P.polyfromroots(eigenvalues(A)))
+def _monic_from_roots(roots: np.ndarray) -> np.ndarray:
+    """Ascending monic coefficients of prod_j (lam - roots[..., j]) for each
+    row of a stack of real-conjugate root sets, one multiply per root."""
+    coeffs = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    for j in range(roots.shape[-1]):
+        r = roots[..., j : j + 1]
+        coeffs[..., 1 : j + 2] = coeffs[..., : j + 1] - r * coeffs[..., 1 : j + 2]
+        coeffs[..., 0:1] *= -r
+    return coeffs.real
 
 
-def siso_rational(A, b, c, d) -> RationalFn:
+def siso_rational(A, b, c, d) -> RationalFn | list[RationalFn]:
     """The entry ``c (lam I - A)^{-1} b + d`` of one input and one output.
 
     By the determinant lemma, det(lam I - A + b c) equals
@@ -94,12 +102,19 @@ def siso_rational(A, b, c, d) -> RationalFn:
     cancel exactly. Pass a minimal realization
     (``systems.minimal_realization``): the modes of a non-minimal one stay
     behind as common roots of numerator and denominator.
+
+    A of shape (k, k) gives one RationalFn. A stack, with A of shape
+    (g, k, k), b and c of shape (g, k) and d of shape (g,), gives a list of
+    g of them from one eigenvalue call on A and one on A - b c.
     """
     A = np.asarray(A, dtype=float)
-    k = A.shape[0]
-    b = np.asarray(b, dtype=float).reshape(k)
-    c = np.asarray(c, dtype=float).reshape(k)
-    d = float(np.asarray(d).item())
-    den = _charpoly(A)
-    num = np.append((_charpoly(A - np.outer(b, c)) - den)[:k], 0.0)
-    return RationalFn(num + d * den, den)
+    if A.ndim == 2:
+        return siso_rational(A[None], [b], [c], [d])[0]
+    g, k = A.shape[:2]
+    b = np.asarray(b, dtype=float).reshape(g, k)
+    c = np.asarray(c, dtype=float).reshape(g, k)
+    d = np.asarray(d, dtype=float).reshape(g, 1)
+    den = _monic_from_roots(eigenvalues(A))
+    num = _monic_from_roots(eigenvalues(A - b[:, :, None] * c[:, None, :])) - den
+    num[:, k] = 0.0
+    return [RationalFn(nu, de) for nu, de in zip(num + d * den, den)]

@@ -17,6 +17,7 @@ from .errors import DimensionError
 from .linalg import (
     as_real_matrix,
     auto_rank_tol,
+    controllability_staircase,
     eigenvalues,
     is_stable_spectrum,
     sample_complex_points,
@@ -30,7 +31,6 @@ from .systems import (
     StateSpaceSystem,
     _row_with_integrator,
     eval_tfm,
-    minimal_realization,
 )
 
 
@@ -172,10 +172,13 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     into its own input i solves (lam - W_ii) u_i = sum_j W_ij u_j + V_i z
     for u_i, so Phi[i, j] = W_ij / (lam - W_ii) for j != i and
     Gamma[i, k] = V_ik / (lam - W_ii), and input i no longer reaches the
-    row: the diagonal is exactly zero. Each entry is pruned to its minimal
-    part by the orthogonal staircase before ``siso_rational`` forms its
-    coefficients, so its degree is its true McMillan degree and no root is
-    cancelled by tolerance.
+    row: the diagonal is exactly zero. One orthogonal staircase of (A, C)
+    keeps the observable part of the row, shared by all its entries; a
+    staircase per entry then keeps the part that its input reaches. By
+    Kalman's decomposition what remains is minimal, so each entry's degree
+    is its true McMillan degree and no root is cancelled by tolerance.
+    Entries of equal pruned order get their coefficients from one stacked
+    ``siso_rational`` call.
     """
     p, m = pair.p, pair.m
     wv = pair.wv_system()
@@ -188,15 +191,21 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
         A = row.A + np.outer(row.B[:, i], row.C[0])
         B = row.B.copy()
         B[:, i] = 0.0
+        Z, k = controllability_staircase(A.T, row.C.T)
+        W = Z[:, :k]
+        A, B, c = W.T @ A @ W, W.T @ B, row.C[0] @ W
+        groups = {}
         for j in range(p + m):
-            e = minimal_realization(
-                StateSpaceSystem(A, B[:, j : j + 1], row.C, row.D[:, j : j + 1], wv.domain)
-            )
-            fn = siso_rational(e.A, e.B, e.C, e.D)
-            if j < p:
-                Phi[i, j] = fn
-            else:
-                Gamma[i, j - p] = fn
+            Z, k = controllability_staircase(A, B[:, j : j + 1])
+            V = Z[:, :k]
+            groups.setdefault(k, []).append((j, V.T @ A @ V, V.T @ B[:, j], c @ V))
+        entries = [None] * (p + m)
+        for group in groups.values():
+            cols, As, bs, cs = (list(x) for x in zip(*group))
+            fns = siso_rational(np.array(As), np.array(bs), np.array(cs), row.D[0, cols])
+            for j, fn in zip(cols, fns):
+                entries[j] = fn
+        Phi[i], Gamma[i] = entries[:p], entries[p:]
     return NrfPair(Phi, Gamma)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.signal import place_poles
 
-from helpers import random_pair, random_theta
+from helpers import random_pair, random_partitioned, random_theta
 from srtrkit import fixtures
 from srtrkit.errors import (
     InvalidThetaError,
@@ -28,6 +28,7 @@ from srtrkit.factorization import (
     verify_lcf,
 )
 from srtrkit.linalg import eigenvalues, is_stable_spectrum
+from srtrkit.srtr import SrtrPair
 from srtrkit.synthesis import assign_stable_spectrum
 from srtrkit.systems import (
     PartitionedRealization,
@@ -165,6 +166,25 @@ def test_ctnare_keeps_conjugate_pairs_whole():
     sol = solve_ctnare(lcf)
     assert np.allclose(np.sort_complex(sol.closed_spectrum), [-0.5 - 2j, -0.5 + 2j])
     assert riccati_residual(lcf, sol.K) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ctnare_splits_coinciding_eigenvalues(seed):
+    # Theta = -I puts -1 into the pole matrix three times and eig(Aw) =
+    # {-1, -2, -3} once more, so the chosen invariant subspace must take
+    # some copies of -1 and leave an equal one behind.
+    rng = np.random.default_rng(seed)
+    base = random_partitioned(rng, 3, 3, 2)
+    pair = SrtrPair(base, assign_stable_spectrum(base.A22, base.A12, [-1.0, -2.0, -3.0]))
+    theta = ThetaFactor(-np.eye(3), np.eye(3), np.eye(3), "continuous")
+    lcf = lcf_from_srtr(pair, theta)
+    sol = solve_ctnare(lcf)
+    assert sol.residual_norm < 1e-8
+    assert np.all(sol.closed_spectrum.real < 0)
+    back = srtr_from_lcf(lcf, sol)
+    for lam in (0.6 + 1.1j, 2.0 + 0.3j):
+        want = pair.response(lam)
+        assert np.linalg.norm(back.response(lam) - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_riccati_solution_dict():

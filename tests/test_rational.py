@@ -63,3 +63,21 @@ def test_siso_rational_first_order():
         assert r(lam) == pytest.approx(3.0 / (lam + 2.0), rel=1e-12)
     s = siso_rational(np.zeros((0, 0)), [], [], 0.5)
     assert np.array_equal(s.num, [0.5]) and np.array_equal(s.den, [1.0])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_stacked_siso_rational_matches_single_calls(k):
+    rng = np.random.default_rng(40 + k)
+    g = 5
+    A = rng.normal(size=(g, k, k))
+    b = rng.normal(size=(g, k))
+    c = rng.normal(size=(g, k))
+    d = np.array([0.0, 1.5, 0.0, -0.3, 2.0])
+    stacked = siso_rational(A, b, c, d)
+    assert len(stacked) == g
+    for r, Ai, bi, ci, di in zip(stacked, A, b, c, d):
+        one = siso_rational(Ai, bi, ci, di)
+        assert r.num.shape == one.num.shape and r.den.shape == one.den.shape
+        assert np.allclose(r.num, one.num, rtol=1e-12, atol=1e-12)
+        assert np.allclose(r.den, one.den, rtol=1e-12, atol=1e-12)
+        assert r.is_strictly_proper() == (di == 0.0)

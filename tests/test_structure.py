@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from helpers import block_network, rotate_hidden, rotation
-from srtrkit.linalg import eigenvalues, sample_complex_points
+from srtrkit.linalg import controllability_staircase, eigenvalues, sample_complex_points
 from srtrkit.loop import rowwise_implementation
-from srtrkit.srtr import nrf_from_srtr, sparsity_pattern
+from srtrkit.rational import siso_rational
+from srtrkit.srtr import SrtrPair, nrf_from_srtr, sparsity_pattern
 from srtrkit.synthesis import SynthesisSpec, verify_structured
-from srtrkit.systems import eval_tfm, is_minimal
+from srtrkit.systems import (
+    PartitionedRealization,
+    StateSpaceSystem,
+    _row_with_integrator,
+    eval_tfm,
+    is_minimal,
+    minimal_realization,
+)
 
 
 @pytest.mark.parametrize("p", [3, 9, 15, 30])
@@ -52,3 +60,85 @@ def check_normal_form(pair, blocks):
         want = eval_tfm(G, lam)
         err = np.linalg.norm(nrf.response(lam) - want)
         assert err <= 1e-10 * np.linalg.norm(want), err
+
+
+def fed_back_row(pair, i):
+    """Row i of lam^{-1} [W V] with its output fed back into input i,
+    before any pruning."""
+    wv = pair.wv_system()
+    row = _row_with_integrator(
+        StateSpaceSystem(wv.A, wv.B, wv.C[i : i + 1], wv.D[i : i + 1], wv.domain)
+    )
+    A = row.A + np.outer(row.B[:, i], row.C[0])
+    B = row.B.copy()
+    B[:, i] = 0.0
+    return StateSpaceSystem(A, B, row.C, row.D, wv.domain)
+
+
+def oracle_row(pair, i):
+    """Row i of [Phi Gamma] by a full minimal realization of the fed-back
+    row, one entry at a time."""
+    row = fed_back_row(pair, i)
+    out = []
+    for j in range(row.n_inputs):
+        e = minimal_realization(
+            StateSpaceSystem(row.A, row.B[:, j : j + 1], row.C, row.D[:, j : j + 1], row.domain)
+        )
+        out.append(siso_rational(e.A, e.B, e.C, e.D))
+    return out
+
+
+def rel_gap(got, want):
+    n = max(got.size, want.size)
+    got, want = np.pad(got, (0, n - got.size)), np.pad(want, (0, n - want.size))
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+@pytest.mark.parametrize("p", [9, 15])
+def test_normal_form_matches_per_entry_oracle(p):
+    rng = np.random.default_rng(7100 + p)
+    pair, _, _ = block_network(rng, p)
+    for _ in range(3):
+        nrf = nrf_from_srtr(pair)
+        for i in range(p):
+            for fn, want in zip(list(nrf.Phi[i]) + list(nrf.Gamma[i]), oracle_row(pair, i)):
+                assert fn.den_degree == want.den_degree, i
+                assert rel_gap(fn.den, want.den) <= 1e-10, i
+                if not want.is_zero():
+                    assert rel_gap(fn.num, want.num) <= 1e-10, i
+                else:
+                    assert fn.is_zero(), i
+        G = pair.base.full_system()
+        for lam in sample_complex_points(eigenvalues(pair.base.A), 3, seed=p):
+            want = eval_tfm(G, lam)
+            assert np.linalg.norm(nrf.response(lam) - want) <= 1e-12 * np.linalg.norm(want)
+        pair = rotate_hidden(pair, rotation(rng, p))
+
+
+def test_normal_form_prunes_unobservable_and_partly_reachable_modes():
+    # Row 0 of lam^{-1} [W V] has three states: its integrator, x2a and x2b.
+    # A12[0] sees only x2a and A22 never drives x2a from x2b, so x2b is
+    # unobservable from row 0. x2a is reached from z (B2[0, 0] = 1) but not
+    # from u1 (A21[0, 1] = 0), nor through the integrator (A21[0, 0] = 0).
+    # So Phi[0, 1] = 0.5 / (lam + 1) keeps one state and
+    # Gamma[0, 0] = (lam + 4) / ((lam + 1)(lam + 3)) keeps two.
+    base = PartitionedRealization(
+        A11=np.array([[-1.0, 0.5], [0.3, -2.0]]),
+        A12=np.array([[1.0, 0.0], [0.4, 0.7]]),
+        A21=np.array([[0.0, 0.0], [0.2, 0.5]]),
+        A22=np.array([[-3.0, 0.0], [0.6, -4.0]]),
+        B1=np.array([[1.0], [0.8]]),
+        B2=np.array([[1.0], [0.3]]),
+    )
+    pair = SrtrPair(base, np.zeros((2, 2)))
+    row = fed_back_row(pair, 0)
+    assert row.n == 3 and controllability_staircase(row.A.T, row.C.T)[1] == 2
+    nrf = nrf_from_srtr(pair)
+    assert nrf.Phi[0, 0].is_zero()
+    assert np.allclose(nrf.Phi[0, 1].num, [0.5]) and np.allclose(nrf.Phi[0, 1].den, [1.0, 1.0])
+    g = nrf.Gamma[0, 0]
+    assert np.allclose(g.num, [4.0, 1.0]) and np.allclose(g.den, [3.0, 4.0, 1.0])
+    for lam in (0.5 + 0.8j, 2.0, -0.4 + 1.5j):
+        want = eval_tfm(base.full_system(), lam)
+        assert np.linalg.norm(nrf.response(lam) - want) <= 1e-12 * np.linalg.norm(want)
+
