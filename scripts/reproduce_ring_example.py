@@ -34,7 +34,7 @@ def main() -> int:
     print(f"identity residual        : {resid:.3e}")
     rep = check_flcf(pair)
     print(f"coprime                  : {rep.coprime}")
-    print(f"min pencil singular value: {rep.min_singular['finite']:.3e}")
+    print(f"staircase margin         : {rep.min_singular['finite']:.3e}")
 
     print("\n== structured synthesis conditions (tol 5e-3) ==")
     cond = mm_conditions(

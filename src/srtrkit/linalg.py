@@ -132,16 +132,23 @@ def is_stable_spectrum(A, domain: str) -> bool:
     return all(in_stability_region(lam, domain) for lam in eigenvalues(A))
 
 
-def controllability_staircase(A, B, tol: float | None = None) -> tuple[np.ndarray, int]:
+def controllability_staircase(
+    A, B, tol: float | None = None
+) -> tuple[np.ndarray, int, float]:
     """Orthogonal staircase form of (A, B) (Varga 1981; Van Dooren 1981).
 
-    Returns an orthogonal Z and the reachable dimension k. The first k
-    columns of Z span the controllable subspace of (A, B); in the basis Z,
-    A is block upper Hessenberg on that part and the remaining block
-    ``Z[:, k:].T @ A @ Z[:, k:]`` carries the uncontrollable modes. Each
-    step compresses the newest block by an SVD and keeps the singular
-    values above ``tol * max(||A||_2, ||B||_2)``; ``tol=None`` means 1e-9.
-    No power of A is ever formed.
+    Returns an orthogonal Z, the reachable dimension k and the decisive
+    margin. The first k columns of Z span the controllable subspace of
+    (A, B); in the basis Z, A is block upper Hessenberg on that part and the
+    remaining block ``Z[:, k:].T @ A @ Z[:, k:]`` carries the uncontrollable
+    modes. Each step compresses the newest block by an SVD and keeps the
+    singular values above ``tol * max(||A||_2, ||B||_2)``; ``tol=None``
+    means 1e-9. No power of A is ever formed.
+
+    The margin is the singular value that decided k, divided by the same
+    ``max(||A||_2, ||B||_2)`` so that it compares with ``tol``: the smallest
+    value kept when k reaches n, the largest value dropped when the
+    staircase stops short (0 when B has no columns, inf when n = 0).
     """
     A = as_real_matrix(A, "A")
     B = as_real_matrix(B, "B")
@@ -149,25 +156,28 @@ def controllability_staircase(A, B, tol: float | None = None) -> tuple[np.ndarra
     if A.shape[1] != n or B.shape[0] != n:
         raise DimensionError(f"need square A and B with {n} rows, got {A.shape}, {B.shape}")
     Z = np.eye(n)
-    if n == 0 or B.size == 0:
-        return Z, 0
-    cut = (1e-9 if tol is None else tol) * max(
-        singular_values(A)[0], singular_values(B)[0]
-    )
+    if n == 0:
+        return Z, 0, np.inf
+    if B.size == 0:
+        return Z, 0, 0.0
+    scale = max(singular_values(A)[0], singular_values(B)[0]) or 1.0
+    cut = (1e-9 if tol is None else tol) * scale
     H = A.copy()
     block = B
     k = 0
+    kept = np.inf
     while k < n:
         U, s, _ = np.linalg.svd(block)
         r = int(np.count_nonzero(s > cut))
         if r == 0:
-            break
+            return Z, k, float(s[0] / scale)
+        kept = min(kept, s[r - 1])
         Z[:, k:] = Z[:, k:] @ U
         H[k:, :] = U.T @ H[k:, :]
         H[:, k:] = H[:, k:] @ U
         block = H[k + r :, k : k + r]
         k += r
-    return Z, k
+    return Z, k, float(kept / scale)
 
 
 def is_stabilizable(A, B, domain: str) -> bool:
@@ -177,7 +187,7 @@ def is_stabilizable(A, B, domain: str) -> bool:
     """
     check_domain(domain)
     A = as_real_matrix(A, "A")
-    Z, k = controllability_staircase(A, B)
+    Z, k, _ = controllability_staircase(A, B)
     U = Z[:, k:]
     return is_stable_spectrum(U.T @ A @ U, domain)
 
@@ -200,7 +210,7 @@ def zero_entries(A, B, C, D, tol: float = 1e-9) -> np.ndarray:
     cut = tol * np.linalg.norm(CD, 2) if CD.size else 0.0
     zero = np.abs(D) <= cut
     for j in range(B.shape[1]):
-        Z, k = controllability_staircase(A, B[:, j : j + 1], tol)
+        Z, k, _ = controllability_staircase(A, B[:, j : j + 1], tol)
         zero[:, j] &= np.linalg.norm(C @ Z[:, :k], axis=1) <= cut
     return zero
 

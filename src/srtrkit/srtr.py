@@ -4,7 +4,9 @@ A gain K on a partitioned realization produces the pair (W, V) with hidden
 state dimension n - p; this module constructs the pair, verifies the defining
 identity by sampling, builds the normalized (zero-diagonal) form row by row
 in state space, reads off sparsity masks, and certifies coprimeness of
-[lam I - W, V] through rank tests on a linear pencil.
+[lam I - W, V]: its finite zeros are the unreachable modes of the base
+(A, B), found by one orthogonal staircase, and a leading matrix of full row
+rank rules out zeros at infinity.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .linalg import (
     controllability_staircase,
     eigenvalues,
     is_stable_spectrum,
-    sample_complex_points,
     sampled_residual,
     singular_values,
     zero_entries,
@@ -191,12 +192,12 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
         A = row.A + np.outer(row.B[:, i], row.C[0])
         B = row.B.copy()
         B[:, i] = 0.0
-        Z, k = controllability_staircase(A.T, row.C.T)
+        Z, k, _ = controllability_staircase(A.T, row.C.T)
         W = Z[:, :k]
         A, B, c = W.T @ A @ W, W.T @ B, row.C[0] @ W
         groups = {}
         for j in range(p + m):
-            Z, k = controllability_staircase(A, B[:, j : j + 1])
+            Z, k, _ = controllability_staircase(A, B[:, j : j + 1])
             V = Z[:, :k]
             groups.setdefault(k, []).append((j, V.T @ A @ V, V.T @ B[:, j], c @ V))
         entries = [None] * (p + m)
@@ -282,77 +283,42 @@ class CoprimeReport:
         }
 
 
-def _flcf_pencil(pair: SrtrPair) -> tuple[np.ndarray, np.ndarray]:
-    """Linear pencil S0 + lam S1 whose finite zeros are the common zeros of
-    [lam I - W, V]."""
-    b, K = pair.base, pair.K
-    p, q, m = pair.p, pair.q, pair.m
-    rows, cols = q + 2 * p, q + 2 * p + m
-    S0 = np.zeros((rows, cols))
-    S1 = np.zeros((rows, cols))
-    S0[:q, :q] = pair.Aw
-    S0[:q, q + p : q + 2 * p] = -pair.A_K
-    S0[:q, q + 2 * p :] = K @ b.B1 + b.B2
-    S0[q : q + p, q : q + p] = np.eye(p)
-    S0[q + p :, :q] = b.A12
-    S0[q + p :, q : q + p] = np.eye(p)
-    S0[q + p :, q + p : q + 2 * p] = -(b.A11 - b.A12 @ K)
-    S0[q + p :, q + 2 * p :] = b.B1
-    S1[:q, :q] = -np.eye(q)
-    S1[q : q + p, q + p : q + 2 * p] = -np.eye(p)
-    return S0, S1
-
-
-def check_flcf(pair: SrtrPair, probes: int = 20, seed: int = 0) -> CoprimeReport:
+def check_flcf(pair: SrtrPair, seed: int = 0) -> CoprimeReport:
     """Certify that [lam I - W, V] has no common zeros, finite or infinite.
 
-    The certificate is a randomized rank test on the associated linear
-    pencil: full row rank at every pole candidate (eigenvalues of Aw and of
-    the base A) plus seeded random probe points, full row rank of the
-    leading structure at infinity, and full normal rank at a generic point.
-    Minimum singular values of every tested matrix are reported so the
-    margins are auditable.
+    The common zeros of [lam I - W, V] are those of the linear pencil
+    [[Aw - lam I, 0, -A_K, K B1 + B2], [0, I_p, -lam I_p, 0],
+    [A12, I_p, -(A11 - A12 K), B1]]. A left null vector [eta1, -eta3, eta3]
+    of it at a finite lam makes [eta1, eta3] a left eigenvector of the base
+    A, in coordinates (x2 + K x1, x1), that annihilates the base B. So by
+    the PBH test (Hautus 1969) the finite zeros are exactly the unreachable
+    modes of (A, B), whatever K is and in either domain, and one orthogonal
+    staircase of (A, B) decides them. At infinity the pencil's leading
+    matrix [[I_q, 0, 0, 0], [0, 0, I_p, 0], [A12, I_p, -(A11 - A12 K), B1]]
+    has its identity blocks in disjoint columns, so it has full row rank,
+    and with it the pencil has full normal rank; one SVD of that matrix
+    reports both.
+
+    ``min_singular["finite"]`` is the staircase's decisive singular value
+    relative to max(||A||_2, ||B||_2), the scale of its 1e-9 cut: the
+    smallest value kept when it reaches every state, the largest value
+    dropped when it stops short. ``"infinite"`` and ``"normalRank"`` are
+    both the smallest singular value of the leading matrix. ``seed`` is
+    accepted for callers that pass one and unused: nothing is sampled.
     """
-    S0, S1 = _flcf_pencil(pair)
-    rows = S0.shape[0]
-    b = pair.base
-    candidates = list(eigenvalues(pair.Aw)) + list(eigenvalues(b.A))
-    rng = np.random.default_rng(seed)
-    spread = 2.0 * (1.0 + max([abs(c) for c in candidates], default=1.0))
-    candidates += list(
-        spread * (rng.uniform(-1, 1, probes) + 1j * rng.uniform(-1, 1, probes))
-    )
-    sig_finite = np.inf
-    no_finite = True
-    for lam in candidates:
-        sig, full = _row_rank_test(S0 + lam * S1)
-        sig_finite = min(sig_finite, sig)
-        no_finite &= full
-    S_inf = np.zeros_like(S0)
-    q, p = pair.q, pair.p
-    S_inf[:q, :q] = np.eye(q)
-    S_inf[q : q + p, q + p : q + 2 * p] = np.eye(p)
-    S_inf[q + p :, :] = S0[q + p :, :]
-    sig_inf, no_infinite = _row_rank_test(S_inf)
-    generic = sample_complex_points(np.array(candidates), 1, seed=seed + 1)[0]
-    sig_gen, full_normal = _row_rank_test(S0 + generic * S1)
+    b, p, q = pair.base, pair.p, pair.q
+    _, k, sig_finite = controllability_staircase(b.A, b.B)
+    lead = np.zeros((q + 2 * p, q + 2 * p + pair.m))
+    lead[:q, :q] = np.eye(q)
+    lead[q : q + p, q + p : q + 2 * p] = np.eye(p)
+    lead[q + p :] = np.hstack([b.A12, np.eye(p), -(b.A11 - b.A12 @ pair.K), b.B1])
+    sv = singular_values(lead)
+    full = bool(np.count_nonzero(sv > auto_rank_tol(lead, sv)) == q + 2 * p)
+    no_finite = k == b.n
     return CoprimeReport(
-        full_normal_rank=full_normal,
+        full_normal_rank=full,
         no_finite_zeros=no_finite,
-        no_infinite_zeros=no_infinite,
-        coprime=bool(full_normal and no_finite and no_infinite),
-        min_singular={
-            "finite": sig_finite,
-            "infinite": sig_inf,
-            "normalRank": sig_gen,
-        },
+        no_infinite_zeros=full,
+        coprime=no_finite and full,
+        min_singular={"finite": sig_finite, "infinite": sv[-1], "normalRank": sv[-1]},
     )
-
-
-def _row_rank_test(S: np.ndarray) -> tuple[float, bool]:
-    """Smallest singular value of a wide matrix S and whether S has full row
-    rank at the automatic threshold, both from one SVD."""
-    sv = singular_values(S)
-    rows = S.shape[0]
-    full = np.count_nonzero(sv > auto_rank_tol(S, sv)) == rows
-    return float(sv[rows - 1]), bool(full)

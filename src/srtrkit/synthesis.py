@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DimensionError,
@@ -238,6 +237,8 @@ def _ring_homogeneous_candidates(base: PartitionedRealization, spec: SynthesisSp
     best_alpha = grid[order[0]]
     yield gain(best_alpha)
     # local polish around the best grid point
+    import scipy.optimize  # deferred: importing it costs about a third of CLI start-up
+
     res = scipy.optimize.minimize_scalar(
         score,
         bracket=None,

@@ -125,11 +125,11 @@ def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> Stat
     back with its matrices, and eigenvalues on the stability boundary,
     exactly as given."""
     A, B, C = sys.A, sys.B, sys.C
-    Z, k = controllability_staircase(A, B, tol)
+    Z, k, _ = controllability_staircase(A, B, tol)
     if k < A.shape[0]:
         V = Z[:, :k]
         A, B, C = V.T @ A @ V, V.T @ B, C @ V
-    Z, k = controllability_staircase(A.T, C.T, tol)
+    Z, k, _ = controllability_staircase(A.T, C.T, tol)
     if k < A.shape[0]:
         W = Z[:, :k]
         A, B, C = W.T @ A @ W, W.T @ B, C @ W

@@ -4,7 +4,7 @@ CRITERIA = {
     1: "ring example: first-order rows match printed coefficients within 1%",
     2: "ring example: feasibility residuals all below 5e-3",
     3: "identity G = (lI-W)^{-1}V to 1e-8 on 100 random systems in under 10 s",
-    4: "pencil coprimeness certificate: true on random systems, false on fixture",
+    4: "staircase coprimeness certificate: true on random systems, false on fixture",
     5: "factorization round trip to 1e-6 with Riccati residual below 1e-10",
     6: "K_d pole structure: p integrators (continuous) / stable (discrete)",
     7: "ring closed loop Hurwitz; free response matches expm to 1e-8 and "

@@ -154,6 +154,34 @@ def block_network(rng, p):
     return rotate_hidden(pair, rotation(rng, p)), mask, [b for b in sizes for _ in range(b)]
 
 
+def planted_unreachable(rng, n_c, n_u, m, domain, stable):
+    """Rotated (A, B) with a random reachable part of order n_c and an
+    unreachable block of order n_u whose modes are all stable or all
+    unstable; two unreachable modes form a conjugate pair."""
+    if domain == "continuous":
+        size = -rng.uniform(0.2, 2.0) if stable else rng.uniform(0.2, 2.0)
+        pair = np.array([[size, 0.7], [-0.7, size]])
+    else:
+        size = rng.uniform(0.2, 0.9) if stable else rng.uniform(1.1, 2.0)
+        pair = size * np.array([[0.6, 0.8], [-0.8, 0.6]])
+    Au = pair if n_u == 2 else size * np.eye(n_u)
+    A = np.block([
+        [rng.normal(size=(n_c, n_c)), rng.normal(size=(n_c, n_u))],
+        [np.zeros((n_u, n_c)), Au],
+    ])
+    B = np.vstack([rng.normal(size=(n_c, m)), np.zeros((n_u, m))])
+    T = rotation(rng, n_c + n_u)
+    return T @ A @ T.T, T @ B
+
+
+def partitioned_base(A, B, p, domain="continuous"):
+    """(A, B) as a partitioned base whose first p states are the outputs."""
+    return PartitionedRealization(
+        A11=A[:p, :p], A12=A[:p, p:], A21=A[p:, :p], A22=A[p:, p:],
+        B1=B[:p], B2=B[p:], domain=domain,
+    )
+
+
 def pbh_holds(A, M, domain=None, dual=False, tol=1e-8):
     """Reference PBH rank test: [A - lam I, B] (or, with ``dual``, the
     stacked [A - lam I; C]) keeps full rank at every eigenvalue lam of A

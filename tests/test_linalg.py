@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pbh_holds, rotation
+from helpers import pbh_holds, planted_unreachable, rotation
 from srtrkit.errors import NumericalFailureError
 from srtrkit.linalg import (
     DOMAINS,
@@ -106,7 +106,7 @@ def _fail(lam):
 
 
 def _unreached_block(A, B):
-    Z, k = controllability_staircase(A, B)
+    Z, k, _ = controllability_staircase(A, B)
     assert np.allclose(Z.T @ Z, np.eye(A.shape[0]), atol=1e-12)
     return k, Z[:, k:].T @ A @ Z[:, k:]
 
@@ -147,24 +147,20 @@ def test_staircase_empty_and_zero_input():
     assert not is_stabilizable(np.eye(3), np.zeros((3, 1)), "continuous")
 
 
-def _planted(rng, n_c, n_u, m, domain, stable):
-    """Rotated (A, B) with a random reachable part of order n_c and an
-    unreachable block of order n_u whose modes are all stable or all
-    unstable; two unreachable modes form a conjugate pair."""
-    if domain == "continuous":
-        size = -rng.uniform(0.2, 2.0) if stable else rng.uniform(0.2, 2.0)
-        pair = np.array([[size, 0.7], [-0.7, size]])
-    else:
-        size = rng.uniform(0.2, 0.9) if stable else rng.uniform(1.1, 2.0)
-        pair = size * np.array([[0.6, 0.8], [-0.8, 0.6]])
-    Au = pair if n_u == 2 else size * np.eye(n_u)
-    A = np.block([
-        [rng.normal(size=(n_c, n_c)), rng.normal(size=(n_c, n_u))],
-        [np.zeros((n_u, n_c)), Au],
-    ])
-    B = np.vstack([rng.normal(size=(n_c, m)), np.zeros((n_u, m))])
-    T = rotation(rng, n_c + n_u)
-    return T @ A @ T.T, T @ B
+def test_staircase_margin_decides_k():
+    # the mode at 2 is reached through a coupling of size about eps; the
+    # margin is that decisive value over max(||A||, ||B||), so it crosses
+    # the 1e-9 cut exactly where k drops, and scaling (A, B) leaves it
+    A = np.diag([1.0, 2.0])
+    for eps, k_want in ((1e-6, 2), (1e-12, 1), (0.0, 1)):
+        B = np.array([[1.0], [eps]])
+        _, k, margin = controllability_staircase(A, B)
+        assert k == k_want
+        assert (margin > 1e-9) == (k == 2)
+        scaled = controllability_staircase(10.0 * A, 10.0 * B)[2]
+        assert scaled == pytest.approx(margin, rel=1e-9, abs=1e-15)
+    assert controllability_staircase(np.zeros((0, 0)), np.zeros((0, 1)))[2] == np.inf
+    assert controllability_staircase(-np.eye(3), np.zeros((3, 0)))[2] == 0.0
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -174,7 +170,7 @@ def test_staircase_agrees_with_pbh_oracle(domain, seed):
     n_c, n_u = int(rng.integers(1, 5)), int(rng.integers(0, 3))
     m = int(rng.integers(1, 3))
     stable = seed % 2 == 0
-    A, B = _planted(rng, n_c, n_u, m, domain, stable)
+    A, B = planted_unreachable(rng, n_c, n_u, m, domain, stable)
     n = n_c + n_u
     assert controllability_staircase(A, B)[1] == n_c
     assert is_stabilizable(A, B, domain) == pbh_holds(A, B, domain) == (stable or n_u == 0)

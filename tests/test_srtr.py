@@ -1,10 +1,23 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_pair, random_partitioned, structured_pair
+from helpers import (
+    block_network,
+    partitioned_base,
+    pbh_holds,
+    planted_unreachable,
+    random_pair,
+    random_partitioned,
+    rotate_hidden,
+    rotation,
+    structured_pair,
+)
 from srtrkit import fixtures
 from srtrkit.errors import DimensionError
+from srtrkit.linalg import DOMAINS
 from srtrkit.srtr import (
     SrtrPair,
     check_flcf,
@@ -183,6 +196,54 @@ def test_flcf_random_pairs_certify():
 def test_flcf_integrator_bank():
     rep = check_flcf(fixtures.integrator_bank_pair(2))
     assert rep.coprime
+
+
+def _planted_pair(rng, p, n_u, domain):
+    """Pair of order 2p whose base leaves n_u modes unreachable (none, one
+    real mode or one conjugate pair), with a random gain; also (A, B)."""
+    A, B = planted_unreachable(rng, 2 * p - n_u, n_u, 3, domain, stable=n_u != 1)
+    return SrtrPair(partitioned_base(A, B, p, domain), rng.normal(size=(p, p))), A, B
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("p", [12, 24])
+def test_flcf_flags_planted_unreachable_modes(p, domain):
+    # a common finite zero of [lam I - W, V] is an unreachable mode of the
+    # base (A, B); planting one flips check_flcf and the PBH reference alike
+    rng = np.random.default_rng(5300 + p)
+    for n_u in (0, 1, 2):
+        pair, A, B = _planted_pair(rng, p, n_u, domain)
+        rep = check_flcf(pair)
+        assert rep.coprime == rep.no_finite_zeros == pbh_holds(A, B) == (n_u == 0)
+        assert rep.no_infinite_zeros and rep.full_normal_rank
+        if n_u:
+            assert rep.min_singular["finite"] < 1e-10
+        else:
+            assert rep.min_singular["finite"] > 1e-6
+
+
+@pytest.mark.parametrize("p", [12, 24])
+def test_flcf_verdict_depends_only_on_base(p):
+    rng = np.random.default_rng(5400 + p)
+    for n_u in (0, 2):
+        pair, _, _ = _planted_pair(rng, p, n_u, "continuous")
+        rep = check_flcf(pair)
+        other_gain = check_flcf(SrtrPair(pair.base, rng.normal(size=(p, p))))
+        rotated = check_flcf(rotate_hidden(pair, rotation(rng, p)))
+        assert rep.coprime == other_gain.coprime == rotated.coprime == (n_u == 0)
+        assert other_gain.min_singular["finite"] == rep.min_singular["finite"]
+
+
+def test_flcf_network_scale_budget():
+    # the best of three calls keeps a descheduled run from failing the test
+    pair, _, _ = block_network(np.random.default_rng(48), 48)
+    assert check_flcf(pair).coprime
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        check_flcf(pair)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5, f"check_flcf took {min(times):.3f}s at p = 48"
 
 
 def test_verify_identity_resamples_near_poles():
