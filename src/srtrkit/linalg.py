@@ -1,7 +1,9 @@
 """Dense linear-algebra kernel: eigenvalues, tolerant rank, stability-region
 predicates, the controllability staircase that decides every structural
 question (reachable subspace, stabilizability, identically zero entries),
-and Householder row compression.
+its single-column case swept over a whole stack at once
+(``column_staircases``, behind zero entries and normalized forms), and
+Householder row compression.
 
 Everything here works on plain ``numpy.ndarray`` values and is pure; the rest
 of the toolkit builds on these primitives.
@@ -180,6 +182,78 @@ def controllability_staircase(
     return Z, k, float(kept / scale)
 
 
+# The most doubles that one stacked array of a sweep may hold; callers
+# sweep larger stacks in consecutive groups.
+STACK_DOUBLES = 2**18
+
+
+def stack_slices(count: int, doubles_each: int):
+    """Consecutive slices of ``range(count)`` whose items, ``doubles_each``
+    doubles apiece, fit in ``STACK_DOUBLES``; at least one item each."""
+    step = max(1, STACK_DOUBLES // max(doubles_each, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The single-column case of ``controllability_staircase`` on a whole
+    stack at once.
+
+    ``A`` of shape (..., n, n) and ``b`` of shape (..., n) broadcast to one
+    stack of pairs (A, b). Returns Z of shape (..., n, n), orthogonal, and
+    the reachable order k of shape (...): the first k columns of each Z
+    span the reachable subspace of its pair. Step j keeps the newest block,
+    a column x of length n - j, while ``||x|| > tol * max(||A||_2, ||b||)``
+    (``tol=None`` means 1e-9) and compresses it by one Householder
+    reflector, applied to every pair still going. ``||A||_2`` is computed
+    once per matrix of ``A``, before it is broadcast.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[-1] if A.ndim >= 2 else -1
+    if n < 0 or A.shape[-2] != n or b.ndim < 1 or b.shape[-1] != n:
+        raise DimensionError(f"need A of shape (..., n, n) and b of shape (..., n), got {A.shape}, {b.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NonFiniteError("staircase input contains non-finite entries")
+    stack = np.broadcast_shapes(A.shape[:-2], b.shape[:-1])
+    count = int(np.prod(stack))
+    Z = np.array(np.broadcast_to(np.eye(n), (count, n, n)))
+    k = np.zeros(count, dtype=int)
+    if n == 0:
+        return Z.reshape(stack + (0, 0)), k.reshape(stack)
+    scale = np.maximum(
+        np.broadcast_to(np.linalg.norm(A, 2, axis=(-2, -1)), stack),
+        np.linalg.norm(b, axis=-1),
+    ).ravel()
+    cut = (1e-9 if tol is None else tol) * np.where(scale > 0.0, scale, 1.0)
+    # T is the trailing block of each pair still going, x its newest column
+    T = np.empty((count, n, n))
+    T.reshape(stack + (n, n))[...] = A
+    x = np.broadcast_to(b, stack + (n,)).reshape(count, n)
+    live = np.arange(count)
+    for j in range(n):
+        norm = np.linalg.norm(x, axis=1)
+        going = norm > cut
+        if not going.all():
+            live, T, x, norm, cut = live[going], T[going], x[going], norm[going], cut[going]
+        if live.size == 0:
+            break
+        k[live] = j + 1
+        # P = I - 2 v v^T maps x to -sign(x_0) ||x|| e_0
+        v = x.copy()
+        v[:, 0] += np.where(x[:, 0] < 0.0, -norm, norm)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        T -= (2.0 * v)[:, :, None] * (v[:, None, :] @ T)
+        T -= (2.0 * (T @ v[:, :, None])) * v[:, None, :]
+        if live.size < count:
+            w = np.zeros((count, n - j))
+            w[live] = v
+            v = w
+        Zj = Z[:, :, j:]
+        Zj -= (2.0 * (Zj @ v[:, :, None])) * v[:, None, :]
+        x, T = T[:, 1:, 0], T[:, 1:, 1:]
+    return Z.reshape(stack + (n, n)), k.reshape(stack)
+
+
 def is_stabilizable(A, B, domain: str) -> bool:
     """Every uncontrollable mode of (A, B) lies in the stability region.
 
@@ -197,8 +271,9 @@ def zero_entries(A, B, C, D, tol: float = 1e-9) -> np.ndarray:
     identically zero.
 
     Entry (i, j) vanishes iff ``D[i, j]`` does and row i of C is orthogonal
-    to the reachable subspace of (A, b_j), read off one staircase per
-    column of B. Both tests cut at ``tol * ||[C D]||_2``.
+    to the reachable subspace of (A, b_j), read off one stacked
+    ``column_staircases`` sweep over the columns of B. Both tests cut at
+    ``tol * ||[C D]||_2``.
     """
     A = as_real_matrix(A, "A")
     B = as_real_matrix(B, "B")
@@ -209,9 +284,11 @@ def zero_entries(A, B, C, D, tol: float = 1e-9) -> np.ndarray:
     CD = np.hstack([C, D])
     cut = tol * np.linalg.norm(CD, 2) if CD.size else 0.0
     zero = np.abs(D) <= cut
-    for j in range(B.shape[1]):
-        Z, k, _ = controllability_staircase(A, B[:, j : j + 1], tol)
-        zero[:, j] &= np.linalg.norm(C @ Z[:, :k], axis=1) <= cut
+    n = A.shape[0]
+    for cols in stack_slices(B.shape[1], n * n):
+        Z, k = column_staircases(A, B[:, cols].T, tol)
+        reached = C @ (Z * (np.arange(n) < k[:, None])[:, None, :])
+        zero[:, cols] &= (np.linalg.norm(reached, axis=2) <= cut).T
     return zero
 
 

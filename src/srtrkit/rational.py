@@ -3,9 +3,11 @@
 ``siso_rational`` forms the numerator and denominator of single-input,
 single-output state-space entries from two eigenvalue problems each. It
 takes one entry or a stack of entries of one order, so a caller that forms
-many entries pays one eigenvalue call per stack. Nothing here decides
-structure: zero entries, minimality and stabilizability come from the
-orthogonal staircase in ``linalg``, which prunes an entry before its
+many entries pays one eigenvalue call per stack. Coefficients are trimmed,
+checked and made monic by one routine that works on whole stacks; a
+``RationalFn`` built by hand runs it on a stack of one. Nothing here
+decides structure: zero entries, minimality and stabilizability come from
+the orthogonal staircases in ``linalg``, which prune an entry before its
 coefficients are formed. The coefficients serve only the normalized form
 (``srtr.nrf_from_srtr``) and printed coefficient comparisons.
 """
@@ -23,19 +25,28 @@ from .linalg import eigenvalues
 _TRIM_REL = 1e-12
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Drop trailing (highest-degree) coefficients that are negligible
-    relative to the largest one."""
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if c.size == 0:
-        return np.zeros(1)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= _TRIM_REL * scale:
-        keep -= 1
-    return c[:keep].copy()
+def _trimmed_lengths(c: np.ndarray) -> np.ndarray:
+    """Per row of a stack of ascending coefficient rows, the length left
+    after dropping trailing (highest-degree) coefficients that are
+    negligible relative to the largest one in the row; at least 1."""
+    big = np.abs(c) > _TRIM_REL * np.max(np.abs(c), axis=1, initial=0.0)[:, None]
+    return np.where(big.any(axis=1), c.shape[1] - np.argmax(big[:, ::-1], axis=1), 1)
+
+
+def _normalized(num, den) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Trim, check and scale a stack of coefficient rows: num and den of
+    shape (g, *) give g pairs (num, den), each trimmed, finite and with a
+    monic denominator. An empty row counts as the zero polynomial."""
+    num, den = (np.asarray(c, dtype=float) for c in (num, den))
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise NonFiniteError("rational coefficients must be finite")
+    num, den = (c if c.shape[1] else np.zeros((c.shape[0], 1)) for c in (num, den))
+    num_len, den_len = _trimmed_lengths(num), _trimmed_lengths(den)
+    lead = den[np.arange(den.shape[0]), den_len - 1][:, None]
+    if np.any(lead == 0.0):
+        raise ZeroDivisionError("zero denominator polynomial")
+    num, den = num / lead, den / lead
+    return [(nu[:a], de[:b]) for nu, de, a, b in zip(num, den, num_len, den_len)]
 
 
 @dataclass(frozen=True)
@@ -47,17 +58,19 @@ class RationalFn:
     den: np.ndarray = field(default_factory=lambda: np.array([1.0]))
 
     def __post_init__(self):
-        num = _trim(np.asarray(self.num, dtype=float))
-        den = _trim(np.asarray(self.den, dtype=float))
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-            raise NonFiniteError("rational coefficients must be finite")
-        if den.size == 1 and den[0] == 0.0:
-            raise ZeroDivisionError("zero denominator polynomial")
-        lead = den[-1]
-        den = den / lead
-        num = num / lead
+        num, den = (np.asarray(c, dtype=float).reshape(1, -1) for c in (self.num, self.den))
+        ((num, den),) = _normalized(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _wrap(cls, num: np.ndarray, den: np.ndarray) -> "RationalFn":
+        """A RationalFn over coefficients that ``_normalized`` already
+        returned, without normalizing them again."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "num", num)
+        object.__setattr__(fn, "den", den)
+        return fn
 
     @property
     def num_degree(self) -> int:
@@ -99,9 +112,10 @@ def siso_rational(A, b, c, d) -> RationalFn | list[RationalFn]:
     By the determinant lemma, det(lam I - A + b c) equals
     det(lam I - A) (1 + c (lam I - A)^{-1} b), so the strictly proper part
     has numerator charpoly(A - b c) - charpoly(A), whose leading terms
-    cancel exactly. Pass a minimal realization
-    (``systems.minimal_realization``): the modes of a non-minimal one stay
-    behind as common roots of numerator and denominator.
+    cancel exactly. Pass a minimal realization, such as the part of a
+    staircase (``linalg.column_staircases``) that the input reaches and the
+    output sees: the modes of a non-minimal one stay behind as common roots
+    of numerator and denominator.
 
     A of shape (k, k) gives one RationalFn. A stack, with A of shape
     (g, k, k), b and c of shape (g, k) and d of shape (g,), gives a list of
@@ -117,4 +131,4 @@ def siso_rational(A, b, c, d) -> RationalFn | list[RationalFn]:
     den = _monic_from_roots(eigenvalues(A))
     num = _monic_from_roots(eigenvalues(A - b[:, :, None] * c[:, None, :])) - den
     num[:, k] = 0.0
-    return [RationalFn(nu, de) for nu, de in zip(num + d * den, den)]
+    return [RationalFn._wrap(nu, de) for nu, de in _normalized(num + d * den, den)]

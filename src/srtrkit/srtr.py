@@ -2,9 +2,10 @@
 
 A gain K on a partitioned realization produces the pair (W, V) with hidden
 state dimension n - p; this module constructs the pair, verifies the defining
-identity by sampling, builds the normalized (zero-diagonal) form row by row
-in state space, reads off sparsity masks, and certifies coprimeness of
-[lam I - W, V]: its finite zeros are the unreachable modes of the base
+identity by sampling, builds the normalized (zero-diagonal) form in state
+space from two stacked single-column staircase sweeps (one over the rows,
+one over every entry), reads off sparsity masks, and certifies coprimeness
+of [lam I - W, V]: its finite zeros are the unreachable modes of the base
 (A, B), found by one orthogonal staircase, and a leading matrix of full row
 rank rules out zeros at infinity.
 """
@@ -19,20 +20,17 @@ from .errors import DimensionError
 from .linalg import (
     as_real_matrix,
     auto_rank_tol,
+    column_staircases,
     controllability_staircase,
     eigenvalues,
     is_stable_spectrum,
     sampled_residual,
     singular_values,
+    stack_slices,
     zero_entries,
 )
 from .rational import siso_rational
-from .systems import (
-    PartitionedRealization,
-    StateSpaceSystem,
-    _row_with_integrator,
-    eval_tfm,
-)
+from .systems import PartitionedRealization, StateSpaceSystem, eval_tfm
 
 
 @dataclass(frozen=True)
@@ -173,41 +171,75 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     into its own input i solves (lam - W_ii) u_i = sum_j W_ij u_j + V_i z
     for u_i, so Phi[i, j] = W_ij / (lam - W_ii) for j != i and
     Gamma[i, k] = V_ik / (lam - W_ii), and input i no longer reaches the
-    row: the diagonal is exactly zero. One orthogonal staircase of (A, C)
-    keeps the observable part of the row, shared by all its entries; a
-    staircase per entry then keeps the part that its input reaches. By
-    Kalman's decomposition what remains is minimal, so each entry's degree
-    is its true McMillan degree and no root is cancelled by tolerance.
-    Entries of equal pruned order get their coefficients from one stacked
-    ``siso_rational`` call.
+    row: the diagonal is exactly zero. One stacked ``column_staircases``
+    sweep over (A^T, c^T) of every fed-back row keeps each row's observable
+    part; the rows are zero-padded to the largest observable order, which
+    leaves the padded states unreached. A second sweep over every entry
+    keeps the part that its input reaches. By Kalman's decomposition what
+    remains is minimal, so each entry's degree is its true McMillan degree
+    and no root is cancelled by tolerance. The entries of one order get
+    their coefficients from one stacked ``siso_rational`` call. Rows are
+    swept in consecutive groups whose stacks fit in ``STACK_DOUBLES``; a
+    network that fits in one group makes one call per order.
     """
     p, m = pair.p, pair.m
-    wv = pair.wv_system()
-    Phi = np.empty((p, p), dtype=object)
-    Gamma = np.empty((p, m), dtype=object)
-    for i in range(p):
-        row = _row_with_integrator(
-            StateSpaceSystem(wv.A, wv.B, wv.C[i : i + 1], wv.D[i : i + 1], wv.domain)
-        )
-        A = row.A + np.outer(row.B[:, i], row.C[0])
-        B = row.B.copy()
-        B[:, i] = 0.0
-        Z, k, _ = controllability_staircase(A.T, row.C.T)
-        W = Z[:, :k]
-        A, B, c = W.T @ A @ W, W.T @ B, row.C[0] @ W
-        groups = {}
-        for j in range(p + m):
-            Z, k, _ = controllability_staircase(A, B[:, j : j + 1])
-            V = Z[:, :k]
-            groups.setdefault(k, []).append((j, V.T @ A @ V, V.T @ B[:, j], c @ V))
-        entries = [None] * (p + m)
-        for group in groups.values():
-            cols, As, bs, cs = (list(x) for x in zip(*group))
-            fns = siso_rational(np.array(As), np.array(bs), np.array(cs), row.D[0, cols])
-            for j, fn in zip(cols, fns):
-                entries[j] = fn
-        Phi[i], Gamma[i] = entries[:p], entries[p:]
-    return NrfPair(Phi, Gamma)
+    A, B = _fed_back_rows(pair)
+    n = A.shape[-1]
+    entries = np.empty((p, p + m), dtype=object)
+    for rows in stack_slices(p, n * n):
+        Ao, Bo, co = _observable_parts(A[rows], B[rows])
+        k = Ao.shape[-1]
+        for sub in stack_slices(len(Ao), (p + m) * k * k):
+            for r, j, fns in _entry_functions(Ao[sub], Bo[sub], co[sub]):
+                entries[rows.start + sub.start + r, j] = fns
+    return NrfPair(entries[:, :p], entries[:, p:])
+
+
+def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
+    """Every entry (r, j) of the rows (Ao, Bo, co) reduced to the part that
+    its input reaches, by one sweep over all of them, and its coefficients
+    formed by one ``siso_rational`` call per order. Returns, per order, the
+    row and column indices and the RationalFn of each entry."""
+    Z, orders = column_staircases(Ao[:, None], np.swapaxes(Bo, 1, 2))
+    reduced = []
+    for order in np.unique(orders):
+        r, j = np.nonzero(orders == order)
+        V = Z[..., :order][r, j]
+        reduced.append((r, j, (
+            np.swapaxes(V, 1, 2) @ Ao[r] @ V,
+            np.einsum("eki,ek->ei", V, Bo[r, :, j]),
+            np.einsum("ek,eki->ei", co[r], V),
+        )))
+    Z = V = None  # free the sweep before the coefficients are formed
+    return [(r, j, siso_rational(*abc, np.zeros(r.size))) for r, j, abc in reduced]
+
+
+def _fed_back_rows(pair: SrtrPair) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of lam^{-1} [W V] with its output u_i, the first state, fed
+    back into input i, for every row: A of shape (p, q + 1, q + 1) and B of
+    shape (p, q + 1, p + m), whose column i of row i is zero."""
+    p, q = pair.p, pair.q
+    A = np.zeros((p, q + 1, q + 1))
+    A[:, 0, 1:] = pair.Cw
+    A[:, 1:, 1:] = pair.Aw
+    B = np.empty((p, q + 1, p + pair.m))
+    B[:, 0] = pair.Dw
+    B[:, 1:] = pair.Bw
+    i = np.arange(p)
+    A[:, :, 0] = B[i, :, i]
+    B[i, :, i] = 0.0
+    return A, B
+
+
+def _observable_parts(A: np.ndarray, B: np.ndarray):
+    """The observable part (Ao, Bo, co) of each row (A, B, e_0) from one
+    stacked sweep over (A^T, e_0), zero-padded to the largest observable
+    order of the stack."""
+    Z, k = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
+    order = k.max(initial=0)
+    W = Z[..., :order] * (np.arange(order) < k[:, None])[:, None, :]
+    Wt = np.swapaxes(W, 1, 2)
+    return Wt @ A @ W, Wt @ B, W[:, 0, :]
 
 
 @dataclass(eq=False)

@@ -18,7 +18,6 @@ from .errors import (
 )
 from .linalg import (
     RowCompression,
-    as_real_matrix,
     eigenvalues,
     stability_distance,
     stability_margin,
@@ -494,21 +493,3 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = 1e-9) -> b
         if not np.all(allowed | zero_entries(row.A, row.B, row.C, row.D, tol)[0]):
             return False
     return True
-
-
-def assign_stable_spectrum(A22, A12, poles) -> np.ndarray:
-    """Gain K with eig(A22 + K A12) at the requested locations.
-
-    This is output-injection pole placement on the transposed pair; it needs
-    (A22, A12) observable and pole multiplicities within the row count of
-    A12.
-    """
-    A22 = as_real_matrix(A22, "A22")
-    A12 = as_real_matrix(A12, "A12")
-    q = A22.shape[0]
-    if q == 0:
-        return np.zeros((0, A12.shape[0]))
-    import scipy.signal  # deferred: it and scipy.stats take most of import time
-
-    placed = scipy.signal.place_poles(A22.T, A12.T, np.sort(np.asarray(poles)))
-    return -placed.gain_matrix.T

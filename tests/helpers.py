@@ -7,6 +7,7 @@ reproducible under fixed seeds.
 from __future__ import annotations
 
 import numpy as np
+import scipy.signal
 
 from srtrkit import fixtures
 from srtrkit.factorization import ThetaFactor
@@ -17,7 +18,7 @@ from srtrkit.linalg import (
     stability_margin,
 )
 from srtrkit.srtr import SrtrPair
-from srtrkit.synthesis import assign_stable_spectrum, compress_rows, mm_conditions
+from srtrkit.synthesis import compress_rows, mm_conditions
 from srtrkit.systems import PartitionedRealization, is_minimal
 
 
@@ -53,6 +54,21 @@ def stable_targets(q, rng, domain="continuous"):
         vals = np.linspace(-0.7, 0.7, q) * 0.9 + rng.uniform(-0.02, 0.02)
         vals = np.clip(vals, -0.9, 0.9)
     return vals
+
+
+def assign_stable_spectrum(A22, A12, poles):
+    """Gain K with eig(A22 + K A12) at the requested locations.
+
+    This is output-injection pole placement on the transposed pair; it needs
+    (A22, A12) observable and pole multiplicities within the row count of
+    A12.
+    """
+    A22 = np.asarray(A22, dtype=float)
+    A12 = np.asarray(A12, dtype=float)
+    if A22.shape[0] == 0:
+        return np.zeros((0, A12.shape[0]))
+    placed = scipy.signal.place_poles(A22.T, A12.T, np.sort(np.asarray(poles)))
+    return -placed.gain_matrix.T
 
 
 def stable_gain(base, rng):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.signal import place_poles
 
-from helpers import random_pair, random_partitioned, random_theta
+from helpers import assign_stable_spectrum, random_pair, random_partitioned, random_theta
 from srtrkit import fixtures
 from srtrkit.errors import (
     InvalidThetaError,
@@ -29,7 +29,6 @@ from srtrkit.factorization import (
 )
 from srtrkit.linalg import eigenvalues, is_stable_spectrum
 from srtrkit.srtr import SrtrPair
-from srtrkit.synthesis import assign_stable_spectrum
 from srtrkit.systems import (
     PartitionedRealization,
     StateSpaceSystem,

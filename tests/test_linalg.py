@@ -7,6 +7,7 @@ from srtrkit.errors import NumericalFailureError
 from srtrkit.linalg import (
     DOMAINS,
     auto_rank_tol,
+    column_staircases,
     controllability_staircase,
     eigenvalues,
     in_stability_region,
@@ -183,6 +184,60 @@ def test_staircase_agrees_with_pbh_oracle(domain, seed):
     assert is_minimal(sys) == (n_u == 0)
     dual = StateSpaceSystem(Ao, C.T, Co, np.zeros((m, 2)), domain)
     assert is_minimal(dual) == (pbh_holds(Ao, C.T) and pbh_holds(Ao, Co, dual=True))
+
+
+def _agrees_with_single_column(A, b, Z, k):
+    """Z is orthogonal, and k and the span of Z's first k columns are
+    those of controllability_staircase on the one-column pair (A, b)."""
+    Zr, kr, _ = controllability_staircase(A, b[:, None])
+    assert k == kr
+    assert np.allclose(Z.T @ Z, np.eye(A.shape[0]), atol=1e-12)
+    V, W = Z[:, :k], Zr[:, :kr]
+    assert np.linalg.norm(V - W @ (W.T @ V)) <= 1e-10
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n_u", [0, 1, 2])
+def test_column_staircases_match_single_column_staircase(domain, n_u):
+    # a stack of pairs with no planted mode, a real one or a conjugate pair,
+    # then the same stack in rotated coordinates: every k and reachable span
+    # agrees with the one-column staircase, and rotation maps span to span
+    rng = np.random.default_rng(4200 + 3 * n_u + DOMAINS.index(domain))
+    pairs = [planted_unreachable(rng, 4, n_u, 1, domain, seed % 2 == 0) for seed in range(6)]
+    A = np.array([a for a, _ in pairs])
+    b = np.array([bb[:, 0] for _, bb in pairs])
+    Z, k = column_staircases(A, b)
+    assert Z.shape == A.shape and list(k) == [4] * 6
+    for i in range(6):
+        _agrees_with_single_column(A[i], b[i], Z[i], k[i])
+    Q = rotation(rng, 4 + n_u)
+    Zq, kq = column_staircases(Q @ A @ Q.T, b @ Q.T)
+    assert np.array_equal(kq, k)
+    for i in range(6):
+        _agrees_with_single_column(Q @ A[i] @ Q.T, Q @ b[i], Zq[i], kq[i])
+        V, W = Zq[i, :, :4], Q @ Z[i, :, :4]
+        assert np.linalg.norm(V - W @ (W.T @ V)) <= 1e-10
+
+
+def test_column_staircases_broadcast_empty_and_zero_column():
+    rng = np.random.default_rng(4300)
+    A = rng.normal(size=(5, 5))
+    b = rng.normal(size=(3, 5))
+    b[1] = 0.0
+    Z, k = column_staircases(A, b)
+    assert Z.shape == (3, 5, 5) and list(k) == [5, 0, 5]
+    assert np.array_equal(Z[1], np.eye(5))
+    for i in range(3):
+        _agrees_with_single_column(A, b[i], Z[i], k[i])
+    # a stack of two matrices against the three columns
+    stack = np.array([A, np.diag([1.0, 2.0, 3.0, 4.0, 5.0])])[:, None]
+    Z, k = column_staircases(stack, b)
+    assert Z.shape == (2, 3, 5, 5) and k.shape == (2, 3)
+    for a in range(2):
+        for i in range(3):
+            _agrees_with_single_column(stack[a, 0], b[i], Z[a, i], k[a, i])
+    Z, k = column_staircases(np.zeros((0, 0)), np.zeros((4, 0)))
+    assert Z.shape == (4, 0, 0) and list(k) == [0] * 4
 
 
 def test_zero_entries_follow_reachable_subspaces():

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,33 @@ def test_flcf_network_scale_budget():
         check_flcf(pair)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.5, f"check_flcf took {min(times):.3f}s at p = 48"
+
+
+def test_nrf_network_scale_budget():
+    # the best of three calls keeps a descheduled run from failing the test
+    pair, _, _ = block_network(np.random.default_rng(48), 48)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        nrf_from_srtr(pair)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1, f"nrf_from_srtr took {min(times):.3f}s at p = 48"
+
+
+def test_nrf_memory_budget_on_dense_rows():
+    # every entry of a dense p = 24 pair keeps order 25; the stacked sweep
+    # runs in groups of rows, so its peak stays bounded
+    p = 24
+    base = random_partitioned(np.random.default_rng(2400), p, p, p)
+    pair = SrtrPair(base, np.zeros((p, p)))
+    tracemalloc.start()
+    try:
+        nrf = nrf_from_srtr(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(fn.den_degree for fn in nrf.Gamma.ravel()) == p + 1
+    assert peak < 16 * 2**20, f"nrf_from_srtr peaked at {peak / 2**20:.1f} MB"
 
 
 def test_verify_identity_resamples_near_poles():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import block_network, rotate_hidden, rotation
-from srtrkit.linalg import controllability_staircase, eigenvalues, sample_complex_points
+from srtrkit.linalg import (
+    controllability_staircase,
+    eigenvalues,
+    sample_complex_points,
+    zero_entries,
+)
 from srtrkit.loop import rowwise_implementation
 from srtrkit.rational import siso_rational
 from srtrkit.srtr import SrtrPair, nrf_from_srtr, sparsity_pattern
@@ -113,6 +118,48 @@ def test_normal_form_matches_per_entry_oracle(p):
             want = eval_tfm(G, lam)
             assert np.linalg.norm(nrf.response(lam) - want) <= 1e-12 * np.linalg.norm(want)
         pair = rotate_hidden(pair, rotation(rng, p))
+
+
+def zero_entries_oracle(A, B, C, D, tol=1e-9):
+    """zero_entries with one controllability_staircase per column of B."""
+    cut = tol * np.linalg.norm(np.hstack([C, D]), 2)
+    zero = np.abs(D) <= cut
+    for j in range(B.shape[1]):
+        Z, k, _ = controllability_staircase(A, B[:, j : j + 1], tol)
+        zero[:, j] &= np.linalg.norm(C @ Z[:, :k], axis=1) <= cut
+    return zero
+
+
+@pytest.mark.parametrize("p", [9, 15, 30])
+def test_zero_entries_match_per_column_oracle(p):
+    rng = np.random.default_rng(7200 + p)
+    pair, mask, _ = block_network(rng, p)
+    for _ in range(2):
+        abcd = (pair.Aw, pair.Bw, pair.Cw, pair.Dw)
+        got = zero_entries(*abcd)
+        assert np.array_equal(got, zero_entries_oracle(*abcd))
+        assert np.array_equal(~got[:, p:], mask.astype(bool))
+        pair = rotate_hidden(pair, rotation(rng, p))
+
+
+def entry_degrees(nrf):
+    """(numerator, denominator) degree of every entry of [Phi Gamma], with
+    -1 as the numerator degree of a zero entry."""
+    return [
+        [(-1 if fn.is_zero() else fn.num_degree, fn.den_degree) for fn in row]
+        for row in np.hstack([nrf.Phi, nrf.Gamma])
+    ]
+
+
+@pytest.mark.parametrize("p", [15, 30])
+def test_normal_form_degrees_ignore_hidden_coordinates(p):
+    rng = np.random.default_rng(7300 + p)
+    pair, _, _ = block_network(rng, p)
+    want = entry_degrees(nrf_from_srtr(pair))
+    assert max(d for row in want for _, d in row) == 3
+    for _ in range(2):
+        pair = rotate_hidden(pair, rotation(rng, p))
+        assert entry_degrees(nrf_from_srtr(pair)) == want
 
 
 def test_normal_form_prunes_unobservable_and_partly_reachable_modes():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    assign_stable_spectrum,
     block_network,
     conditions_reference,
     exact_ring,
@@ -24,7 +25,6 @@ from srtrkit.synthesis import (
     SolveOptions,
     SynthesisSpec,
     _condition_rows,
-    assign_stable_spectrum,
     compress_rows,
     dense_spec,
     mm_conditions,
@@ -327,7 +327,7 @@ def test_assign_stable_spectrum_q_zero():
 
 def test_import_leaves_scipy_signal_out():
     # scipy.signal, with the scipy.stats it pulls in, would double the start-up
-    # time of every CLI command; only assign_stable_spectrum imports it.
+    # time of every CLI command; nothing in the package imports it.
     # scipy.optimize costs about a third of start-up; only the polish step of
     # the ring-homogeneous candidates imports it
     code = "import sys, srtrkit; print(sorted({'scipy.signal', 'scipy.optimize'} & set(sys.modules)))"
