@@ -194,7 +194,7 @@ def cmd_synth_conditions(args) -> int:
 
 def cmd_synth_solve(args) -> int:
     base, spec = _load_synth_inputs(args)
-    opts = SolveOptions(seed=args.seed, tol=args.tol)
+    opts = SolveOptions(tol=args.tol)
     K = mm_solve(base, spec, opts)
     report = mm_conditions(base, K, spec, tol=args.tol)
     _emit_json(args, {"K": K.tolist(), "report": report.as_dict()})

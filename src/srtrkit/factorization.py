@@ -28,9 +28,8 @@ from .linalg import (
     is_stable_spectrum,
     rank_with_tolerance,
     sampled_residual,
-    zero_entries,
 )
-from .srtr import SparsityPattern, SrtrPair, srtr_is_stable
+from .srtr import SrtrPair, srtr_is_stable
 from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
@@ -513,15 +512,3 @@ def verify_lcf(
     FB = np.block([[lcf.F1, lcf.blocks.B1], [lcf.F2, lcf.blocks.B2]])
     coprime = is_stabilizable(Ap, FB, lcf.domain)
     return LcfReport(stable=stable, identity_residual=worst, coprime_over_s=coprime)
-
-
-def mn_sparsity(lcf: LcfOverS, tol: float = 1e-9) -> SparsityPattern:
-    """Masks of the factor entries, with the M-part diagonal forced to 1 to
-    match the pair convention (lam I - W has a structurally nonzero
-    diagonal)."""
-    sysmn = lcf.mn_system()
-    p = lcf.p
-    mask = (~zero_entries(sysmn.A, sysmn.B, sysmn.C, sysmn.D, tol)).astype(int)
-    maskM, maskN = mask[:, :p].copy(), mask[:, p:].copy()
-    np.fill_diagonal(maskM, 1)
-    return SparsityPattern(maskM, maskN)

@@ -214,14 +214,6 @@ def gain_from_dict(d, p: int | None = None, q: int | None = None) -> np.ndarray:
     return _matrix(data, "K", rows=q, cols=p)
 
 
-def rows_to_dict(rows: RowImplementation) -> dict:
-    return {
-        "domain": rows.domain,
-        "p": rows.p,
-        "rows": [system_to_dict(r) for r in rows.rows],
-    }
-
-
 def rows_from_dict(d: dict) -> RowImplementation:
     sys_rows = [system_from_dict(r) for r in _need(d, "rows")]
     if not sys_rows:

@@ -33,6 +33,14 @@ from .rational import siso_rational
 from .systems import PartitionedRealization, StateSpaceSystem, eval_tfm
 
 
+def gain_blocks(b: PartitionedRealization, K: np.ndarray) -> tuple:
+    """A11 - A12 K, A_K = K A11 - K A12 K + A21 - A22 K, K B1 + B2 and
+    Aw = A22 + K A12 for one gain of shape (q, p) or a stack (..., q, p)."""
+    KA12 = K @ b.A12
+    A_K = K @ b.A11 - KA12 @ K + b.A21 - b.A22 @ K
+    return b.A11 - b.A12 @ K, A_K, K @ b.B1 + b.B2, b.A22 + KA12
+
+
 @dataclass(frozen=True)
 class SrtrPair:
     """A realization-level carrier for the pair (W, V).
@@ -55,12 +63,12 @@ class SrtrPair:
         b = self.base
         if K.shape != (b.q, b.p):
             raise DimensionError(f"K must be {b.q}x{b.p}, got {K.shape}")
-        A_K = K @ b.A11 - K @ b.A12 @ K + b.A21 - b.A22 @ K
+        Wd, A_K, Bh, Aw = gain_blocks(b, K)
         object.__setattr__(self, "K", K)
-        object.__setattr__(self, "Aw", b.A22 + K @ b.A12)
+        object.__setattr__(self, "Aw", Aw)
         object.__setattr__(self, "A_K", A_K)
-        object.__setattr__(self, "Bw", np.hstack([A_K, K @ b.B1 + b.B2]))
-        object.__setattr__(self, "Dw", np.hstack([b.A11 - b.A12 @ K, b.B1]))
+        object.__setattr__(self, "Bw", np.hstack([A_K, Bh]))
+        object.__setattr__(self, "Dw", np.hstack([Wd, b.B1]))
 
     @property
     def p(self) -> int:

@@ -1,7 +1,8 @@
 """Structured gain synthesis: residuals for the six row-wise feasibility
-conditions, a penalty-based solver for a gain K meeting sparsity masks and
-row-order targets, and the order-n_i row truncation those conditions make
-exact.
+conditions, a solver for a gain K meeting sparsity masks and row-order
+targets (the zero gain, the ring-homogeneous closed form, then one
+least-squares solve with a corner-stability hinge), and the order-n_i row
+truncation those conditions make exact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .linalg import (
     row_compressor,
     zero_entries,
 )
-from .srtr import SparsityPattern, SrtrPair, sparsity_pattern, srtr_is_stable
+from .srtr import (
+    SparsityPattern,
+    SrtrPair,
+    gain_blocks,
+    sparsity_pattern,
+    srtr_is_stable,
+)
 from .systems import PartitionedRealization, StateSpaceSystem
 
 RING_HOMOGENEOUS = "ring-homogeneous"
@@ -125,6 +132,39 @@ def _check_spec_dims(base: PartitionedRealization, spec: SynthesisSpec):
         raise ValueError(f"row orders must not exceed the hidden dimension {base.q}")
 
 
+def _row_groups(base: PartitionedRealization, spec: SynthesisSpec, comps):
+    """Rows with a nonzero coupling vector grouped by order: for each order,
+    the row indices and the stacked compressed tails and heads."""
+    q = base.q
+    groups: dict[int, list[int]] = {}
+    for i in range(base.p):
+        if q and not comps[i].is_zero:
+            groups.setdefault(spec.orders[i], []).append(i)
+    out = []
+    for ni, idx in groups.items():
+        Q = np.stack([comps[i].Q for i in idx])
+        out.append((idx, Q[:, q - ni :, :], Q[:, : q - ni, :]))
+    return out
+
+
+def _row_terms(base: PartitionedRealization, Ks: np.ndarray, groups):
+    """A11 - A12 K and, per order group, the row indices, tail(A_K),
+    tail(K B1 + B2), the coupling tail Aw head^T that truncation drops and
+    the corner spectrum eig(tail Aw tail^T), for a stack of gains."""
+    Wd, AK, Bh, Aw = gain_blocks(base, Ks)
+    terms = []
+    for idx, tail, head in groups:
+        tailAw = tail @ Aw[:, None]
+        terms.append((
+            idx,
+            tail @ AK[:, None],
+            tail @ Bh[:, None],
+            tailAw @ head.swapaxes(-2, -1),
+            eigenvalues(tailAw @ tail.swapaxes(-2, -1)),
+        ))
+    return Wd, terms
+
+
 def _condition_rows(
     base: PartitionedRealization,
     Ks: np.ndarray,
@@ -139,40 +179,23 @@ def _condition_rows(
     heads are stacked once and every product, norm and spectrum is one
     batched call.
     """
-    p, q = base.p, base.q
-    N = Ks.shape[0]
+    N, p = Ks.shape[0], base.p
     outW = spec.maskW == 0
     outV = spec.maskV == 0
-    KA12 = Ks @ base.A12
-    Wd = base.A11 - base.A12 @ Ks
-    AK = Ks @ base.A11 - KA12 @ Ks + base.A21 - base.A22 @ Ks
-    Bh = Ks @ base.B1 + base.B2
-    Aw = base.A22 + KA12
+    Wd, terms = _row_terms(base, Ks, _row_groups(base, spec, comps))
     rows = np.zeros((N, p, 6))
     margins = np.full((N, p), np.inf)
     rows[:, :, 0] = np.max(np.abs(Wd) * outW, axis=-1, initial=0.0)
     rows[:, :, 1] = np.max(np.abs(base.B1) * outV, axis=-1, initial=0.0)
-    groups: dict[int, list[int]] = {}
-    for i in range(p):
-        if q and not comps[i].is_zero:
-            groups.setdefault(spec.orders[i], []).append(i)
-    for ni, idx in groups.items():
-        Q = np.stack([comps[i].Q for i in idx])
-        tail = Q[:, q - ni :, :]
-        head = Q[:, : q - ni, :]
-        TW = tail @ AK[:, None]
-        TV = tail @ Bh[:, None]
+    for idx, TW, TV, coupling, eigs in terms:
         rows[:, idx, 2] = np.max(
             np.abs(TW) * outW[idx, None, :], axis=(-2, -1), initial=0.0
         )
         rows[:, idx, 3] = np.max(
             np.abs(TV) * outV[idx, None, :], axis=(-2, -1), initial=0.0
         )
-        tailAw = tail @ Aw[:, None]
-        if ni < q:
-            coupling = tailAw @ head.swapaxes(-2, -1)
+        if coupling.size:
             rows[:, idx, 4] = np.linalg.norm(coupling, 2, axis=(-2, -1))
-        eigs = eigenvalues(tailAw @ tail.swapaxes(-2, -1))
         rows[:, idx, 5] = np.max(stability_distance(eigs, base.domain), axis=-1)
         margins[:, idx] = stability_margin(eigs, base.domain)
     return rows, margins
@@ -201,133 +224,68 @@ def mm_conditions(
 
 @dataclass(frozen=True)
 class SolveOptions:
-    max_iter: int = 40
-    penalty_weights: tuple = (1.0, 10.0)
-    seed: int = 42
     tol: float = 1e-6
-    restarts: int = 8
 
 
-def _ring_homogeneous_candidates(base: PartitionedRealization, spec: SynthesisSpec):
+# how far inside the stability region the least-squares hinge pushes every
+# corner eigenvalue
+CORNER_MARGIN = 0.1
+
+
+def _ring_homogeneous_gain(base: PartitionedRealization, spec: SynthesisSpec):
     """For the homogeneous constraint with square invertible A12 the gain is
-    pinned down by one scalar: K(alpha) = (alpha I - A22) A12^{-1}. Yields
-    the best grid point's gain, then, only when asked for, the polished
-    one."""
+    pinned down by one scalar: K(alpha) = (alpha I - A22) A12^{-1}. Returns
+    the gain at the alpha grid point with the smallest max residual, or
+    None when A12 is not square and invertible."""
     q = base.q
     if q == 0 or base.p != q or np.linalg.matrix_rank(base.A12) < q:
-        return
+        return None
     A12inv = np.linalg.inv(base.A12)
-    comps = compress_rows(base)
 
     def gain(alpha):
         return (np.multiply.outer(alpha, np.eye(q)) - base.A22) @ A12inv
-
-    def score(alpha: float) -> float:
-        rows, _ = _condition_rows(base, gain(alpha)[None], spec, comps)
-        return float(np.max(rows))
 
     scale = 1.0 + float(np.linalg.norm(base.A, 2))
     if base.domain == "continuous":
         grid = -np.geomspace(1e-2, 10.0 * scale, 120)
     else:
         grid = np.linspace(-0.95, 0.95, 120)
-    rows, _ = _condition_rows(base, gain(grid), spec, comps)
-    order = np.argsort(rows.max(axis=(1, 2)))
-    best_alpha = grid[order[0]]
-    yield gain(best_alpha)
-    # local polish around the best grid point
+    rows, _ = _condition_rows(base, gain(grid), spec, compress_rows(base))
+    # exact rings tie many grid points at one max residual; the first of
+    # argsort's order among them (not argmin's first index) is the one taken
+    return gain(grid[np.argsort(rows.max(axis=(1, 2)))[0]])
+
+
+def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
+    """One trust-region least-squares solve from K = 0 over the signed
+    masked entries of conditions 1, 3 and 4, the coupling of condition 5
+    and a hinge that asks every corner eigenvalue to sit CORNER_MARGIN
+    inside the stability region. Condition 2 does not involve K."""
     import scipy.optimize  # deferred: importing it costs about a third of CLI start-up
 
-    res = scipy.optimize.minimize_scalar(
-        score,
-        bracket=None,
-        bounds=(best_alpha - abs(best_alpha) * 0.5 - 0.1,
-                best_alpha + abs(best_alpha) * 0.5 + 0.1),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    yield gain(float(res.x))
+    p, q = base.p, base.q
+    outW = spec.maskW == 0
+    outV = spec.maskV == 0
+    groups = _row_groups(base, spec, compress_rows(base))
 
+    def residual(k):
+        Wd, terms = _row_terms(base, k.reshape(1, q, p), groups)
+        parts = [Wd * outW]
+        for idx, TW, TV, coupling, eigs in terms:
+            if base.domain == "continuous":
+                signed = eigs.real
+            else:
+                signed = np.abs(eigs) - 1.0
+            parts += [
+                TW * outW[idx, None, :],
+                TV * outV[idx, None, :],
+                coupling,
+                np.maximum(signed + CORNER_MARGIN, 0.0),
+            ]
+        return np.concatenate([part.ravel() for part in parts])
 
-def _masked_lsq_gain(
-    base: PartitionedRealization,
-    spec: SynthesisSpec,
-    K_prev: np.ndarray,
-    target: np.ndarray | None,
-    weight_target: float,
-) -> np.ndarray:
-    """One linearized step: solve a least-squares problem in K that drives
-    the masked-out entries of A11 - A12 K, tail(A_K) and tail(K B1 + B2)
-    toward zero, with the quadratic in K replaced by its linearization around
-    K_prev, plus a pull toward a target hidden matrix for stability."""
-    p, q, m = base.p, base.q, base.m
-    comps = compress_rows(base)
-    rows_lhs: list[np.ndarray] = []
-    rows_rhs: list[float] = []
-
-    def add_equation(coeff: np.ndarray, rhs: float, w: float = 1.0):
-        rows_lhs.append(w * coeff.ravel())
-        rows_rhs.append(w * rhs)
-
-    # condition 1: (A11 - A12 K)[i, j] = 0 on masked-out entries
-    for i in range(p):
-        for j in range(p):
-            if spec.maskW[i, j]:
-                continue
-            coeff = np.zeros((q, p))
-            coeff[:, j] = -base.A12[i, :]
-            add_equation(coeff, -base.A11[i, j])
-    # conditions 3 and 4 on the compressed tail rows, with K A12 K linearized
-    lin_const = -K_prev @ base.A12 @ K_prev
-    for i in range(p):
-        if comps[i].is_zero or q == 0:
-            continue
-        ni = spec.orders[i]
-        tail = comps[i].Q[q - ni :, :]
-        for r in range(ni):
-            trow = tail[r]
-            for j in range(p):
-                if not spec.maskW[i, j]:
-                    # row of tail @ (K A11 - K A12 K + A21 - A22 K), column j
-                    coeff = np.zeros((q, p))
-                    coeff += np.outer(trow, base.A11[:, j])
-                    coeff -= np.outer(trow @ base.A22, np.eye(p)[j])
-                    coeff -= np.outer(trow, (base.A12 @ K_prev)[:, j])
-                    coeff -= np.outer(trow @ K_prev @ base.A12, np.eye(p)[j])
-                    rhs = -(trow @ base.A21[:, j]) - trow @ lin_const[:, j]
-                    add_equation(coeff, rhs)
-            for k in range(m):
-                if not spec.maskV[i, k]:
-                    coeff = np.einsum("a,b->ab", trow, base.B1[:, k])
-                    add_equation(coeff, -(trow @ base.B2[:, k]))
-    # stability pull: A22 + K A12 ~ target
-    if target is not None:
-        for a in range(q):
-            for b in range(q):
-                coeff = np.zeros((q, p))
-                coeff[a, :] = base.A12[:, b]
-                add_equation(
-                    coeff, target[a, b] - base.A22[a, b], w=weight_target
-                )
-    if not rows_lhs:
-        return K_prev
-    A = np.vstack(rows_lhs)
-    b = np.asarray(rows_rhs)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return sol.reshape(q, p)
-
-
-def _stable_targets(base: PartitionedRealization, rng: np.random.Generator, count: int):
-    q = base.q
-    scale = 1.0 + float(np.linalg.norm(base.A22, 2))
-    out = []
-    for _ in range(count):
-        if base.domain == "continuous":
-            vals = -rng.uniform(0.3, 2.0, q) * scale
-        else:
-            vals = rng.uniform(-0.8, 0.8, q)
-        out.append(np.diag(vals))
-    return out
+    fit = scipy.optimize.least_squares(residual, np.zeros(q * p), method="trf")
+    return fit.x.reshape(q, p)
 
 
 def mm_solve(
@@ -339,12 +297,11 @@ def mm_solve(
 
     Order of attack: the zero gain (free win when the base already has the
     structure), an immediate infeasibility verdict when the gain-independent
-    input condition already fails, the closed-form candidates of the
-    one-parameter family pinned down by the homogeneous constraint, then
-    seeded multi-start alternating linearization. Candidates are tested in
-    that order as they are made, so the first that passes is returned
-    before any later one is computed. Raises InfeasibleError with the best
-    report otherwise.
+    input condition already fails, the best grid point of the one-parameter
+    family pinned down by the homogeneous constraint, then one least-squares
+    solve over every gain entry. Candidates are tested in that order as they
+    are made, so the first that passes is returned before any later one is
+    computed. Raises InfeasibleError with the best report otherwise.
     """
     if opts is None:
         opts = SolveOptions()
@@ -360,30 +317,16 @@ def mm_solve(
             "change them",
             report=best_report,
         )
+
     def candidates():
-        # generated lazily, so no restart runs once a candidate passes
+        # generated lazily, so the least-squares solve runs only when the
+        # closed-form candidate fails
         if spec.extra == RING_HOMOGENEOUS:
-            yield from _ring_homogeneous_candidates(base, spec)
-        if q == 0:
-            return
-        rng = np.random.default_rng(opts.seed)
-        starts = [np.zeros((q, p))] + [
-            rng.standard_normal((q, p)) for _ in range(opts.restarts - 1)
-        ]
-        targets = _stable_targets(base, rng, opts.restarts)
-        for K0, target in zip(starts, targets):
-            K = K0
-            for _ in range(opts.max_iter):
-                K_next = _masked_lsq_gain(
-                    base, spec, K, target, opts.penalty_weights[0]
-                )
-                if np.linalg.norm(K_next - K) <= 1e-12 * (1 + np.linalg.norm(K)):
-                    K = K_next
-                    break
-                K = K_next
-            yield K
-            # a final pass with the stability pull released
-            yield _masked_lsq_gain(base, spec, K, None, 0.0)
+            K = _ring_homogeneous_gain(base, spec)
+            if K is not None:
+                yield K
+        if q:
+            yield _least_squares_gain(base, spec)
 
     def rank_key(report: ConditionReport) -> tuple:
         per = report.per_condition_max()
@@ -392,7 +335,6 @@ def mm_solve(
     for K in candidates():
         rep = mm_conditions(base, K, spec, opts.tol)
         if rep.passed:
-            # the first passing candidate in the deterministic order
             return K
         if rank_key(rep) < rank_key(best_report):
             best_report = rep

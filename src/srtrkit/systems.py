@@ -8,9 +8,10 @@ representation for everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -77,20 +78,28 @@ class StateSpaceSystem:
 
 
 def eval_tfm(sys: StateSpaceSystem, lam: complex) -> np.ndarray:
-    """Transfer matrix C (lam I - A)^{-1} B + D at a single point."""
+    """Transfer matrix C (lam I - A)^{-1} B + D at a single point.
+
+    One LU of lam I - A does the solve and gives LAPACK's estimate of its
+    reciprocal condition number; a point whose estimate is below 1e-13
+    counts as a pole.
+    """
     n = sys.n
     if n == 0:
         return sys.D.astype(complex)
-    pencil = lam * np.eye(n) - sys.A
-    try:
-        X = np.linalg.solve(pencil, sys.B.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise PoleEvaluationError(f"evaluation point {lam} is a pole") from exc
-    cond = np.linalg.cond(pencil)
-    if not np.isfinite(cond) or cond > 1e13:
+    pencil = complex(lam) * np.eye(n) - sys.A
+    getrf, gecon, getrs = scipy.linalg.lapack.get_lapack_funcs(
+        ("getrf", "gecon", "getrs"), (pencil,)
+    )
+    lu, piv, info = getrf(pencil)
+    if info > 0:
+        raise PoleEvaluationError(f"evaluation point {lam} is a pole")
+    rcond, _ = gecon(lu, np.linalg.norm(pencil, 1))
+    if not rcond >= 1e-13:
         raise PoleEvaluationError(
-            f"evaluation point {lam} is too close to a pole (cond={cond:.2e})"
+            f"evaluation point {lam} is too close to a pole (cond={1 / rcond:.2e})"
         )
+    X, _ = getrs(lu, piv, sys.B.astype(complex))
     return sys.C @ X + sys.D
 
 
@@ -272,21 +281,6 @@ def to_output_normal(sys: StateSpaceSystem, tol: float | None = None) -> tuple[
     )
 
 
-@dataclass(frozen=True)
-class RingNetwork:
-    """Directed-ring interconnection of p identical two-block nodes.
-
-    ``system`` is the flat (A, B, C, D); ``partitioned`` is the same model in
-    output-normal coordinates; ``transform`` maps flat states to partitioned
-    ones.
-    """
-
-    system: StateSpaceSystem
-    partitioned: PartitionedRealization
-    transform: np.ndarray
-    p: int
-
-
 def ring_shift(p: int) -> np.ndarray:
     """Adjacency of the directed p-cycle: node i listens to node i-1."""
     F = np.zeros((p, p))
@@ -294,38 +288,3 @@ def ring_shift(p: int) -> np.ndarray:
     for i in range(1, p):
         F[i, i - 1] = 1.0
     return F
-
-
-def build_ring_network(
-    p: int,
-    phi: StateSpaceSystem,
-    gamma: StateSpaceSystem,
-    domain: str = "continuous",
-) -> RingNetwork:
-    """Assemble p nodes on a directed ring.
-
-    Each node i has a local filter ``phi`` driven by the previous node's
-    output and an actuation channel ``gamma`` driven by the node's own input;
-    the node output is the sum of both block outputs. Both blocks must be
-    SISO with D = 0.
-    """
-    if p < 2:
-        raise DimensionError("a ring needs at least 2 nodes")
-    for name, blk in (("phi", phi), ("gamma", gamma)):
-        if blk.n_inputs != 1 or blk.n_outputs != 1:
-            raise DimensionError(f"{name} must be SISO")
-        if np.any(blk.D != 0.0):
-            raise UnsupportedFeedthroughError(f"{name} must be strictly proper")
-    F = ring_shift(p)
-    Ip = np.eye(p)
-    nf, ng = phi.n, gamma.n
-    # phi states see the previous node's total output y_{i-1}
-    A = np.block([
-        [np.kron(Ip, phi.A) + np.kron(F, phi.B @ phi.C), np.kron(F, phi.B @ gamma.C)],
-        [np.zeros((p * ng, p * nf)), np.kron(Ip, gamma.A)],
-    ])
-    B = np.vstack([np.zeros((p * nf, p)), np.kron(Ip, gamma.B)])
-    C = np.hstack([np.kron(Ip, phi.C), np.kron(Ip, gamma.C)])
-    flat = StateSpaceSystem(A, B, C, np.zeros((p, p)), domain)
-    part, T = to_output_normal(flat)
-    return RingNetwork(flat, part, T, p)

@@ -159,6 +159,19 @@ def rotate_hidden(pair, Q):
     return SrtrPair(base, Q.T @ pair.K)
 
 
+def shear_hidden(pair, K0):
+    """The same pair (W, V) in hidden coordinates x2 -> x2 + K0 y: the base
+    becomes (A11 - A12 K0, A12, A_K(K0), A22 + K0 A12, B1, K0 B1 + B2) and
+    the known gain pair.K - K0."""
+    b = pair.base
+    at_K0 = SrtrPair(b, K0)
+    base = PartitionedRealization(
+        A11=b.A11 - b.A12 @ K0, A12=b.A12, A21=at_K0.A_K, A22=at_K0.Aw,
+        B1=b.B1, B2=K0 @ b.B1 + b.B2, domain=b.domain,
+    )
+    return SrtrPair(base, pair.K - K0)
+
+
 def block_network(rng, p):
     """Rotated block network: the direct sum of stable pairs with block
     sizes 1, 2, 1, 2, ... (p = q = m, p a multiple of 3), hidden

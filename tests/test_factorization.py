@@ -20,7 +20,6 @@ from srtrkit.factorization import (
     ThetaFactor,
     lcf_from_srtr,
     make_theta,
-    mn_sparsity,
     riccati_residual,
     solve_ctnare,
     srtr_from_lcf,
@@ -292,13 +291,6 @@ def test_kontroller_form_condition_errors():
     with pytest.raises(KontrollerFormError) as info:
         to_kontroller_form(sys, -5.0 * np.eye(2), np.zeros((2, 2)))
     assert info.value.condition == "a"
-
-
-def test_mn_sparsity_returns_pattern():
-    pat = mn_sparsity(ring_lcf())
-    assert pat.maskW.shape == (6, 6)
-    assert pat.maskV.shape == (6, 6)
-    assert np.all(np.diag(pat.maskW) == 1)
 
 
 def test_eval_mn_matches_state_space():

@@ -112,7 +112,8 @@ def test_gain_from_dict_variants():
 
 def test_rows_roundtrip():
     rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
-    d = jsonio.rows_to_dict(rows)
+    d = {"domain": rows.domain, "p": rows.p,
+         "rows": [jsonio.system_to_dict(r) for r in rows.rows]}
     back = jsonio.rows_from_dict(json.loads(json.dumps(d)))
     assert back.p == 6 and back.m == 6
     lam = 1.1 + 0.4j

@@ -14,7 +14,6 @@ from srtrkit.systems import (
     PartitionedRealization,
     StateSpaceSystem,
     apply_transform,
-    build_ring_network,
     eval_tfm,
     is_minimal,
     minimal_realization,
@@ -62,6 +61,15 @@ def test_eval_tfm_at_pole_raises():
     )
     with pytest.raises(PoleEvaluationError):
         eval_tfm(sys, 2.0)
+    # a 1x1 pencil is perfectly conditioned, so the near-pole check needs two
+    # states: lam I - A has condition number about 3e15 at 2 + 1e-15
+    two = StateSpaceSystem(
+        np.diag([2.0, -1.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)),
+        "continuous",
+    )
+    with pytest.raises(PoleEvaluationError, match="too close"):
+        eval_tfm(two, 2.0 + 1e-15)
+    assert np.allclose(eval_tfm(two, 2.5), [[1 / 0.5 + 1 / 3.5]])
 
 
 def test_static_system_evaluation():
@@ -172,39 +180,3 @@ def test_ring_shift_cyclic_structure():
     for i in range(4):
         assert np.array_equal(F @ e[:, (i - 1) % 4], e[:, i])
     assert np.array_equal(np.linalg.matrix_power(F, 4), np.eye(4))
-
-
-def test_build_ring_network_matches_scalar_closure():
-    phi = StateSpaceSystem(
-        np.array([[-0.5]]), np.array([[1.0]]), np.array([[-0.1]]),
-        np.array([[0.0]]), "continuous",
-    )
-    gamma = StateSpaceSystem(
-        np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
-        np.array([[0.0]]), "continuous",
-    )
-    net = build_ring_network(4, phi, gamma)
-    F = ring_shift(4)
-    lam = 0.8 + 0.5j
-    phi_v = eval_tfm(phi, lam)[0, 0]
-    gam_v = eval_tfm(gamma, lam)[0, 0]
-    expected = np.linalg.solve(np.eye(4) - phi_v * F, gam_v * np.eye(4))
-    assert np.allclose(eval_tfm(net.system, lam), expected, atol=1e-9)
-    assert net.partitioned.p == 4
-    assert np.allclose(
-        net.partitioned.full_system().C,
-        np.hstack([np.eye(4), np.zeros((4, net.partitioned.q))]),
-    )
-
-
-def test_build_ring_network_rejects_feedthrough():
-    phi = StateSpaceSystem(
-        np.array([[-0.5]]), np.array([[1.0]]), np.array([[1.0]]),
-        np.array([[1.0]]), "continuous",
-    )
-    gamma = StateSpaceSystem(
-        np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]),
-        np.array([[0.0]]), "continuous",
-    )
-    with pytest.raises(UnsupportedFeedthroughError):
-        build_ring_network(3, phi, gamma)
