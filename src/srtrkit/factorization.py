@@ -2,11 +2,16 @@
 directions: pair -> factorization through a stable shaping factor Theta, and
 factorization -> pair through a right-stabilizing solution of a nonsymmetric
 algebraic Riccati equation built from the factor data.
+
+The realizations of Theta and of [M N] are built on first use and kept,
+read-only. Transfer matrices evaluate at a point or at a whole 1-D array of
+points at once, so each sampled check makes one stacked evaluation per draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +40,7 @@ from .systems import (
     StateSpaceSystem,
     eval_tfm,
     is_minimal,
+    read_only_system,
     to_output_normal,
 )
 
@@ -70,12 +76,18 @@ class ThetaFactor:
     def p(self) -> int:
         return self.Ax.shape[0]
 
-    def system(self) -> StateSpaceSystem:
-        return StateSpaceSystem(
+    @cached_property
+    def _system(self) -> StateSpaceSystem:
+        return read_only_system(
             self.Ax, self.Bx, self.Cx, np.zeros((self.p, self.p)), self.domain
         )
 
-    def evaluate(self, lam: complex) -> np.ndarray:
+    def system(self) -> StateSpaceSystem:
+        """Theta as one system, built on first use; its matrices are
+        read-only."""
+        return self._system
+
+    def evaluate(self, lam) -> np.ndarray:
         return eval_tfm(self.system(), lam)
 
 
@@ -133,29 +145,36 @@ class LcfOverS:
         return self.blocks.domain
 
     def pole_matrix(self) -> np.ndarray:
-        b = self.blocks
-        return np.block(
-            [[b.A11 + self.F1, b.A12], [b.A21 + self.F2, b.A22]]
-        )
+        """Ap, built on first use and read-only."""
+        return self._mn.A
 
     def gain_column(self) -> np.ndarray:
         return np.vstack([self.F1, self.F2])
 
-    def mn_system(self) -> StateSpaceSystem:
-        """One system whose transfer matrix is [M(lam) N(lam)]."""
+    @cached_property
+    def _mn(self) -> StateSpaceSystem:
         b = self.blocks
         p = self.p
-        Bmn = np.block([[self.F1, b.B1], [self.F2, b.B2]])
-        Cmn = np.hstack([self.U, np.zeros((p, self.q))])
-        Dmn = np.hstack([self.U, np.zeros((p, self.m))])
-        return StateSpaceSystem(self.pole_matrix(), Bmn, Cmn, Dmn, self.domain)
+        return read_only_system(
+            np.block([[b.A11 + self.F1, b.A12], [b.A21 + self.F2, b.A22]]),
+            np.block([[self.F1, b.B1], [self.F2, b.B2]]),
+            np.hstack([self.U, np.zeros((p, self.q))]),
+            np.hstack([self.U, np.zeros((p, self.m))]),
+            self.domain,
+        )
 
-    def eval_mn(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    def mn_system(self) -> StateSpaceSystem:
+        """One system whose transfer matrix is [M(lam) N(lam)], built on
+        first use; its matrices are read-only."""
+        return self._mn
+
+    def eval_mn(self, lam) -> tuple[np.ndarray, np.ndarray]:
         mn = eval_tfm(self.mn_system(), lam)
-        return mn[:, : self.p], mn[:, self.p :]
+        return mn[..., : self.p], mn[..., self.p :]
 
-    def response(self, lam: complex) -> np.ndarray:
-        """G(lam) = M(lam)^{-1} N(lam)."""
+    def response(self, lam) -> np.ndarray:
+        """G(lam) = M(lam)^{-1} N(lam), at a point or at each point of a 1-D
+        array."""
         M, N = self.eval_mn(lam)
         return np.linalg.solve(M, N)
 
@@ -272,32 +291,49 @@ def _reachable(count: int, singles: int, pairs: int) -> bool:
 def _greedy_groups(blocks: list[np.ndarray], p: int) -> list[int] | None:
     """Indices of column groups chosen one at a time, each the one whose
     addition maximizes the volume (sum of log singular values) of the top p
-    rows of the orthonormalized basis; a group is skipped when the columns
-    still needed could no longer be met by the others. None when no set of
-    groups has exactly p columns."""
+    rows of the orthonormalized basis; ties go to the lowest index. A group
+    is skipped when the columns still needed could no longer be met by the
+    others. None when no set of groups has exactly p columns.
+
+    The groups of one width are stacked once; each step scores all that are
+    left of a width by one stacked QR of [Q, group] and one stacked SVD of
+    its top p rows."""
     if not blocks:
         return None
+    widths = np.array([block.shape[1] for block in blocks])
+    stacks = {
+        w: (np.flatnonzero(widths == w), np.stack([b for b in blocks if b.shape[1] == w]))
+        for w in (1, 2)
+        if np.any(widths == w)
+    }
     chosen: list[int] = []
+    left = np.ones(len(blocks), dtype=bool)
     Q = np.zeros((blocks[0].shape[0], 0))
     while Q.shape[1] < p:
-        left = [j for j in range(len(blocks)) if j not in chosen]
-        singles = sum(blocks[j].shape[1] == 1 for j in left)
-        pairs = len(left) - singles
-        best = None
-        for j in left:
-            width = blocks[j].shape[1]
-            need = p - Q.shape[1] - width
-            if not _reachable(need, singles - (width == 1), pairs - (width == 2)):
+        singles = int(np.count_nonzero(left & (widths == 1)))
+        pairs = int(np.count_nonzero(left)) - singles
+        index, scores, bases = [], [], []
+        for w, (js, stack) in stacks.items():
+            need = p - Q.shape[1] - w
+            live = left[js]
+            if not live.any() or not _reachable(need, singles - (w == 1), pairs - (w == 2)):
                 continue
-            Qj = np.linalg.qr(np.hstack([Q, blocks[j]]))[0]
+            groups = stack[live]
+            Qs = np.linalg.qr(
+                np.concatenate([np.broadcast_to(Q, (len(groups),) + Q.shape), groups], axis=2)
+            )[0]
             with np.errstate(divide="ignore"):
-                score = float(np.sum(np.log(np.linalg.svd(Qj[:p], compute_uv=False))))
-            if best is None or score > best[0]:
-                best = (score, j, Qj)
-        if best is None:
+                scores.append(np.sum(np.log(np.linalg.svd(Qs[:, :p], compute_uv=False)), axis=1))
+            index.append(js[live])
+            bases.extend(Qs)
+        if not index:
             return None
-        chosen.append(best[1])
-        Q = best[2]
+        index, scores = np.concatenate(index), np.concatenate(scores)
+        best = np.flatnonzero(scores == scores.max())
+        pick = best[np.argmin(index[best])]
+        chosen.append(int(index[pick]))
+        left[index[pick]] = False
+        Q = bases[pick]
     return chosen
 
 
@@ -433,22 +469,23 @@ def srtr_from_lcf(lcf: LcfOverS, solution: RiccatiSolution | None = None) -> Srt
         raise DimensionError(f"K must be {lcf.q}x{lcf.p}, got {K.shape}")
     Ap11, A12, _, _ = _riccati_data(lcf)
     Ax = Ap11 - A12 @ K
-    if not is_stable_spectrum(Ax, lcf.domain):
+    eig_ax = eigenvalues(Ax)
+    if not all(in_stability_region(z, lcf.domain) for z in eig_ax):
         raise PreconditionError("K is not right stabilizing for this factorization")
     pair = SrtrPair(lcf.blocks, K)
     # closed-form recovery check at a few points clear of all poles involved
     Uinv = np.linalg.inv(lcf.U)
     poles = np.concatenate(
-        [eigenvalues(lcf.pole_matrix()), eigenvalues(pair.Aw), eigenvalues(Ax)]
+        [eigenvalues(lcf.pole_matrix()), eigenvalues(pair.Aw), eig_ax]
     )
     eye = np.eye(lcf.p)
-    pad = np.zeros((lcf.p, lcf.m))
 
-    def recoveries(lam):
-        M, N = lcf.eval_mn(lam)
-        MN = np.hstack([-M, N])
-        closed_form = np.hstack([lam * eye, pad]) + (lam * eye - Ax) @ Uinv @ MN
-        return eval_tfm(pair.wv_system(), lam), closed_form
+    def recoveries(lams):
+        M, N = lcf.eval_mn(lams)
+        lam_eye = lams[:, None, None] * eye
+        closed_form = (lam_eye - Ax) @ Uinv @ np.concatenate([-M, N], axis=-1)
+        closed_form[..., : lcf.p] += lam_eye
+        return eval_tfm(pair.wv_system(), lams), closed_form
 
     worst = sampled_residual(recoveries, poles, 5, seed=11)
     if worst > 1e-8:
@@ -504,11 +541,10 @@ def verify_lcf(
     elif isinstance(source, SrtrPair):
         pole_pool += list(eigenvalues(source.base.A)) + list(eigenvalues(source.Aw))
 
-    def responses(lam):
-        G = source.response(lam) if gsys is None else eval_tfm(gsys, lam)
-        return G, lcf.response(lam)
+    def responses(lams):
+        G = source.response(lams) if gsys is None else eval_tfm(gsys, lams)
+        return G, lcf.response(lams)
 
     worst = sampled_residual(responses, np.array(pole_pool), n_samples, seed)
-    FB = np.block([[lcf.F1, lcf.blocks.B1], [lcf.F2, lcf.blocks.B2]])
-    coprime = is_stabilizable(Ap, FB, lcf.domain)
+    coprime = is_stabilizable(Ap, lcf.mn_system().B, lcf.domain)
     return LcfReport(stable=stable, identity_residual=worst, coprime_over_s=coprime)

@@ -341,37 +341,40 @@ def sample_complex_points(
 ) -> np.ndarray:
     """Seeded sample points on a complex disk, kept away from given poles.
 
-    The disk is centered at the barycenter of ``poles`` (origin when empty)
-    and grows if rejection leaves too few candidates.
+    The disk is centered at the barycenter of ``poles`` (origin when empty).
+    Each radius gets ``max_draws`` candidates from one draw of the stream;
+    the candidates closer than ``min_distance`` to a pole are dropped at
+    once, and the rest are taken in order unless within 1e-6 of a point
+    already taken. The disk doubles while too few points are found, and
+    past radius 1e6 the search fails.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     center = poles.mean() if poles.size else 0.0 + 0.0j
     rng = np.random.default_rng(seed)
     picked: list[complex] = []
     r = radius
-    draws = 0
     while len(picked) < count:
-        if draws >= max_draws:
-            r *= 2.0
-            draws = 0
-            if r > 1e6:
-                raise NumericalFailureError(
-                    "could not place sample points away from the poles"
-                )
-        z = center + r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        draws += 1
-        if poles.size and np.min(np.abs(poles - z)) < min_distance:
-            continue
-        if picked and min(abs(z - w) for w in picked) < 1e-6:
-            continue
-        picked.append(z)
+        u = rng.uniform(-1, 1, size=2 * max_draws)
+        z = center + r * (u[0::2] + 1j * u[1::2])
+        if poles.size:
+            z = z[np.min(np.abs(poles - z[:, None]), axis=1) >= min_distance]
+        for w in z:
+            if len(picked) == count:
+                break
+            if not picked or min(abs(w - v) for v in picked) >= 1e-6:
+                picked.append(w)
+        r *= 2.0
+        if len(picked) < count and r > 1e6:
+            raise NumericalFailureError(
+                "could not place sample points away from the poles"
+            )
     return np.array(picked)
 
 
 def sampled_residual(evaluate, poles, count: int, seed: int = 0) -> float:
     """Max relative residual ``||ref - got|| / (1 + ||ref||)`` over seeded
-    sample points clear of ``poles``; ``evaluate(lam)`` returns the pair
-    (ref, got) at one point.
+    sample points clear of ``poles``; ``evaluate(lams)`` returns the pair
+    (ref, got) of (k, ...) stacks at the k points of the 1-D array ``lams``.
 
     A draw on which sampling or evaluation fails (a singular solve, no room
     between the poles) is replaced by the draw of the next seed, up to five
@@ -379,14 +382,14 @@ def sampled_residual(evaluate, poles, count: int, seed: int = 0) -> float:
     """
     for attempt in range(5):
         try:
-            worst = 0.0
-            for lam in sample_complex_points(poles, count, seed=seed + attempt):
-                ref, got = evaluate(lam)
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(ref - got) / (1.0 + np.linalg.norm(ref))),
-                )
-            return worst
+            refs, gots = evaluate(sample_complex_points(poles, count, seed=seed + attempt))
         except (np.linalg.LinAlgError, NumericalFailureError):
             continue
+        worst = 0.0
+        for ref, got in zip(refs, gots):
+            worst = max(
+                worst,
+                float(np.linalg.norm(ref - got) / (1.0 + np.linalg.norm(ref))),
+            )
+        return worst
     raise NumericalFailureError("could not find sample points clear of the poles")

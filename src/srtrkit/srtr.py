@@ -2,17 +2,20 @@
 
 A gain K on a partitioned realization produces the pair (W, V) with hidden
 state dimension n - p; this module constructs the pair, verifies the defining
-identity by sampling, builds the normalized (zero-diagonal) form in state
-space from two stacked single-column staircase sweeps (one over the rows,
-one over every entry), reads off sparsity masks, and certifies coprimeness
-of [lam I - W, V]: its finite zeros are the unreachable modes of the base
-(A, B), found by one orthogonal staircase, and a leading matrix of full row
-rank rules out zeros at infinity.
+identity by sampling (each draw of points in one stacked evaluation of the
+[W V] realization, which a pair builds once), builds the normalized
+(zero-diagonal) form in state space from two stacked single-column
+staircase sweeps (one over the rows, one over every entry), reads off
+sparsity masks, and certifies coprimeness of [lam I - W, V]: its finite
+zeros are the unreachable modes of the base (A, B), found by one orthogonal
+staircase, and a leading matrix of full row rank rules out zeros at
+infinity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +33,12 @@ from .linalg import (
     zero_entries,
 )
 from .rational import siso_rational
-from .systems import PartitionedRealization, StateSpaceSystem, eval_tfm
+from .systems import (
+    PartitionedRealization,
+    StateSpaceSystem,
+    eval_tfm,
+    read_only_system,
+)
 
 
 def gain_blocks(b: PartitionedRealization, K: np.ndarray) -> tuple:
@@ -90,21 +98,27 @@ class SrtrPair:
     def Cw(self) -> np.ndarray:
         return self.base.A12
 
+    @cached_property
+    def _wv(self) -> StateSpaceSystem:
+        return read_only_system(self.Aw, self.Bw, self.Cw, self.Dw, self.domain)
+
     def wv_system(self) -> StateSpaceSystem:
-        """[W V] as one system: p outputs, p + m inputs, q states."""
-        return StateSpaceSystem(self.Aw, self.Bw, self.Cw, self.Dw, self.domain)
+        """[W V] as one system: p outputs, p + m inputs, q states; built on
+        first use, its matrices read-only."""
+        return self._wv
 
-    def eval_w(self, lam: complex) -> np.ndarray:
-        return eval_tfm(self.wv_system(), lam)[:, : self.p]
+    def eval_w(self, lam) -> np.ndarray:
+        return eval_tfm(self.wv_system(), lam)[..., : self.p]
 
-    def eval_v(self, lam: complex) -> np.ndarray:
-        return eval_tfm(self.wv_system(), lam)[:, self.p :]
+    def eval_v(self, lam) -> np.ndarray:
+        return eval_tfm(self.wv_system(), lam)[..., self.p :]
 
-    def response(self, lam: complex) -> np.ndarray:
-        """G(lam) = (lam I - W(lam))^{-1} V(lam)."""
+    def response(self, lam) -> np.ndarray:
+        """G(lam) = (lam I - W(lam))^{-1} V(lam), at a point or at each
+        point of a 1-D array."""
         wv = eval_tfm(self.wv_system(), lam)
-        pencil = lam * np.eye(self.p) - wv[:, : self.p]
-        return np.linalg.solve(pencil, wv[:, self.p :])
+        pencil = np.asarray(lam)[..., None, None] * np.eye(self.p) - wv[..., : self.p]
+        return np.linalg.solve(pencil, wv[..., self.p :])
 
 
 def verify_srtr_identity(
@@ -123,7 +137,7 @@ def verify_srtr_identity(
     G = base.full_system()
     poles = np.concatenate([eigenvalues(base.A), eigenvalues(pair.Aw)])
     return sampled_residual(
-        lambda lam: (eval_tfm(G, lam), pair.response(lam)), poles, n_samples, seed
+        lambda lams: (eval_tfm(G, lams), pair.response(lams)), poles, n_samples, seed
     )
 
 

@@ -3,12 +3,14 @@
 Two containers: a plain (A, B, C, D) system and a partitioned realization
 whose state is split so the first block of outputs reads the first block of
 states directly (C = [I 0]). The partitioned form is the working
-representation for everything downstream.
+representation for everything downstream; its full system is built once,
+on first use, over read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -77,30 +79,52 @@ class StateSpaceSystem:
         return eigenvalues(self.A)
 
 
-def eval_tfm(sys: StateSpaceSystem, lam: complex) -> np.ndarray:
-    """Transfer matrix C (lam I - A)^{-1} B + D at a single point.
+def eval_tfm(sys: StateSpaceSystem, lam) -> np.ndarray:
+    """Transfer matrix C (lam I - A)^{-1} B + D at a point, or at each point
+    of a 1-D array ``lam`` as a (k, p, m) stack.
 
-    One LU of lam I - A does the solve and gives LAPACK's estimate of its
-    reciprocal condition number; a point whose estimate is below 1e-13
-    counts as a pole.
+    One LU of each pencil lam I - A does its solve and gives LAPACK's
+    estimate of its reciprocal condition number; a point whose estimate is
+    below 1e-13 counts as a pole.
     """
+    lams = np.asarray(lam, dtype=complex)
+    points = lams.reshape(-1)
     n = sys.n
     if n == 0:
-        return sys.D.astype(complex)
-    pencil = complex(lam) * np.eye(n) - sys.A
+        G = np.repeat(sys.D[None], points.size, axis=0).astype(complex)
+        return G if lams.ndim else G[0]
+    pencils = points[:, None, None] * np.eye(n) - sys.A
     getrf, gecon, getrs = scipy.linalg.lapack.get_lapack_funcs(
-        ("getrf", "gecon", "getrs"), (pencil,)
+        ("getrf", "gecon", "getrs"), (pencils,)
     )
-    lu, piv, info = getrf(pencil)
-    if info > 0:
-        raise PoleEvaluationError(f"evaluation point {lam} is a pole")
-    rcond, _ = gecon(lu, np.linalg.norm(pencil, 1))
-    if not rcond >= 1e-13:
-        raise PoleEvaluationError(
-            f"evaluation point {lam} is too close to a pole (cond={1 / rcond:.2e})"
-        )
-    X, _ = getrs(lu, piv, sys.B.astype(complex))
-    return sys.C @ X + sys.D
+    B = sys.B.astype(complex)
+    X = np.empty((points.size,) + B.shape, dtype=complex)
+    for i, pencil in enumerate(pencils):
+        lu, piv, info = getrf(pencil)
+        if info > 0:
+            raise PoleEvaluationError(f"evaluation point {points[i]} is a pole")
+        rcond, _ = gecon(lu, np.linalg.norm(pencil, 1))
+        if not rcond >= 1e-13:
+            raise PoleEvaluationError(
+                f"evaluation point {points[i]} is too close to a pole "
+                f"(cond={1 / rcond:.2e})"
+            )
+        X[i], _ = getrs(lu, piv, B)
+    G = sys.C @ X + sys.D
+    return G if lams.ndim else G[0]
+
+
+def read_only(M) -> np.ndarray:
+    """A read-only view of M, for arrays that are built once and kept: a
+    write through it raises instead of changing what later calls see."""
+    view = np.asarray(M, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+def read_only_system(A, B, C, D, domain: str) -> StateSpaceSystem:
+    """A system over read-only views of its matrices."""
+    return StateSpaceSystem(*map(read_only, (A, B, C, D)), domain)
 
 
 def apply_transform(sys: StateSpaceSystem, T) -> StateSpaceSystem:
@@ -220,22 +244,28 @@ class PartitionedRealization:
     def m(self) -> int:
         return self.B1.shape[1]
 
-    @property
+    @cached_property
     def A(self) -> np.ndarray:
-        return np.block([[self.A11, self.A12], [self.A21, self.A22]])
+        return read_only(np.block([[self.A11, self.A12], [self.A21, self.A22]]))
 
-    @property
+    @cached_property
     def B(self) -> np.ndarray:
-        return np.vstack([self.B1, self.B2])
+        return read_only(np.vstack([self.B1, self.B2]))
 
     @property
     def C(self) -> np.ndarray:
         return np.hstack([np.eye(self.p), np.zeros((self.p, self.q))])
 
-    def full_system(self) -> StateSpaceSystem:
-        return StateSpaceSystem(
+    @cached_property
+    def _system(self) -> StateSpaceSystem:
+        return read_only_system(
             self.A, self.B, self.C, np.zeros((self.p, self.m)), self.domain
         )
+
+    def full_system(self) -> StateSpaceSystem:
+        """The whole realization as one system, built on first use; its
+        matrices are read-only."""
+        return self._system
 
     def observable_pair(self) -> bool:
         """Observability of (A22, A12): the hidden block must be seen
@@ -279,12 +309,3 @@ def to_output_normal(sys: StateSpaceSystem, tol: float | None = None) -> tuple[
         ),
         T,
     )
-
-
-def ring_shift(p: int) -> np.ndarray:
-    """Adjacency of the directed p-cycle: node i listens to node i-1."""
-    F = np.zeros((p, p))
-    F[0, p - 1] = 1.0
-    for i in range(1, p):
-        F[i, i - 1] = 1.0
-    return F

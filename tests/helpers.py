@@ -10,7 +10,8 @@ import numpy as np
 import scipy.signal
 
 from srtrkit import fixtures
-from srtrkit.factorization import ThetaFactor
+from srtrkit.errors import NumericalFailureError
+from srtrkit.factorization import ThetaFactor, _hamiltonian_like, _reachable
 from srtrkit.linalg import (
     eigenvalues,
     in_stability_region,
@@ -350,3 +351,75 @@ def _check_exact_ring_base(exact, printed):
     zero = np.zeros((printed.q, printed.p))
     if mm_conditions(exact, zero, fixtures.ring6_spec(orders=1), tol=1e-6).passed:
         raise AssertionError("exact ring base already meets the masks at K = 0")
+
+
+def ctnare_groups(lcf):
+    """The column groups that ``solve_ctnare`` scores: the real eigenvector
+    of each stable real eigenvalue of the sign-flipped pole matrix, and the
+    real and imaginary parts of one eigenvector of each stable pair."""
+    w, V = np.linalg.eig(_hamiltonian_like(lcf))
+    return [
+        np.column_stack([V[:, i].real] + ([V[:, i].imag] if w[i].imag else []))
+        for i in np.flatnonzero(w.imag >= 0.0)
+        if in_stability_region(w[i], lcf.domain)
+    ]
+
+
+def greedy_groups_reference(blocks, p):
+    """Oracle for ``factorization._greedy_groups``: the same greedy choice,
+    one QR and one SVD per candidate group at each step, keeping the first
+    group in index order with the strictly largest score."""
+    if not blocks:
+        return None
+    chosen = []
+    Q = np.zeros((blocks[0].shape[0], 0))
+    while Q.shape[1] < p:
+        left = [j for j in range(len(blocks)) if j not in chosen]
+        singles = sum(blocks[j].shape[1] == 1 for j in left)
+        pairs = len(left) - singles
+        best = None
+        for j in left:
+            width = blocks[j].shape[1]
+            need = p - Q.shape[1] - width
+            if not _reachable(need, singles - (width == 1), pairs - (width == 2)):
+                continue
+            Qj = np.linalg.qr(np.hstack([Q, blocks[j]]))[0]
+            with np.errstate(divide="ignore"):
+                score = float(np.sum(np.log(np.linalg.svd(Qj[:p], compute_uv=False))))
+            if best is None or score > best[0]:
+                best = (score, j, Qj)
+        if best is None:
+            return None
+        chosen.append(best[1])
+        Q = best[2]
+    return chosen
+
+
+def sample_complex_points_reference(
+    poles, count, seed=0, radius=2.0, min_distance=0.1, max_draws=200
+):
+    """Oracle for ``linalg.sample_complex_points``: one candidate per pair
+    of scalar draws, tested against the poles and the points taken so far
+    one at a time."""
+    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
+    center = poles.mean() if poles.size else 0.0 + 0.0j
+    rng = np.random.default_rng(seed)
+    picked = []
+    r = radius
+    draws = 0
+    while len(picked) < count:
+        if draws >= max_draws:
+            r *= 2.0
+            draws = 0
+            if r > 1e6:
+                raise NumericalFailureError(
+                    "could not place sample points away from the poles"
+                )
+        z = center + r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+        draws += 1
+        if poles.size and np.min(np.abs(poles - z)) < min_distance:
+            continue
+        if picked and min(abs(z - w) for w in picked) < 1e-6:
+            continue
+        picked.append(z)
+    return np.array(picked)

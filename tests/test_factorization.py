@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.signal import place_poles
 
-from helpers import assign_stable_spectrum, random_pair, random_partitioned, random_theta
+from helpers import (
+    assign_stable_spectrum,
+    ctnare_groups,
+    greedy_groups_reference,
+    random_pair,
+    random_partitioned,
+    random_theta,
+)
 from srtrkit import fixtures
 from srtrkit.errors import (
     InvalidThetaError,
@@ -18,6 +25,7 @@ from srtrkit.factorization import (
     LcfOverS,
     RiccatiSolution,
     ThetaFactor,
+    _greedy_groups,
     lcf_from_srtr,
     make_theta,
     riccati_residual,
@@ -61,6 +69,39 @@ def test_lcf_factorization_identity():
         G = pair.response(lam)
         assert np.allclose(np.linalg.solve(M, N), G, atol=1e-9 * (1 + np.linalg.norm(G)))
 
+
+def test_realizations_are_built_once_and_read_only():
+    pair = fixtures.ring6_pair()
+    lcf = lcf_from_srtr(pair, ring_theta())
+    theta = ring_theta()
+    built = [
+        (pair.base, "full_system"), (pair, "wv_system"), (lcf, "mn_system"),
+        (lcf, "pole_matrix"), (theta, "system"),
+    ]
+    for obj, name in built:
+        first = getattr(obj, name)()
+        assert getattr(obj, name)() is first
+        for M in [first] if name == "pole_matrix" else [first.A, first.B, first.C, first.D]:
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+    for M in (pair.base.A, pair.base.B):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    assert pair.base.A is pair.base.A and pair.base.B is pair.base.B
+    assert np.shares_memory(pair.base.A, pair.base.full_system().A)
+    assert lcf.pole_matrix() is lcf.mn_system().A
+    # the arrays the objects were made from stay writable
+    assert pair.base.A12.flags.writeable and pair.Aw.flags.writeable
+
+def test_stacked_evaluation_matches_per_point_calls():
+    pair = fixtures.ring6_pair()
+    theta = ring_theta()
+    lcf = lcf_from_srtr(pair, theta)
+    lams = np.array([0.6 + 1.1j, 2.0 + 0.3j, -0.1 + 2.5j])
+    for evaluate in (pair.response, pair.eval_w, pair.eval_v, lcf.response, theta.evaluate,
+                     lambda lam: np.concatenate(lcf.eval_mn(lam), axis=-1)):
+        stack = evaluate(lams)
+        assert np.array_equal(stack, np.stack([evaluate(lam) for lam in lams]))
 
 def test_lcf_pole_matrix_spectrum():
     pair = fixtures.ring6_pair()
@@ -367,6 +408,60 @@ def _check_plant_solve(sys, F, U):
         G = eval_tfm(sys, lam)
         assert np.allclose(back.response(lam), G, atol=1e-8 * (1 + np.linalg.norm(G)))
     return sol
+
+
+def _stable_plant_lcf(rng, p, pairs):
+    """Factorization of a plant with n = 2p states whose A is already
+    stable, with spectrum -0.5 .. -3 in a random basis, so F = 0 and U = I
+    are admissible. ``pairs`` couples the first p states two by two into
+    conjugate pairs."""
+    n = 2 * p
+    D = np.diag(-np.linspace(0.5, 3.0, n))
+    if pairs:
+        for k in range(0, p - 1, 2):
+            D[k, k + 1], D[k + 1, k] = 0.8, -0.8
+    S = rng.normal(size=(n, n))
+    sys = StateSpaceSystem(
+        S @ D @ np.linalg.inv(S), rng.normal(size=(n, p)), rng.normal(size=(p, n)),
+        np.zeros((p, p)), "continuous",
+    )
+    return to_kontroller_form(sys, np.zeros((n, p)), np.eye(p))
+
+
+def test_greedy_groups_matches_per_candidate_loop():
+    # Seeded plants at p = 3..12, with real eigenvalues only and with
+    # conjugate pairs among them. Listing every group twice makes exact
+    # ties, which the lower index must win.
+    for p in range(3, 13):
+        for pairs in (False, True):
+            groups = ctnare_groups(_stable_plant_lcf(np.random.default_rng(700 + p), p, pairs))
+            assert any(g.shape[1] == 2 for g in groups) == pairs
+            picked = _greedy_groups(groups, p)
+            assert picked is not None
+            assert picked == greedy_groups_reference(groups, p)
+            twice = groups + groups
+            assert _greedy_groups(twice, p) == greedy_groups_reference(twice, p)
+
+
+def test_greedy_groups_skips_a_group_that_leaves_p_unreachable():
+    # The fixture of test_ctnare_keeps_conjugate_pairs_whole: the real
+    # eigenvalue -1 scores best, but after it one column is left that only
+    # half a pair could fill, so it is skipped and the pair is chosen.
+    blocks = PartitionedRealization(
+        A11=np.array([[-1.0, 0.7], [0.0, -0.5]]),
+        A12=np.array([[-0.3], [-2.0]]),
+        A21=np.array([[0.0, 2.0]]),
+        A22=np.array([[-0.5]]),
+        B1=np.eye(2),
+        B2=np.zeros((1, 2)),
+        domain="continuous",
+    )
+    groups = ctnare_groups(LcfOverS(blocks, np.zeros((2, 2)), np.zeros((1, 2)), np.eye(2)))
+    assert sorted(g.shape[1] for g in groups) == [1, 2]
+    pair = next(j for j, g in enumerate(groups) if g.shape[1] == 2)
+    assert _greedy_groups(groups, 2) == greedy_groups_reference(groups, 2) == [pair]
+    assert _greedy_groups(groups, 4) is None
+    assert greedy_groups_reference(groups, 4) is None
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])

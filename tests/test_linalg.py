@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pbh_holds, planted_unreachable, rotation
+from helpers import pbh_holds, planted_unreachable, rotation, sample_complex_points_reference
 from srtrkit.errors import NumericalFailureError
 from srtrkit.linalg import (
     DOMAINS,
@@ -90,10 +90,12 @@ def test_sampled_residual_redraws_failed_points():
     first = sample_complex_points(poles, 3, seed=5)
     second = sample_complex_points(poles, 3, seed=6)
 
-    def evaluate(lam):
-        if lam in first:
+    def evaluate(lams):
+        if any(lam in first for lam in lams):
             raise np.linalg.LinAlgError("singular")
-        return np.array([[lam, 1.0]]), np.array([[lam, 1.0 + 1e-3]])
+        ones = np.ones_like(lams)
+        ref = np.stack([lams, ones], axis=-1)[:, None, :]
+        return ref, np.stack([lams, ones + 1e-3], axis=-1)[:, None, :]
 
     got = sampled_residual(evaluate, poles, 3, seed=5)
     want = max(1e-3 / (1.0 + np.hypot(abs(z), 1.0)) for z in second)
@@ -102,7 +104,7 @@ def test_sampled_residual_redraws_failed_points():
         sampled_residual(_fail, poles, 3)
 
 
-def _fail(lam):
+def _fail(lams):
     raise NumericalFailureError("no room")
 
 
@@ -291,6 +293,28 @@ def test_sample_complex_points_avoids_poles():
     again = sample_complex_points(poles, 12, seed=3, min_distance=0.2)
     assert np.allclose(pts, again)
 
+
+
+def test_sample_complex_points_matches_per_draw_loop():
+    rng = np.random.default_rng(11)
+    grew = 0
+    for seed in range(8):
+        poles = rng.normal(size=6) + 1j * rng.normal(size=6)
+        for count, min_distance, max_draws in ((5, 0.1, 200), (12, 0.4, 200), (4, 3.0, 7)):
+            kwargs = dict(seed=seed, min_distance=min_distance, max_draws=max_draws)
+            got = sample_complex_points(poles, count, **kwargs)
+            want = sample_complex_points_reference(poles, count, **kwargs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # a point outside the first square [-2, 2]^2 about the center
+            # means the disk grew
+            grew += np.max(np.abs(got - poles.mean())) > 2.0 * np.sqrt(2.0)
+    assert grew > 0
+    empty = sample_complex_points([], 6, seed=2)
+    assert empty.tobytes() == sample_complex_points_reference([], 6, seed=2).tobytes()
+    with pytest.raises(NumericalFailureError):
+        sample_complex_points(poles, 3, min_distance=1e7)
+    with pytest.raises(NumericalFailureError):
+        sample_complex_points_reference(poles, 3, min_distance=1e7)
 
 def test_sample_complex_points_dense_pole_set_still_works():
     rng = np.random.default_rng(0)

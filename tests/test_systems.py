@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,6 @@ from srtrkit.systems import (
     eval_tfm,
     is_minimal,
     minimal_realization,
-    ring_shift,
     to_output_normal,
 )
 
@@ -71,6 +72,30 @@ def test_eval_tfm_at_pole_raises():
         eval_tfm(two, 2.0 + 1e-15)
     assert np.allclose(eval_tfm(two, 2.5), [[1 / 0.5 + 1 / 3.5]])
 
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_eval_tfm_stack_matches_per_point_calls(domain):
+    lams = np.array([0.7 + 0.2j, -1.5 + 2.0j, 3.0, 0.1 - 0.9j])
+    static = StateSpaceSystem(
+        np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0)),
+        np.arange(6.0).reshape(2, 3), domain,
+    )
+    for sys in (_sys(4, n=5, p=2, m=3, domain=domain), static):
+        stack = eval_tfm(sys, lams)
+        assert stack.shape == (4, 2, 3)
+        assert np.array_equal(stack, np.stack([eval_tfm(sys, lam) for lam in lams]))
+        assert np.array_equal(eval_tfm(sys, lams[:1]), eval_tfm(sys, lams[0])[None])
+
+
+def test_eval_tfm_stack_names_the_point_at_a_pole():
+    two = StateSpaceSystem(
+        np.diag([2.0, -1.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)),
+        "continuous",
+    )
+    near = np.complex128(2.0 + 1e-15)
+    with pytest.raises(PoleEvaluationError, match=re.escape(f"point {near} is too close")):
+        eval_tfm(two, np.array([2.5, near, 3.0]))
 
 def test_static_system_evaluation():
     sys = StateSpaceSystem(
@@ -172,11 +197,3 @@ def test_output_normal_partition_consistency(seed):
     rebuilt = part.full_system()
     lam = 0.9 + 0.3j
     assert np.allclose(eval_tfm(sys, lam), eval_tfm(rebuilt, lam), atol=1e-8)
-
-
-def test_ring_shift_cyclic_structure():
-    F = ring_shift(4)
-    e = np.eye(4)
-    for i in range(4):
-        assert np.array_equal(F @ e[:, (i - 1) % 4], e[:, i])
-    assert np.array_equal(np.linalg.matrix_power(F, 4), np.eye(4))
