@@ -13,24 +13,7 @@ import sys
 import numpy as np
 
 from . import fixtures, jsonio
-from .errors import (
-    AlgebraicLoopError,
-    DimensionError,
-    InexactTruncationError,
-    InfeasibleError,
-    InvalidInputError,
-    InvalidThetaError,
-    InvalidTransformError,
-    KontrollerFormError,
-    NoSolutionError,
-    NonFiniteError,
-    NumericalFailureError,
-    PoleEvaluationError,
-    PreconditionError,
-    RegularityViolationError,
-    TrivialCaseError,
-    UnsupportedFeedthroughError,
-)
+from .errors import InvalidInputError, SrtrKitError
 from .factorization import (
     ThetaFactor,
     lcf_from_srtr,
@@ -58,22 +41,6 @@ from .srtr import (
 )
 from .synthesis import mm_conditions, mm_solve, reduce_rows, SolveOptions
 from .systems import PartitionedRealization, StateSpaceSystem, is_minimal
-
-_INVALID_INPUT = (
-    InvalidInputError,
-    DimensionError,
-    NonFiniteError,
-    PreconditionError,
-    AlgebraicLoopError,
-    KontrollerFormError,
-    InvalidThetaError,
-    InvalidTransformError,
-    UnsupportedFeedthroughError,
-    TrivialCaseError,
-    RegularityViolationError,
-)
-_CHECK_FAILED = (InfeasibleError, InexactTruncationError)
-_NUMERICAL = (NumericalFailureError, NoSolutionError, PoleEvaluationError)
 
 
 def _emit(args, text: str) -> None:
@@ -482,15 +449,9 @@ def dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except _CHECK_FAILED as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except _INVALID_INPUT as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except SrtrKitError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
-Subclasses are grouped by how the command-line front end maps them to exit
-codes: bad or inconsistent input data, legitimate negative verdicts, and
-numerical breakdowns are kept distinguishable.
+Every concrete error derives from one of three categories: invalid input
+(bad or inconsistent data, exit code 2), a failed check (a legitimate
+negative verdict, exit code 1) and a numerical failure (exit code 3). Each
+category carries its exit code and the stderr prefix with which the
+command-line front end reports it.
 """
 
 from __future__ import annotations
@@ -12,40 +14,54 @@ class SrtrKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionError(SrtrKitError):
+class InputError(SrtrKitError):
+    """Category: bad or inconsistent input data."""
+
+    exit_code, kind = 2, "invalid input"
+
+
+class CheckFailedError(SrtrKitError):
+    """Category: a verification or feasibility check failed."""
+
+    exit_code, kind = 1, "check failed"
+
+
+class NumericalError(SrtrKitError):
+    """Category: a computation broke down."""
+
+    exit_code, kind = 3, "numerical failure"
+
+
+class DimensionError(InputError):
     """Matrix shapes do not conform."""
 
 
-class NonFiniteError(SrtrKitError):
+class NonFiniteError(InputError):
     """Input contains NaN or infinite entries."""
 
 
-class InvalidTransformError(SrtrKitError):
-    """State transform is singular or wrongly sized."""
-
-
-class RegularityViolationError(SrtrKitError):
+class RegularityViolationError(InputError):
     """Output matrix is rank deficient, so no output-normal form exists."""
 
 
-class UnsupportedFeedthroughError(SrtrKitError):
+class UnsupportedFeedthroughError(InputError):
     """Operation requires a strictly proper system (D = 0)."""
 
 
-class TrivialCaseError(SrtrKitError):
+class TrivialCaseError(InputError):
     """p == n: full state measurement, nothing to partition."""
 
 
-class PoleEvaluationError(SrtrKitError):
+class PoleEvaluationError(NumericalError):
     """Evaluation point coincides with a pole of the system."""
 
 
-class InvalidThetaError(SrtrKitError):
+class InvalidThetaError(InputError):
     """Stable-factor data violates its constraints (unstable Ax or singular
     Bx / Cx)."""
 
 
-class KontrollerFormError(SrtrKitError):
+class KontrollerFormError(InputError):
     """A normalized-factorization precondition failed.
 
     ``condition`` names the failed requirement: "a" (U invertible),
@@ -57,11 +73,11 @@ class KontrollerFormError(SrtrKitError):
         self.condition = condition
 
 
-class PreconditionError(SrtrKitError):
+class PreconditionError(InputError):
     """A documented operation precondition does not hold."""
 
 
-class NoSolutionError(SrtrKitError):
+class NoSolutionError(NumericalError):
     """No suitable invariant subspace (or other solution object) was found.
 
     ``best_cond`` reports the best conditioning encountered, for diagnostics.
@@ -72,15 +88,15 @@ class NoSolutionError(SrtrKitError):
         self.best_cond = best_cond
 
 
-class NumericalFailureError(SrtrKitError):
+class NumericalFailureError(NumericalError):
     """An iteration failed to converge or a residual check failed."""
 
 
-class AlgebraicLoopError(SrtrKitError):
+class AlgebraicLoopError(InputError):
     """Interconnection has direct feedthrough around the loop."""
 
 
-class InfeasibleError(SrtrKitError):
+class InfeasibleError(CheckFailedError):
     """The structured-synthesis solver could not meet the target tolerance.
 
     Carries the best condition report found so callers can inspect how close
@@ -92,7 +108,7 @@ class InfeasibleError(SrtrKitError):
         self.report = report
 
 
-class InexactTruncationError(SrtrKitError):
+class InexactTruncationError(CheckFailedError):
     """Row-order reduction would discard non-negligible coupling.
 
     ``residual`` is the offending coupling norm.
@@ -103,5 +119,5 @@ class InexactTruncationError(SrtrKitError):
         self.residual = residual
 
 
-class InvalidInputError(SrtrKitError):
+class InvalidInputError(InputError):
     """Malformed file, JSON schema violation, or bad CLI argument."""

@@ -91,10 +91,6 @@ class ThetaFactor:
         return eval_tfm(self.system(), lam)
 
 
-def make_theta(Ax, Bx, Cx, domain: str = "continuous") -> ThetaFactor:
-    return ThetaFactor(Ax, Bx, Cx, domain)
-
-
 @dataclass(frozen=True)
 class LcfOverS:
     """[M N] in the normalized observer-like form.

@@ -8,8 +8,10 @@ checked and made monic by one routine that works on whole stacks; a
 ``RationalFn`` built by hand runs it on a stack of one. Nothing here
 decides structure: zero entries, minimality and stabilizability come from
 the orthogonal staircases in ``linalg``, which prune an entry before its
-coefficients are formed. The coefficients serve only the normalized form
-(``srtr.nrf_from_srtr``) and printed coefficient comparisons.
+coefficients are formed. The coefficients are output only: the normalized
+form's JSON (``srtr.nrf_from_srtr``) and printed coefficient comparisons
+read them, while evaluation and every zero-entry decision work on
+state-space rows.
 """
 
 from __future__ import annotations

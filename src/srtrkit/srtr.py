@@ -5,9 +5,11 @@ state dimension n - p; this module constructs the pair, verifies the defining
 identity by sampling (each draw of points in one stacked evaluation of the
 [W V] realization, which a pair builds once), builds the normalized
 (zero-diagonal) form in state space from two stacked single-column
-staircase sweeps (one over the rows, one over every entry), reads off
-sparsity masks, and certifies coprimeness of [lam I - W, V]: its finite
-zeros are the unreachable modes of the base (A, B), found by one orthogonal
+staircase sweeps (one over the rows, one over every entry) and keeps its
+observable rows, which answer its evaluation in one stacked solve, reads
+off sparsity masks by the staircase zero test for a pair and a normalized
+form alike, and certifies coprimeness of [lam I - W, V]: its finite zeros
+are the unreachable modes of the base (A, B), found by one orthogonal
 staircase, and a leading matrix of full row rank rules out zeros at
 infinity.
 """
@@ -151,11 +153,23 @@ def srtr_is_stable(pair: SrtrPair) -> bool:
 @dataclass(frozen=True)
 class NrfPair:
     """Normalized form: Phi has an identically zero diagonal and
-    G = (I - Phi)^{-1} Gamma. Entries are RationalFn objects, each formed
-    from a minimal realization, so no entry carries a cancelling root pair."""
+    G = (I - Phi)^{-1} Gamma.
+
+    Row i of [Phi Gamma] is c_i (lam I - A_i)^{-1} B_i, the observable part
+    of row i fed back into its own input. The rows are stacked in A, B and
+    c, zero-padded to the largest order, and ``order`` holds each row's
+    own. Evaluation and zero entries are answered from these rows. Phi and
+    Gamma hold the entries as RationalFn objects, each formed from a
+    minimal realization, so no entry carries a cancelling root pair; they
+    serve output only.
+    """
 
     Phi: np.ndarray
     Gamma: np.ndarray
+    A: np.ndarray = field(repr=False, compare=False)
+    B: np.ndarray = field(repr=False, compare=False)
+    c: np.ndarray = field(repr=False, compare=False)
+    order: np.ndarray = field(repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -165,25 +179,27 @@ class NrfPair:
     def m(self) -> int:
         return self.Gamma.shape[1]
 
-    def eval_phi(self, lam: complex) -> np.ndarray:
-        out = np.zeros((self.p, self.p), dtype=complex)
-        for i in range(self.p):
-            for j in range(self.p):
-                out[i, j] = self.Phi[i, j](lam)
-        return out
+    def _rows(self, lam) -> np.ndarray:
+        """[Phi Gamma] at a point, or at each point of a 1-D array, from
+        one stacked solve. A padded state's pencil block is the identity,
+        so padding adds no pole."""
+        eye = np.eye(self.A.shape[-1])
+        E = eye * (np.arange(len(eye)) < self.order[:, None])[:, :, None]
+        lam = np.asarray(lam, dtype=complex)[..., None, None, None]
+        pencil = lam * E + (eye - E) - self.A
+        return (self.c[:, None, :] @ np.linalg.solve(pencil, self.B))[..., 0, :]
 
-    def eval_gamma(self, lam: complex) -> np.ndarray:
-        out = np.zeros((self.p, self.m), dtype=complex)
-        for i in range(self.p):
-            for k in range(self.m):
-                out[i, k] = self.Gamma[i, k](lam)
-        return out
+    def eval_phi(self, lam) -> np.ndarray:
+        return self._rows(lam)[..., : self.p]
 
-    def response(self, lam: complex) -> np.ndarray:
-        """G(lam) = (I - Phi(lam))^{-1} Gamma(lam)."""
-        return np.linalg.solve(
-            np.eye(self.p) - self.eval_phi(lam), self.eval_gamma(lam)
-        )
+    def eval_gamma(self, lam) -> np.ndarray:
+        return self._rows(lam)[..., self.p :]
+
+    def response(self, lam) -> np.ndarray:
+        """G(lam) = (I - Phi(lam))^{-1} Gamma(lam), at a point or at each
+        point of a 1-D array."""
+        rows = self._rows(lam)
+        return np.linalg.solve(np.eye(self.p) - rows[..., : self.p], rows[..., self.p :])
 
 
 def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
@@ -195,26 +211,32 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     Gamma[i, k] = V_ik / (lam - W_ii), and input i no longer reaches the
     row: the diagonal is exactly zero. One stacked ``column_staircases``
     sweep over (A^T, c^T) of every fed-back row keeps each row's observable
-    part; the rows are zero-padded to the largest observable order, which
-    leaves the padded states unreached. A second sweep over every entry
-    keeps the part that its input reaches. By Kalman's decomposition what
-    remains is minimal, so each entry's degree is its true McMillan degree
-    and no root is cancelled by tolerance. The entries of one order get
-    their coefficients from one stacked ``siso_rational`` call. Rows are
-    swept in consecutive groups whose stacks fit in ``STACK_DOUBLES``; a
-    network that fits in one group makes one call per order.
+    part, and an input column whose observable component is below 1e-9 of
+    its own norm is set to zero. These rows, zero-padded to the largest
+    observable order, are what the returned NrfPair evaluates. A second
+    sweep over every entry keeps the part that its input reaches. By
+    Kalman's decomposition what remains is minimal, so each entry's degree
+    is its true McMillan degree and no root is cancelled by tolerance. The
+    entries of one order get their coefficients from one stacked
+    ``siso_rational`` call. Rows are swept in consecutive groups whose
+    stacks fit in ``STACK_DOUBLES``; a network that fits in one group makes
+    one call per order.
     """
     p, m = pair.p, pair.m
     A, B = _fed_back_rows(pair)
     n = A.shape[-1]
     entries = np.empty((p, p + m), dtype=object)
+    Ao, Bo, co = np.zeros((p, n, n)), np.zeros((p, n, p + m)), np.zeros((p, n))
+    order = np.zeros(p, dtype=int)
     for rows in stack_slices(p, n * n):
-        Ao, Bo, co = _observable_parts(A[rows], B[rows])
-        k = Ao.shape[-1]
-        for sub in stack_slices(len(Ao), (p + m) * k * k):
-            for r, j, fns in _entry_functions(Ao[sub], Bo[sub], co[sub]):
+        Ar, Br, cr, order[rows] = _observable_parts(A[rows], B[rows])
+        k = Ar.shape[-1]
+        Ao[rows, :k, :k], Bo[rows, :k], co[rows, :k] = Ar, Br, cr
+        for sub in stack_slices(len(Ar), (p + m) * k * k):
+            for r, j, fns in _entry_functions(Ar[sub], Br[sub], cr[sub]):
                 entries[rows.start + sub.start + r, j] = fns
-    return NrfPair(entries[:, :p], entries[:, p:])
+    k = order.max(initial=0)
+    return NrfPair(entries[:, :p], entries[:, p:], Ao[:, :k, :k], Bo[:, :k], co[:, :k], order)
 
 
 def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
@@ -256,12 +278,18 @@ def _fed_back_rows(pair: SrtrPair) -> tuple[np.ndarray, np.ndarray]:
 def _observable_parts(A: np.ndarray, B: np.ndarray):
     """The observable part (Ao, Bo, co) of each row (A, B, e_0) from one
     stacked sweep over (A^T, e_0), zero-padded to the largest observable
-    order of the stack."""
+    order of the stack, and each row's own order. A column of B whose
+    observable component is below 1e-9 of the column's norm is set to zero:
+    that much is rounding from the basis, and a cut on the projected column
+    alone would lose the input's scale."""
     Z, k = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
     order = k.max(initial=0)
     W = Z[..., :order] * (np.arange(order) < k[:, None])[:, None, :]
     Wt = np.swapaxes(W, 1, 2)
-    return Wt @ A @ W, Wt @ B, W[:, 0, :]
+    Bo = Wt @ B
+    norm = np.linalg.norm
+    Bo *= norm(Bo, axis=1, keepdims=True) > 1e-9 * norm(B, axis=1, keepdims=True)
+    return Wt @ A @ W, Bo, W[:, 0, :], k
 
 
 @dataclass(eq=False)
@@ -287,34 +315,26 @@ class SparsityPattern:
 def sparsity_pattern(obj, tol: float = 1e-9) -> SparsityPattern:
     """Zero/nonzero masks of the pair entries.
 
-    For a pair, an entry counts as zero when the staircase test of
+    An entry counts as zero when the staircase test of
     ``linalg.zero_entries`` finds it identically zero at relative cut
-    ``tol``. For a normalized form, when all its numerator coefficients
-    fall below ``tol`` times the largest coefficient seen anywhere in the
-    object. The coupling mask's diagonal is always 1: it describes the
-    structurally nonzero diagonal of (lam I - W), which the normalized form
-    shares through its row denominators.
+    ``tol``: for a pair on the [W V] realization, for a normalized form on
+    each of its rows (A_i, B_i, c_i), where the test cuts at
+    ``tol * ||c_i||``. No coefficient is read. The coupling mask's diagonal
+    is always 1: it describes the structurally nonzero diagonal of
+    (lam I - W), which the normalized form shares through its row
+    denominators.
     """
     if isinstance(obj, SrtrPair):
-        p = obj.p
         nonzero = ~zero_entries(obj.Aw, obj.Bw, obj.Cw, obj.Dw, tol)
-        maskW, maskV = nonzero[:, :p].astype(int), nonzero[:, p:].astype(int)
     elif isinstance(obj, NrfPair):
-        p, m = obj.p, obj.m
-        coeffs_w = [obj.Phi[i, j].num for i in range(p) for j in range(p)]
-        coeffs_v = [obj.Gamma[i, k].num for i in range(p) for k in range(m)]
-        scale = max([1.0] + [float(np.max(np.abs(c))) for c in coeffs_w + coeffs_v])
-        cut = tol * scale
-        maskW = np.array(
-            [[0 if np.all(np.abs(coeffs_w[i * p + j]) <= cut) else 1 for j in range(p)]
-             for i in range(p)]
-        )
-        maskV = np.array(
-            [[0 if np.all(np.abs(coeffs_v[i * m + k]) <= cut) else 1 for k in range(m)]
-             for i in range(p)]
-        )
+        nonzero = ~np.vstack([
+            zero_entries(A, B, c[None], np.zeros((1, B.shape[1])), tol)
+            for A, B, c in zip(obj.A, obj.B, obj.c)
+        ])
     else:
         raise TypeError(f"expected SrtrPair or NrfPair, got {type(obj).__name__}")
+    p = obj.p
+    maskW, maskV = nonzero[:, :p].astype(int), nonzero[:, p:].astype(int)
     np.fill_diagonal(maskW, 1)
     return SparsityPattern(maskW, maskV)
 

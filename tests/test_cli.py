@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from srtrkit import fixtures, jsonio
+from srtrkit import cli, errors, fixtures, jsonio
 from srtrkit.cli import dispatch, run_ring_reproduction
 from srtrkit.factorization import ThetaFactor, lcf_from_srtr
 
@@ -219,6 +219,40 @@ def test_numerical_failure_exit_code(tmp_path):
     f = tmp_path / "badlcf.json"
     f.write_text(jsonio.dumps(jsonio.lcf_to_dict(lcf)))
     assert dispatch(["riccati", "solve", "--in", str(f)]) == 3
+
+
+# The documented exit code of every concrete error (README "Command line":
+# 1 a check failed, 2 invalid input, 3 numerical failure) and the
+# constructor arguments of those that take more than a message.
+ERROR_EXIT_CODES = {
+    "InvalidInputError": 2, "DimensionError": 2, "NonFiniteError": 2,
+    "PreconditionError": 2, "AlgebraicLoopError": 2, "KontrollerFormError": 2,
+    "InvalidThetaError": 2, "UnsupportedFeedthroughError": 2,
+    "TrivialCaseError": 2, "RegularityViolationError": 2,
+    "InfeasibleError": 1, "InexactTruncationError": 1,
+    "NumericalFailureError": 3, "NoSolutionError": 3, "PoleEvaluationError": 3,
+}
+ERROR_ARGS = {
+    "KontrollerFormError": ("b", "boom"),
+    "InexactTruncationError": ("boom", 0.5),
+}
+PREFIXES = {1: "check failed: ", 2: "invalid input: ", 3: "numerical failure: "}
+
+
+def concrete_errors(cls=errors.SrtrKitError):
+    subs = cls.__subclasses__()
+    return [c for sub in subs for c in concrete_errors(sub)] if subs else [cls]
+
+
+@pytest.mark.parametrize("cls", concrete_errors(), ids=lambda c: c.__name__)
+def test_error_class_exit_code(cls, monkeypatch, capsys):
+    def failing(args):
+        raise cls(*ERROR_ARGS.get(cls.__name__, ("boom",)))
+
+    monkeypatch.setattr(cli, "cmd_fixtures_export", failing)
+    code = ERROR_EXIT_CODES[cls.__name__]
+    assert dispatch(["fixtures", "export", "ring6-K"]) == code
+    assert capsys.readouterr().err.startswith(PREFIXES[code])
 
 
 def test_help_exits_zero():

@@ -27,7 +27,6 @@ from srtrkit.factorization import (
     ThetaFactor,
     _greedy_groups,
     lcf_from_srtr,
-    make_theta,
     riccati_residual,
     solve_ctnare,
     srtr_from_lcf,
@@ -57,7 +56,7 @@ def test_theta_validation():
         ThetaFactor(np.eye(2), np.eye(2), np.eye(2), "continuous")  # unstable Ax
     with pytest.raises(InvalidThetaError):
         ThetaFactor(-np.eye(2), np.zeros((2, 2)), np.eye(2), "continuous")
-    theta = make_theta(-2.0 * np.eye(2), np.eye(2), np.eye(2), "continuous")
+    theta = ThetaFactor(-2.0 * np.eye(2), np.eye(2), np.eye(2), "continuous")
     assert np.allclose(theta.evaluate(1.0), np.eye(2) / 3.0)
 
 

@@ -18,7 +18,7 @@ from helpers import (
 )
 from srtrkit import fixtures
 from srtrkit.errors import DimensionError
-from srtrkit.linalg import DOMAINS
+from srtrkit.linalg import DOMAINS, sample_complex_points
 from srtrkit.srtr import (
     SrtrPair,
     check_flcf,
@@ -146,6 +146,42 @@ def test_nrf_scalar_class():
         g = nrf.Gamma[0][0]
         assert g(lam) == pytest.approx(pair.response(lam)[0, 0], rel=1e-9)
         assert np.allclose(g.num, [1.0]) and np.allclose(g.den, [1.0, 1.0])
+
+
+def test_nrf_ring_closure_at_criterion_8_points():
+    # criterion 8 samples the ring at four points clear of Aw's poles
+    # (seed 0); the normalized form's rows close the loop to rounding
+    ring = fixtures.ring6_pair()
+    nrf = nrf_from_srtr(ring)
+    for lam in sample_complex_points(np.linalg.eigvals(ring.Aw), 4, seed=0):
+        G = ring.response(lam)
+        closed = np.linalg.solve(np.eye(ring.p) - nrf.eval_phi(lam), nrf.eval_gamma(lam))
+        assert np.linalg.norm(closed - G) / (1 + np.linalg.norm(G)) < 1e-12
+
+
+def test_nrf_response_on_array_matches_pointwise():
+    rng = np.random.default_rng(22)
+    pair, _ = structured_pair(rng, block_sizes=(1, 2, 1))
+    nrf = nrf_from_srtr(pair)
+    lams = np.array([0.3 + 1.1j, -0.4 + 0.2j, 2.0, 1.5j])
+    stacked = nrf.response(lams)
+    assert stacked.shape == (lams.size, pair.p, pair.m)
+    for lam, G in zip(lams, stacked):
+        assert np.allclose(G, nrf.response(lam), rtol=1e-14, atol=0.0)
+    want = pair.response(lams)
+    assert np.linalg.norm(stacked - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_nrf_padded_rows_add_no_pole_at_origin():
+    # rows of orders 2 and 3 share one zero-padded stack; the padded states
+    # must not put a pole at lam = 0, a regular point in discrete time
+    rng = np.random.default_rng(23)
+    pair, _ = structured_pair(rng, block_sizes=(1, 2, 1), domain="discrete")
+    nrf = nrf_from_srtr(pair)
+    assert len(set(nrf.order.tolist())) > 1
+    for lam in (1e-9, 1e-9j, 0.0):
+        G = pair.response(lam)
+        assert np.linalg.norm(nrf.response(lam) - G) <= 1e-12 * np.linalg.norm(G)
 
 
 def test_sparsity_pattern_block_structure():
