@@ -8,6 +8,7 @@ JSON (CSV for simulation); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -340,7 +341,13 @@ def cmd_fixtures_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process and shared by every call.
+
+    Each command names its ``cmd_*`` function; ``dispatch`` looks the name
+    up when it runs the command.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-6)
     common.add_argument("--seed", type=int, default=42)
@@ -355,36 +362,36 @@ def build_parser() -> argparse.ArgumentParser:
     sp = srtr_sub.add_parser("build", parents=[common])
     sp.add_argument("--base", required=True)
     sp.add_argument("--gain", required=True)
-    sp.set_defaults(func=cmd_srtr_build)
+    sp.set_defaults(func="cmd_srtr_build")
     sp = srtr_sub.add_parser("check", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_srtr_check)
+    sp.set_defaults(func="cmd_srtr_check")
     sp = srtr_sub.add_parser("nrf", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_srtr_nrf)
+    sp.set_defaults(func="cmd_srtr_nrf")
     sp = srtr_sub.add_parser("pattern", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_srtr_pattern)
+    sp.set_defaults(func="cmd_srtr_pattern")
 
     lcf = top.add_parser("lcf", help="left factorizations")
     lcf_sub = lcf.add_subparsers(dest="cmd", required=True)
     sp = lcf_sub.add_parser("from-srtr", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--theta", default=None)
-    sp.set_defaults(func=cmd_lcf_from_srtr)
+    sp.set_defaults(func="cmd_lcf_from_srtr")
     sp = lcf_sub.add_parser("to-srtr", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_lcf_to_srtr)
+    sp.set_defaults(func="cmd_lcf_to_srtr")
     sp = lcf_sub.add_parser("check", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--source", default=None)
-    sp.set_defaults(func=cmd_lcf_check)
+    sp.set_defaults(func="cmd_lcf_check")
 
     ric = top.add_parser("riccati", help="nonsymmetric Riccati solves")
     ric_sub = ric.add_subparsers(dest="cmd", required=True)
     sp = ric_sub.add_parser("solve", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_riccati_solve)
+    sp.set_defaults(func="cmd_riccati_solve")
 
     synth = top.add_parser("synth", help="structured gain synthesis")
     synth_sub = synth.add_subparsers(dest="cmd", required=True)
@@ -392,63 +399,62 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", required=True)
     sp.add_argument("--gain", required=True)
     sp.add_argument("--spec", required=True)
-    sp.set_defaults(func=cmd_synth_conditions)
+    sp.set_defaults(func="cmd_synth_conditions")
     sp = synth_sub.add_parser("solve", parents=[common])
     sp.add_argument("--base", required=True)
     sp.add_argument("--spec", required=True)
-    sp.set_defaults(func=cmd_synth_solve)
+    sp.set_defaults(func="cmd_synth_solve")
     sp = synth_sub.add_parser("reduce", parents=[common])
     sp.add_argument("--base", required=True)
     sp.add_argument("--gain", required=True)
     sp.add_argument("--spec", required=True)
-    sp.set_defaults(func=cmd_synth_reduce)
+    sp.set_defaults(func="cmd_synth_reduce")
 
     loop = top.add_parser("loop", help="controller and closed loop")
     loop_sub = loop.add_subparsers(dest="cmd", required=True)
     sp = loop_sub.add_parser("kd", parents=[common])
     sp.add_argument("--pair", required=True)
-    sp.set_defaults(func=cmd_loop_kd)
+    sp.set_defaults(func="cmd_loop_kd")
     sp = loop_sub.add_parser("assemble", parents=[common])
     sp.add_argument("--plant", required=True)
     sp.add_argument("--rows", default=None)
     sp.add_argument("--pair", default=None)
     sp.add_argument("--orders", default=None)
-    sp.set_defaults(func=cmd_loop_assemble)
+    sp.set_defaults(func="cmd_loop_assemble")
     sp = loop_sub.add_parser("stability", parents=[common])
     sp.add_argument("--cl", default=None)
     sp.add_argument("--plant", default=None)
     sp.add_argument("--rows", default=None)
     sp.add_argument("--pair", default=None)
     sp.add_argument("--orders", default=None)
-    sp.set_defaults(func=cmd_loop_stability)
+    sp.set_defaults(func="cmd_loop_stability")
     sp = loop_sub.add_parser("simulate", parents=[common])
     sp.add_argument("--cl", required=True)
     sp.add_argument("--x0", default=None)
     sp.add_argument("--horizon", type=float, default=20.0)
     sp.add_argument("--dt", type=float, default=1e-3)
-    sp.set_defaults(func=cmd_loop_simulate)
+    sp.set_defaults(func="cmd_loop_simulate")
 
     rep = top.add_parser("reproduce", parents=[common], help="rebuild published numbers")
     rep.add_argument("what", choices=["paper-example"])
-    rep.set_defaults(func=cmd_reproduce)
+    rep.set_defaults(func="cmd_reproduce")
 
     fx = top.add_parser("fixtures", help="embedded benchmark data")
     fx_sub = fx.add_subparsers(dest="cmd", required=True)
     sp = fx_sub.add_parser("export", parents=[common])
     sp.add_argument("name")
-    sp.set_defaults(func=cmd_fixtures_export)
+    sp.set_defaults(func="cmd_fixtures_export")
 
     return parser
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except SrtrKitError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code

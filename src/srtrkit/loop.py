@@ -17,6 +17,7 @@ import scipy.linalg
 from .errors import (
     AlgebraicLoopError,
     DimensionError,
+    InvalidInputError,
     NonFiniteError,
     PreconditionError,
 )
@@ -267,6 +268,8 @@ def check_internal_stability(cl: ClosedLoopModel) -> bool:
 
 
 _CSV_BLOCK = 512  # rows formatted per join in Trajectory.to_csv
+_BLOCK = 64  # most steps per block in _propagate
+_POWER_MAX = 1e12  # bound on ||Phi||_1^L for _propagate's block length L
 _CHANNELS = ("r", "w", "zeta", "du")
 
 
@@ -307,15 +310,29 @@ class Trajectory:
 
 
 def _sample(fn, times: np.ndarray, dim: int, name: str) -> np.ndarray:
-    """Signal samples at ``times`` as rows; a scalar fills every entry."""
+    """Signal samples at ``times`` as rows; a scalar fills every entry.
+
+    ``fn`` is called once on the column ``times[:, None]``; a 2-D result
+    with one row per time is taken as the samples. If that call raises or
+    returns any other shape, ``fn`` is called at each time instead, so
+    callables of one scalar t still work and their own errors come up from
+    the per-point call.
+    """
     if not len(times):
         return np.zeros((0, dim))
-    vals = [fn(t) for t in times]
     try:
-        vals = np.asarray(vals, dtype=float)
-    except ValueError as exc:
-        raise DimensionError(f"signal {name} returned unstackable values: {exc}") from exc
-    vals = vals.reshape(len(times), -1)
+        vals = np.asarray(fn(times[:, None]), dtype=float)
+    except Exception:  # not a callable of the time column; retried per point
+        vals = None
+    if vals is None or vals.ndim != 2 or vals.shape[0] != len(times):
+        vals = [fn(t) for t in times]
+        try:
+            vals = np.asarray(vals, dtype=float)
+        except ValueError as exc:
+            raise DimensionError(
+                f"signal {name} returned unstackable values: {exc}"
+            ) from exc
+        vals = vals.reshape(len(times), -1)
     if vals.shape[1] == 1 and dim > 1:
         vals = np.repeat(vals, dim, axis=1)
     if vals.shape[1] != dim:
@@ -345,6 +362,45 @@ def _step_matrices(A: np.ndarray, dt: float) -> tuple:
     return Phi, (dt * (F0 - 3 * F1 + 4 * F2), dt * (4 * F1 - 8 * F2), dt * (4 * F2 - F1))
 
 
+def _propagate(Phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Rows x_0 = x0 and x_{k+1} = Phi x_k + G[k], stepped in blocks.
+
+    The steps are cut into blocks of L. First the zero-start response of
+    every block, all blocks stepped together (L products). Then the states
+    s_c before each block, in sequence with Phi^L. Last, one product against
+    the stacked powers adds Phi^(j+1) s_c to row j of block c. L is at most
+    ``_BLOCK`` and small enough that ||Phi||_1^L stays below ``_POWER_MAX``,
+    so no power overflows and rows before a divergence are formed from
+    finite values; it is 1, the plain recurrence, on strongly unstable loops.
+    """
+    steps, n = G.shape
+    if not steps:
+        return x0[None, :].copy()
+    norm = np.linalg.norm(Phi, 1)
+    L = int(np.log(_POWER_MAX) / np.log(norm)) if norm > 1.0 else _BLOCK
+    L = max(1, min(L, _BLOCK, steps))
+    C = -(-steps // L)
+    X = np.zeros((1 + C * L, n))
+    X[0] = x0
+    X[1 : 1 + steps] = G
+    Z = X[1:].reshape(C, L, n)
+    PhiT = Phi.T
+    for j in range(1, L):
+        Z[:, j] += Z[:, j - 1] @ PhiT
+    # P[:, j n : (j + 1) n] = (Phi^(j+1))^T
+    P = np.empty((n, L * n))
+    P[:, :n] = PhiT
+    for j in range(1, L):
+        P[:, j * n : (j + 1) * n] = P[:, (j - 1) * n : j * n] @ PhiT
+    PL = P[:, (L - 1) * n :]
+    S = np.empty((C, n))
+    S[0] = x0
+    for c in range(1, C):
+        S[c] = S[c - 1] @ PL + Z[c - 1, -1]
+    Z += (S @ P).reshape(C, L, n)
+    return X[: 1 + steps]
+
+
 def simulate(
     cl: ClosedLoopModel,
     signals: dict | None = None,
@@ -360,12 +416,19 @@ def simulate(
     ``Hj = Wj [B_r B_w B_zeta B_du]`` (see ``_step_matrices``). This is
     exact for zero input; otherwise it integrates the quadratic through the
     three samples exactly, for a local error of order dt^5. Discrete models
-    iterate ``x_{k+1} = Acl x_k + B s_k`` with t as the step index. Signals
-    are callables of t returning one value per channel entry, or a scalar
-    for all of them; missing channels are zero. Each is sampled once per
-    grid point and, in continuous time, once per midpoint. A state that is
-    non-finite or whose norm exceeds 1e12 ends the record before it and
-    marks the trajectory as diverged instead of raising.
+    iterate ``x_{k+1} = Acl x_k + B s_k`` with t as the step index. The
+    recurrence runs in blocks of steps (see ``_propagate``).
+
+    Signals are callables of t returning one value per channel entry, or a
+    scalar for all of them; missing channels are zero. Each is called once
+    on the column of grid times (shape (N, 1)) and, in continuous time,
+    once on the column of midpoints; a 2-D result with one row per time is
+    taken as the samples. Otherwise, or if that call raises, it is called
+    at each time point instead. A state that is non-finite or whose norm
+    exceeds 1e12 ends the record before it and marks the trajectory as
+    diverged instead of raising. A negative or non-finite horizon, or in
+    continuous time a dt that is not positive and finite, raises
+    ``InvalidInputError``.
     """
     signals = signals or {}
     p, m, n = cl.p, cl.m, cl.n
@@ -377,10 +440,12 @@ def simulate(
         raise DimensionError(f"x0 must have {n} entries, got {x0.size}")
     if not np.all(np.isfinite(x0)):
         raise NonFiniteError("x0 contains non-finite entries")
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise InvalidInputError(f"horizon must be finite and non-negative, got {horizon}")
     continuous = cl.domain == "continuous"
     if continuous:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise InvalidInputError(f"dt must be positive and finite, got {dt}")
         steps = int(round(horizon / dt))
         tgrid = np.arange(steps + 1) * dt
     else:
@@ -393,24 +458,20 @@ def simulate(
         else np.zeros((N, dims[c]))
         for c in _CHANNELS
     }
-    # X[k + 1] holds the input's share of step k until the loop adds Phi X[k]
-    X = np.zeros((N, n))
-    X[0] = x0
+    # G[k] is the input's share of step k
+    G = np.zeros((steps, n))
     if continuous:
         Phi, (W0, Wm, W1) = _step_matrices(cl.Acl, dt)
         for c in given:
             B = getattr(cl, "B_" + c)
             mid = _sample(signals[c], tgrid[:-1] + dt / 2, dims[c], c)
-            X[1:] += S[c][:-1] @ (W0 @ B).T + mid @ (Wm @ B).T + S[c][1:] @ (W1 @ B).T
+            G += S[c][:-1] @ (W0 @ B).T + mid @ (Wm @ B).T + S[c][1:] @ (W1 @ B).T
     else:
         Phi = cl.Acl
         for c in given:
-            X[1:] += S[c][:-1] @ getattr(cl, "B_" + c).T
-    PhiT = Phi.T
-    rows = list(X)
+            G += S[c][:-1] @ getattr(cl, "B_" + c).T
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, row in zip(rows, rows[1:]):
-            row += prev @ PhiT
+        X = _propagate(Phi, x0, G)
         good = np.linalg.norm(X, axis=1) <= 1e12  # False for nan and inf rows too
     filled = N if good.all() else int(np.argmin(good))
     sl = slice(0, filled)

@@ -6,6 +6,7 @@ import pytest
 from srtrkit import cli, errors, fixtures, jsonio
 from srtrkit.cli import dispatch, run_ring_reproduction
 from srtrkit.factorization import ThetaFactor, lcf_from_srtr
+from srtrkit.loop import assemble_closed_loop, rowwise_implementation
 
 
 @pytest.fixture
@@ -166,6 +167,22 @@ def test_loop_commands(ring_files, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("t,x0,")
     assert len(lines) == 12  # header + 11 samples
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--dt", "0"), ("--dt", "nan"), ("--horizon", "-1"), ("--horizon", "nan"),
+     ("--horizon", "inf")],
+)
+def test_loop_simulate_rejects_bad_grid(flag, value, tmp_path, capsys):
+    rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
+    cl = tmp_path / "cl.json"
+    cl.write_text(jsonio.dumps(jsonio.closed_loop_to_dict(
+        assemble_closed_loop(fixtures.ring6_plant(), rows))))
+    assert dispatch(["loop", "simulate", "--cl", str(cl), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ")
+    assert captured.out == ""
 
 
 def test_reproduce_command(capsys):

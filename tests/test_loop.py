@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
@@ -6,12 +8,16 @@ from helpers import random_pair
 from srtrkit import fixtures
 from srtrkit.errors import AlgebraicLoopError, DimensionError, PreconditionError
 from srtrkit.loop import (
+    _BLOCK,
     ClosedLoopModel,
     RowImplementation,
     Trajectory,
     assemble_closed_loop,
     check_internal_stability,
     kd_from_srtr,
+    _propagate,
+    _sample,
+    _step_matrices,
     rowwise_implementation,
     simulate,
     unstable_pole_count,
@@ -243,21 +249,116 @@ def test_simulate_signal_shapes():
         simulate(cl, signals={"r": lambda t: np.ones(cl.m + 1)}, horizon=0.01, dt=1e-3)
 
 
-def test_simulate_flags_divergence():
-    cl = ClosedLoopModel(
-        Acl=np.array([[5.0]]),
-        B_r=np.zeros((1, 1)),
-        B_w=np.zeros((1, 1)),
-        B_zeta=np.zeros((1, 1)),
-        B_du=np.zeros((1, 1)),
-        Cu=np.zeros((1, 1)),
-        Cy=np.ones((1, 1)),
+def test_simulate_samples_grid_callables_once():
+    plant = fixtures.ring6_plant()
+    cl = assemble_closed_loop(plant, ring_rows())
+    rng = np.random.default_rng(6)
+    amp, om, ph = rng.normal(size=cl.m), rng.uniform(0.5, 4.0), rng.uniform(0.0, 6.0)
+    calls = []
+
+    def r(t):
+        calls.append(np.shape(t))
+        return amp * np.sin(om * t + ph)
+
+    traj = simulate(cl, signals={"r": r}, horizon=2.0, dt=1e-3)
+    assert calls == [(2001, 1), (2000, 1)]  # the grid, then the midpoints
+    for times in (traj.t, traj.t[:-1] + 5e-4):
+        assert np.array_equal(_sample(r, times, cl.m, "r"), np.array([r(t) for t in times]))
+    assert np.array_equal(traj.r, np.array([r(t) for t in traj.t]))
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [lambda t: 1.0 if t > 0.05 else 0.0, math.sin],
+    ids=["step", "math.sin"],
+)
+def test_simulate_scalar_only_signals(scalar):
+    # called per point, with the same trajectory as a grid callable that
+    # returns the same values
+    plant = fixtures.ring6_plant()
+    cl = assemble_closed_loop(plant, ring_rows())
+    x0 = np.random.default_rng(7).normal(size=cl.n)
+    grid = np.vectorize(scalar, otypes=[float])
+    got = simulate(cl, signals={"w": scalar}, x0=x0, horizon=0.2, dt=1e-3)
+    want = simulate(cl, signals={"w": grid}, x0=x0, horizon=0.2, dt=1e-3)
+    assert np.array_equal(got.w[:, 0], [scalar(t) for t in got.t])
+    for name in ("x", "w", "u", "y", "z", "v"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_simulate_one_row_per_call_falls_back_per_point():
+    plant = fixtures.ring6_plant()
+    cl = assemble_closed_loop(plant, ring_rows())
+    calls = []
+
+    def r(t):
+        calls.append(np.shape(t))
+        return np.full(cl.m, 0.5)  # one time's row, whatever t is
+
+    traj = simulate(cl, signals={"r": r}, horizon=0.01, dt=1e-3)
+    assert traj.r.shape == (11, cl.m)
+    assert np.all(traj.r == 0.5)
+    assert calls[0] == (11, 1) and calls[1:12] == [()] * 11
+
+
+def _recurrence(Phi, x0, G):
+    X = [x0]
+    for g in G:
+        X.append(Phi @ X[-1] + g)
+    return np.array(X)
+
+
+@pytest.mark.parametrize("rows", [1, 2, _BLOCK + 1, 20001])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_propagate_matches_recurrence(domain, rows):
+    rng = np.random.default_rng(rows)
+    n = 6
+    A = rng.normal(size=(n, n))
+    if domain == "continuous":
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.3) * np.eye(n)
+        Phi = _step_matrices(A, 1e-3)[0]
+    else:
+        # spectral radius 0.99 with ||Phi||_1 > 1, so blocks are shorter
+        Phi = 0.99 * A / np.max(np.abs(np.linalg.eigvals(A)))
+        assert np.linalg.norm(Phi, 1) > 1.5
+    x0 = rng.normal(size=n)
+    G = rng.normal(size=(rows - 1, n)) * 1e-2
+    want = _recurrence(Phi, x0, G)
+    got = _propagate(Phi, x0, G)
+    assert got.shape == (rows, n)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _scalar_model(Acl, domain):
+    n = Acl.shape[0]
+    return ClosedLoopModel(
+        Acl=Acl,
+        B_r=np.zeros((n, 1)),
+        B_w=np.zeros((n, 1)),
+        B_zeta=np.zeros((n, 1)),
+        B_du=np.zeros((n, 1)),
+        Cu=np.zeros((1, n)),
+        Cy=np.ones((1, n)),
         E=np.zeros((1, 1)),
         F=np.zeros((1, 1)),
-        n_plant=1,
+        n_plant=n,
         n_ctrl=0,
-        domain="continuous",
+        domain=domain,
     )
+
+
+def test_simulate_large_norm_without_growth():
+    # the unstable mode is never excited; powers of Acl past 1e308 would
+    # turn its zero into nan (inf * 0) and flag a divergence
+    cl = _scalar_model(np.diag([1e6, 0.5]), "discrete")
+    traj = simulate(cl, x0=np.array([0.0, 1.0]), horizon=200)
+    assert traj.x.shape == (201, 2)
+    assert traj.diverged is False
+    assert np.array_equal(traj.x[:, 1], 0.5 ** np.arange(201))
+
+
+def test_simulate_flags_divergence():
+    cl = _scalar_model(np.array([[5.0]]), "continuous")
     traj = simulate(cl, x0=np.array([1.0]), horizon=20.0, dt=1e-2)
     assert traj.diverged
     assert traj.t[-1] < 20.0
