@@ -78,7 +78,7 @@ def alternate(pairs: int, run) -> dict:
 
 def summary(runs: list) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 \
-        else (runs[0], None, runs[0])
+        else runs * 3
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
