@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark two commits in alternating pairs and write a BENCH_<pr>.json.
+"""Benchmark two commits in alternating pairs and write BENCH_<pr>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --pr 17 --description TEXT \\
-        --pairs ring6-pipeline=10 --pairs roundtrip-sweep=5 --seed 3 \\
-        --held-out ring6-pipeline=3 --held-out-seed 11 \\
-        --trace ring6-pipeline=3 --seconds 30 --sweep
+        --pairs ring6-pipeline=10 --pairs roundtrip-sweep=10 \\
+        --held-out ring6-pipeline=3 --trace ring6-pipeline=3
 
 Each commit is unpacked with ``git archive`` into its own temporary
 directory, and ``perfbench/run.py`` runs from there, so both sides use
-their own committed benchmark code and sources. Pairs alternate which side
-runs first. ``--pairs`` and ``--held-out`` give end-to-end runs
-(``--trace 0``) at ``--seed`` and ``--held-out-seed``; ``--trace`` gives
-per-layer runs (``--trace 1``) at ``--seed``. ``--sweep`` adds the stage
-sweep of ``loop.simulate`` and ``Trajectory.to_csv`` on stable random loops
-(see ``sweep_worker``). The file keeps ``BENCH_15.json``'s layout and is
-written to ``BENCH_<pr>.json`` in the current directory unless ``-o`` says
-otherwise. Run from the root of the repository.
+their own committed benchmark code and sources. Every run lasts
+``BENCHMARK.json``'s ``run_seconds``. Pairs alternate which side runs
+first. ``--pairs`` and ``--held-out`` give end-to-end runs (``--trace 0``)
+at ``SEED`` and ``HELD_OUT_SEED``; ``--trace`` gives per-layer runs
+(``--trace 1``) at ``SEED``. The file keeps ``BENCH_15.json``'s layout and
+is written to ``BENCH_<pr>.json`` in the current directory. Run from the
+root of the repository.
 """
 
 import argparse
@@ -26,7 +24,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 # one BLAS / OpenMP thread in this process and in the sweep workers
@@ -35,10 +32,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 SIDES = ("parent", "change")
-SWEEP_SIZES = (24, 48, 96, 192)
-SWEEP_ROUNDS = 3  # alternating sweeps per side
-SWEEP_CALLS = 4  # timed simulate calls per size and sweep, after one untimed call
-SWEEP_HORIZON, SWEEP_DT = 20.0, 1e-3  # the ring workload's grid: 20k steps
+SEED, HELD_OUT_SEED = 3, 11
 
 
 def git(*args: str) -> str:
@@ -124,118 +118,6 @@ def per_layer_block(results: dict, command: str) -> dict:
     }
 
 
-def sweep_worker(src: str, out: str) -> None:
-    """Stage times of ``simulate`` and ``to_csv`` with the sources in ``src``.
-
-    Each loop is a stable random ``ClosedLoopModel`` of n states with
-    p = m = n / 4 (rng seed n, spectral abscissa -0.2), driven on all four
-    channels by sinusoids of the time grid, as in ``ring6-pipeline``'s
-    driven run. The stages are timed by wrapping the module's ``_sample``,
-    ``_step_matrices`` and ``ClosedLoopModel.outputs``; ``stepping_s`` is
-    the rest of ``simulate``: the input forcing, the recurrence and the
-    divergence check. Writes the best time of each stage over the calls as
-    JSON to ``out`` and the state trajectories to ``out + ".npz"``.
-    """
-    sys.path.insert(0, src)
-    import numpy as np
-    from srtrkit import loop
-
-    spent: dict = {}
-
-    def timed(fn, stage):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[stage] = spent.get(stage, 0.0) + time.perf_counter() - start
-        return wrapper
-
-    loop._sample = timed(loop._sample, "sample_s")
-    loop._step_matrices = timed(loop._step_matrices, "step_matrices_s")
-    loop.ClosedLoopModel.outputs = timed(loop.ClosedLoopModel.outputs, "outputs_s")
-
-    result, states = {}, {}
-    for n in SWEEP_SIZES:
-        rng = np.random.default_rng(n)
-        k = n // 4
-        A = rng.normal(size=(n, n)) / np.sqrt(n)
-        A -= (np.max(np.linalg.eigvals(A).real) + 0.2) * np.eye(n)
-        cl = loop.ClosedLoopModel(
-            Acl=A, B_r=rng.normal(size=(n, k)), B_w=rng.normal(size=(n, k)),
-            B_zeta=rng.normal(size=(n, k)), B_du=rng.normal(size=(n, k)),
-            Cu=rng.normal(size=(k, n)), Cy=rng.normal(size=(k, n)),
-            E=rng.normal(size=(k, k)), F=np.zeros((k, k)),
-            n_plant=n, n_ctrl=0, domain="continuous")
-        signals = {
-            c: (lambda t, a=rng.normal(size=k), om=rng.uniform(0.5, 4.0),
-                ph=rng.uniform(0.0, 2 * np.pi): a * np.sin(om * t + ph))
-            for c in ("r", "w", "zeta", "du")
-        }
-        x0 = rng.normal(size=n)
-        best: dict = {}
-        for call in range(1 + SWEEP_CALLS):
-            spent.clear()
-            start = time.perf_counter()
-            traj = loop.simulate(cl, signals=signals, x0=x0, horizon=SWEEP_HORIZON,
-                                 dt=SWEEP_DT)
-            total = time.perf_counter() - start
-            stages = dict(spent, simulate_s=total)
-            stages["stepping_s"] = total - sum(spent.values())
-            if call:
-                for key, val in stages.items():
-                    best[key] = min(best.get(key, val), val)
-        start = time.perf_counter()
-        text = traj.to_csv()
-        best["to_csv_s"] = time.perf_counter() - start
-        best["csv_bytes"] = len(text)
-        del text
-        result[str(n)] = best
-        states[str(n)] = traj.x
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh)
-    np.savez(out + ".npz", **states)
-
-
-def stage_sweep(roots: dict, tmp: Path) -> dict:
-    import numpy as np
-
-    best = {s: {} for s in SIDES}
-    states = {}
-    for i in range(SWEEP_ROUNDS):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            out = tmp / ("sweep-%s-%d.json" % (side, i))
-            subprocess.run([sys.executable, __file__, "--sweep-worker", str(roots[side] / "src"),
-                            str(out)], check=True)
-            with open(out, encoding="utf-8") as fh:
-                for n, stages in json.load(fh).items():
-                    for key, val in stages.items():
-                        cur = best[side].setdefault(n, {}).get(key, val)
-                        best[side][n][key] = val if key == "csv_bytes" else min(cur, val)
-            states[side] = np.load(str(out) + ".npz")
-    sizes = {}
-    for n in best["parent"]:
-        xp, xc = states["parent"][n], states["change"][n]
-        same = xp.shape == xc.shape
-        rel = float(np.linalg.norm(xc - xp) / np.linalg.norm(xp)) if same else float("nan")
-        sizes[n] = {"parent": best["parent"][n], "change": best["change"][n],
-                    "x_rel_diff": rel, "same_rows": same}
-    return {
-        "input": ("stable random ClosedLoopModel of n states, p = m = n / 4, rng seed n, "
-                  "spectral abscissa -0.2; sinusoids of t on all four channels; horizon %g, "
-                  "dt %g" % (SWEEP_HORIZON, SWEEP_DT)),
-        "time": ("best of %d simulate calls (%d alternating sweeps of %d calls, each after "
-                 "one untimed call) and of %d to_csv calls, one BLAS thread"
-                 % (SWEEP_ROUNDS * SWEEP_CALLS, SWEEP_ROUNDS, SWEEP_CALLS, SWEEP_ROUNDS)),
-        "stages": ("sample_s: loop._sample (grid and midpoints); step_matrices_s: "
-                   "loop._step_matrices; outputs_s: ClosedLoopModel.outputs; stepping_s: "
-                   "the rest of simulate (input forcing, recurrence, divergence check); "
-                   "simulate_s: the whole call; to_csv_s: Trajectory.to_csv"),
-        "x_rel_diff": "|x_change - x_parent|_F / |x_parent|_F over the whole trajectory",
-        "sizes": sizes,
-    }
-
-
 def parse_counts(items) -> dict:
     out = {}
     for item in items or ():
@@ -250,14 +132,9 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--pr", required=True)
     parser.add_argument("--description", required=True)
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--held-out-seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--pairs", action="append", metavar="WORKLOAD=N")
     parser.add_argument("--held-out", action="append", metavar="WORKLOAD=N")
     parser.add_argument("--trace", action="append", metavar="WORKLOAD=N")
-    parser.add_argument("--sweep", action="store_true")
-    parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args(argv)
 
     import numpy
@@ -265,35 +142,33 @@ def main(argv=None) -> int:
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
+    seconds = spec["run_seconds"]
     command = "python3 perfbench/run.py --workload <w> --seed %s --seconds %g --trace %d"
     bench = {"description": args.description}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        tmp = Path(tmp)
-        roots = {side: tmp / side for side in SIDES}
+        roots = {side: Path(tmp) / side for side in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
             bench[side] = unpack(rev, roots[side])
         bench["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
                             "numpy": numpy.__version__, "scipy": scipy.__version__,
                             "blas_threads": 1}
-        e2e = {"command": command % ("<seed>", args.seconds, 0),
+        e2e = {"command": command % ("<seed>", seconds, 0),
                "order": "pairs alternate which side runs first", "workloads": {},
                "held_out_seed": {}}
-        for key, seed, counts in (("workloads", args.seed, parse_counts(args.pairs)),
-                                  ("held_out_seed", args.held_out_seed,
+        for key, seed, counts in (("workloads", SEED, parse_counts(args.pairs)),
+                                  ("held_out_seed", HELD_OUT_SEED,
                                    parse_counts(args.held_out))):
             for wl, pairs in counts.items():
                 results = alternate(pairs, lambda side: run_bench(
-                    roots[side], wl, seed, args.seconds, 0))
+                    roots[side], wl, seed, seconds, 0))
                 e2e[key][wl] = end_to_end_block(results, seed, spec)
         bench["end_to_end"] = e2e
         for wl, pairs in parse_counts(args.trace).items():
             results = alternate(pairs, lambda side: run_bench(
-                roots[side], wl, args.seed, args.seconds, 1))
+                roots[side], wl, SEED, seconds, 1))
             bench["per_layer_" + wl.replace("-", "_")] = per_layer_block(
-                results, (command % (args.seed, args.seconds, 1)).replace("<w>", wl))
-        if args.sweep:
-            bench["stage_sweep"] = stage_sweep(roots, tmp)
-    out = args.output or "BENCH_%s.json" % args.pr
+                results, (command % (SEED, seconds, 1)).replace("<w>", wl))
+    out = "BENCH_%s.json" % args.pr
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
@@ -302,7 +177,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--sweep-worker"]:
-        sweep_worker(*sys.argv[2:4])
-    else:
-        sys.exit(main())
+    sys.exit(main())

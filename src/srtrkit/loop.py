@@ -312,27 +312,39 @@ class Trajectory:
 def _sample(fn, times: np.ndarray, dim: int, name: str) -> np.ndarray:
     """Signal samples at ``times`` as rows; a scalar fills every entry.
 
-    ``fn`` is called once on the column ``times[:, None]``; a 2-D result
-    with one row per time is taken as the samples. If that call raises or
-    returns any other shape, ``fn`` is called at each time instead, so
-    callables of one scalar t still work and their own errors come up from
-    the per-point call.
+    ``fn`` is called once on the column ``times[:, None]``, then at
+    ``times[0]``. A result of one row per time whose first row equals the
+    value at ``times[0]``, read as a row, is taken as the samples. If the
+    column call raises or its result disagrees, ``fn`` is called at each
+    remaining time instead, so callables of one scalar t still work, their
+    own errors come up from the per-point calls, and a per-point result that
+    only broadcasts against the column (an (N, 1) column vector at N times,
+    say) is not misread.
     """
     if not len(times):
         return np.zeros((0, dim))
-    try:
-        vals = np.asarray(fn(times[:, None]), dtype=float)
-    except Exception:  # not a callable of the time column; retried per point
-        vals = None
-    if vals is None or vals.ndim != 2 or vals.shape[0] != len(times):
-        vals = [fn(t) for t in times]
+
+    def rows(values):
         try:
-            vals = np.asarray(vals, dtype=float)
+            vals = np.asarray(values, dtype=float)
         except ValueError as exc:
             raise DimensionError(
                 f"signal {name} returned unstackable values: {exc}"
             ) from exc
-        vals = vals.reshape(len(times), -1)
+        return vals.reshape(len(values), -1)
+
+    try:
+        vals = np.asarray(fn(times[:, None]), dtype=float)
+    except Exception:  # not a callable of the time column; retried per point
+        vals = None
+    points = [fn(times[0])]
+    head = rows(points)
+    if (
+        vals is None
+        or vals.shape != (len(times), head.shape[1])
+        or not np.array_equal(vals[0], head[0], equal_nan=True)
+    ):
+        vals = rows(points + [fn(t) for t in times[1:]])
     if vals.shape[1] == 1 and dim > 1:
         vals = np.repeat(vals, dim, axis=1)
     if vals.shape[1] != dim:
@@ -421,10 +433,14 @@ def simulate(
 
     Signals are callables of t returning one value per channel entry, or a
     scalar for all of them; missing channels are zero. Each is called once
-    on the column of grid times (shape (N, 1)) and, in continuous time,
-    once on the column of midpoints; a 2-D result with one row per time is
-    taken as the samples. Otherwise, or if that call raises, it is called
-    at each time point instead. A state that is non-finite or whose norm
+    on the column of grid times (shape (N, 1)) and once at the first time,
+    and in continuous time the same for the midpoints. A result of one row
+    per time whose first row equals the first time's value is taken as the
+    samples; otherwise, or if the column call raises, it is called at each
+    remaining time (see ``_sample``). A stateful or random callable thus
+    sees one extra call, on the time column, before its per-point calls,
+    and draws differently than if it were only called per point. A state
+    that is non-finite or whose norm
     exceeds 1e12 ends the record before it and marks the trajectory as
     diverged instead of raising. A negative or non-finite horizon, or in
     continuous time a dt that is not positive and finite, raises

@@ -261,7 +261,8 @@ def test_simulate_samples_grid_callables_once():
         return amp * np.sin(om * t + ph)
 
     traj = simulate(cl, signals={"r": r}, horizon=2.0, dt=1e-3)
-    assert calls == [(2001, 1), (2000, 1)]  # the grid, then the midpoints
+    # the grid column and its first time, then the midpoints the same way
+    assert calls == [(2001, 1), (), (2000, 1), ()]
     for times in (traj.t, traj.t[:-1] + 5e-4):
         assert np.array_equal(_sample(r, times, cl.m, "r"), np.array([r(t) for t in times]))
     assert np.array_equal(traj.r, np.array([r(t) for t in traj.t]))
@@ -299,6 +300,29 @@ def test_simulate_one_row_per_call_falls_back_per_point():
     assert traj.r.shape == (11, cl.m)
     assert np.all(traj.r == 0.5)
     assert calls[0] == (11, 1) and calls[1:12] == [()] * 11
+
+
+@pytest.mark.parametrize("kind", ["column", "mixed"])
+def test_simulate_broadcasting_signal_at_as_many_times_as_entries(kind):
+    # per point these give one row of m values, but on an (m, 1) column of
+    # times they broadcast to the wrong samples: (m, 1) for the column vector,
+    # M applied across the times for the mixed one
+    plant = fixtures.ring6_plant()
+    cl = assemble_closed_loop(plant, ring_rows())
+    rng = np.random.default_rng(8)
+    b, M = rng.normal(size=(cl.m, 1)), rng.normal(size=(cl.m, cl.m))
+    r = {
+        "column": lambda t: b * np.sin(t),
+        "mixed": lambda t: M @ (b[:, 0] * np.sin(t)),
+    }[kind]
+    times = np.linspace(0.1, 1.0, cl.m)
+    want = np.array([np.ravel(r(t)) for t in times])
+    assert np.array_equal(_sample(r, times, cl.m, "r"), want)
+    # the grid (horizon (m - 1) dt) or the midpoints (horizon m dt) have m times
+    for steps in (cl.m - 1, cl.m):
+        traj = simulate(cl, signals={"r": r}, horizon=steps * 1e-3, dt=1e-3)
+        assert np.array_equal(traj.r, [np.ravel(r(t)) for t in traj.t])
+        assert not np.array_equal(traj.r[1:, 0], traj.r[1:, 1])
 
 
 def _recurrence(Phi, x0, G):
