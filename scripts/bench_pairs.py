@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark two commits in alternating pairs and write BENCH_<pr>.json.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --pr 17 --description TEXT \\
+    python3 scripts/bench_pairs.py PARENT CHANGE --pr N --description TEXT \\
         --pairs ring6-pipeline=10 --pairs roundtrip-sweep=10 \\
         --held-out ring6-pipeline=3 --trace ring6-pipeline=3
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Stage sweep of ``loop.simulate`` and ``Trajectory.to_csv`` on two commits.
 
-    python3 scripts/loop_stage_sweep.py PARENT CHANGE --pr 17
+    python3 scripts/loop_stage_sweep.py PARENT CHANGE --pr N
 
 Unpacks both commits as ``scripts/bench_pairs.py`` does, times the stages
 of ``simulate`` (sampling, step matrices, stepping, outputs) and
