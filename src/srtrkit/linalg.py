@@ -3,15 +3,13 @@ predicates, the controllability staircase that decides every structural
 question (reachable subspace, stabilizability, identically zero entries),
 its single-column case swept over a whole stack at once
 (``column_staircases``, behind zero entries and normalized forms), and
-Householder row compression.
+seeded sampled-residual checks.
 
 Everything here works on plain ``numpy.ndarray`` values and is pure; the rest
 of the toolkit builds on these primitives.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,45 +288,6 @@ def zero_entries(A, B, C, D, tol: float = 1e-9) -> np.ndarray:
         reached = C @ (Z * (np.arange(n) < k[:, None])[:, None, :])
         zero[:, cols] &= (np.linalg.norm(reached, axis=2) <= cut).T
     return zero
-
-
-@dataclass(frozen=True)
-class RowCompression:
-    """Orthogonal Q with ``v @ Q.T = ||v|| * e_last``; ``is_zero`` flags a
-    zero input row, for which Q is the identity."""
-
-    Q: np.ndarray
-    norm: float
-    is_zero: bool
-
-
-def row_compressor(v) -> RowCompression:
-    """Compress a row vector onto the last canonical direction.
-
-    Built from a single Householder reflector with the sign chosen for
-    numerical safety, then flipped so the surviving entry is ``+||v||``.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    q = v.size
-    if q < 1:
-        raise DimensionError("row_compressor needs a vector of length >= 1")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError("row_compressor input contains non-finite entries")
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        return RowCompression(np.eye(q), 0.0, True)
-    e = np.zeros(q)
-    e[-1] = 1.0
-    if v[-1] > 0:
-        u = v + nrm * e
-        H = np.eye(q) - 2.0 * np.outer(u, u) / (u @ u)
-        flip = np.eye(q)
-        flip[-1, -1] = -1.0
-        Q = flip @ H
-    else:
-        u = v - nrm * e
-        Q = np.eye(q) - 2.0 * np.outer(u, u) / (u @ u)
-    return RowCompression(Q, nrm, False)
 
 
 def sample_complex_points(

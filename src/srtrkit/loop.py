@@ -9,6 +9,7 @@ node only carries its own dynamics.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,9 +443,10 @@ def simulate(
     and draws differently than if it were only called per point. A state
     that is non-finite or whose norm
     exceeds 1e12 ends the record before it and marks the trajectory as
-    diverged instead of raising. A negative or non-finite horizon, or in
-    continuous time a dt that is not positive and finite, raises
-    ``InvalidInputError``.
+    diverged instead of raising. A negative or non-finite horizon, in
+    continuous time a dt that is not positive and finite, or a grid whose
+    trajectory would not fit in the machine's physical memory raises
+    ``InvalidInputError`` before anything is allocated.
     """
     signals = signals or {}
     p, m, n = cl.p, cl.m, cl.n
@@ -459,13 +461,25 @@ def simulate(
     if not (np.isfinite(horizon) and horizon >= 0):
         raise InvalidInputError(f"horizon must be finite and non-negative, got {horizon}")
     continuous = cl.domain == "continuous"
+    if continuous and not (np.isfinite(dt) and dt > 0):
+        raise InvalidInputError(f"dt must be positive and finite, got {dt}")
+    span = horizon / dt if continuous else horizon
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no POSIX sysconf
+        memory = np.iinfo(np.intp).max
+    # t, x and the eight signals at each grid point, in doubles
+    width = 1 + n + 4 * (p + m)
+    if (span + 1.0) * width * 8.0 > memory:
+        raise InvalidInputError(
+            f"horizon {horizon:g} gives {span + 1.0:.3g} time points of {width} "
+            f"values each, more than the {memory:.3g} bytes of memory hold"
+        )
     if continuous:
-        if not (np.isfinite(dt) and dt > 0):
-            raise InvalidInputError(f"dt must be positive and finite, got {dt}")
-        steps = int(round(horizon / dt))
+        steps = int(round(span))
         tgrid = np.arange(steps + 1) * dt
     else:
-        steps = int(horizon)
+        steps = int(span)
         tgrid = np.arange(steps + 1, dtype=float)
     N = steps + 1
     given = [c for c in _CHANNELS if signals.get(c) is not None]

@@ -1,8 +1,11 @@
 """Structured gain synthesis: residuals for the six row-wise feasibility
 conditions, a solver for a gain K meeting sparsity masks and row-order
 targets (the zero gain, the ring-homogeneous closed form, then one
-least-squares solve with a corner-stability hinge), and the order-n_i row
-truncation those conditions make exact.
+least-squares solve with a corner-stability hinge), and the row
+truncation those conditions make exact. Row i is truncated to the Krylov
+subspace span{a, a Aw, ...} of its coupling row a = A12[i] under
+Aw = A22 + K A12, at most n_i states of it, so every condition and reduced
+row depends on the pair (W, V) alone, not on the hidden coordinates.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ from .errors import (
     InvalidInputError,
 )
 from .linalg import (
-    RowCompression,
     eigenvalues,
     stability_distance,
     stability_margin,
-    row_compressor,
     zero_entries,
 )
 from .srtr import (
@@ -40,8 +41,10 @@ RING_HOMOGENEOUS = "ring-homogeneous"
 @dataclass(frozen=True)
 class SynthesisSpec:
     """Target structure: binary masks for the coupling and input parts, a
-    per-row hidden order, and an optional extra constraint tag
-    ("ring-homogeneous" asks for A22 + K A12 = alpha I)."""
+    per-row upper bound on the hidden order, and an optional extra
+    constraint tag ("ring-homogeneous" asks for A22 + K A12 = alpha I). A
+    row whose Krylov subspace has a smaller dimension is realized exactly
+    with that many states."""
 
     maskW: np.ndarray
     maskV: np.ndarray
@@ -90,7 +93,7 @@ def dense_spec(p: int, m: int, q: int, extra: str | None = None) -> SynthesisSpe
 class ConditionReport:
     """Residual matrix with one row per output and the six condition columns
     (masked coupling, masked input, masked hidden coupling, masked hidden
-    input, truncation coupling, corner stability). Column 6 is the distance
+    input, next Krylov direction, corner stability). Column 6 is the distance
     of the corner spectrum outside the stability region; ``margins`` carries
     how far inside it sits."""
 
@@ -115,13 +118,6 @@ class ConditionReport:
         }
 
 
-def compress_rows(base: PartitionedRealization) -> list[RowCompression]:
-    """One orthogonal compressor per output row of the coupling block A12."""
-    if base.q == 0:
-        return [RowCompression(np.zeros((0, 0)), 0.0, True)] * base.p
-    return [row_compressor(base.A12[i, :]) for i in range(base.p)]
-
-
 def _check_spec_dims(base: PartitionedRealization, spec: SynthesisSpec):
     if spec.p != base.p or spec.m != base.m:
         raise DimensionError(
@@ -129,39 +125,77 @@ def _check_spec_dims(base: PartitionedRealization, spec: SynthesisSpec):
             f"{base.p}x{base.p}/{base.p}x{base.m}"
         )
     if base.q and any(v > base.q for v in spec.orders):
-        raise ValueError(f"row orders must not exceed the hidden dimension {base.q}")
+        raise InvalidInputError(f"row orders must not exceed the hidden dimension {base.q}")
 
 
-def _row_groups(base: PartitionedRealization, spec: SynthesisSpec, comps):
+def _row_groups(base: PartitionedRealization, spec: SynthesisSpec):
     """Rows with a nonzero coupling vector grouped by order: for each order,
-    the row indices and the stacked compressed tails and heads."""
-    q = base.q
+    the order, the row indices and their rows of A12."""
     groups: dict[int, list[int]] = {}
     for i in range(base.p):
-        if q and not comps[i].is_zero:
+        if base.q and np.any(base.A12[i]):
             groups.setdefault(spec.orders[i], []).append(i)
-    out = []
-    for ni, idx in groups.items():
-        Q = np.stack([comps[i].Q for i in idx])
-        out.append((idx, Q[:, q - ni :, :], Q[:, : q - ni, :]))
-    return out
+    return [(ni, idx, base.A12[idx]) for ni, idx in groups.items()]
+
+
+def _krylov_tails(Aw: np.ndarray, a: np.ndarray, ni: int):
+    """Orthonormal bases of the rows' Krylov subspaces for a stack of gains.
+
+    ``Aw`` (N, q, q) stacks A22 + K A12 over the gains and ``a`` (r, q)
+    holds the nonzero coupling rows of one order group. For every gain and
+    row, Arnoldi with one re-orthogonalization runs from +a/||a|| through
+    span{a, a Aw, a Aw^2, ...}, forming no power of Aw. It stops after ni
+    directions, or at order k < ni when the next direction has norm at most
+    1e-9 max(||Aw||_2, ||a||), the cut of ``linalg.column_staircases``.
+    Returns T (N, r, ni, q), holding each basis in its first k rows and
+    zeros below, the orders k (N, r), and the next direction (N, r, q), the
+    part of the last basis row times Aw outside span T (zero when T spans
+    all q hidden states); its norm is what truncation to T drops.
+    """
+    N, q = Aw.shape[0], Aw.shape[-1]
+    r = a.shape[0]
+    anorm = np.linalg.norm(a, axis=1)
+    if ni > 1:
+        cut = 1e-9 * np.maximum(np.linalg.norm(Aw, 2, axis=(-2, -1))[:, None], anorm)
+    T = np.zeros((N, r, ni, q))
+    k = np.full((N, r), ni)
+    nxt = np.zeros((N, r, q))
+    v = np.broadcast_to(a / anorm[:, None], (N, r, q))
+    for j in range(min(ni, q - 1)):
+        T[:, :, j] = v
+        w = v @ Aw
+        basis = T[:, :, : j + 1]
+        for _ in range(2):
+            w -= ((basis @ w[..., None]).swapaxes(-2, -1) @ basis)[..., 0, :]
+        norm = np.linalg.norm(w, axis=-1)
+        live = k > j
+        stop = live if j + 1 == ni else live & (norm <= cut)
+        k = np.where(stop, j + 1, k)
+        nxt = np.where(stop[..., None], w, nxt)
+        going = live & ~stop
+        v = np.where(going[..., None], w / np.where(going, norm, 1.0)[..., None], 0.0)
+    if ni == q:
+        T[:, :, -1] = v
+    return T, k, nxt
 
 
 def _row_terms(base: PartitionedRealization, Ks: np.ndarray, groups):
-    """A11 - A12 K and, per order group, the row indices, tail(A_K),
-    tail(K B1 + B2), the coupling tail Aw head^T that truncation drops and
-    the corner spectrum eig(tail Aw tail^T), for a stack of gains."""
+    """A11 - A12 K and, per order group, the row indices, T A_K,
+    T (K B1 + B2), the next Krylov direction and the corner spectrum
+    eig(T Aw T^T) for a stack of gains, T from ``_krylov_tails``. The zero
+    states that pad a row cut short at order k < n_i get corner eigenvalues
+    that move no margin: 0 in discrete time, and in continuous time a value
+    left of the whole order-k spectrum."""
     Wd, AK, Bh, Aw = gain_blocks(base, Ks)
     terms = []
-    for idx, tail, head in groups:
-        tailAw = tail @ Aw[:, None]
-        terms.append((
-            idx,
-            tail @ AK[:, None],
-            tail @ Bh[:, None],
-            tailAw @ head.swapaxes(-2, -1),
-            eigenvalues(tailAw @ tail.swapaxes(-2, -1)),
-        ))
+    for ni, idx, a in groups:
+        T, k, nxt = _krylov_tails(Aw, a, ni)
+        corner = T @ Aw[:, None] @ T.swapaxes(-2, -1)
+        pad = np.arange(ni) >= k[..., None]
+        if base.domain == "continuous" and pad.any():
+            fill = -1.0 - np.abs(corner).sum(axis=(-2, -1))[..., None]
+            corner += np.eye(ni) * np.where(pad, fill, 0.0)[..., None, :]
+        terms.append((idx, T @ AK[:, None], T @ Bh[:, None], nxt, eigenvalues(corner)))
     return Wd, terms
 
 
@@ -169,33 +203,31 @@ def _condition_rows(
     base: PartitionedRealization,
     Ks: np.ndarray,
     spec: SynthesisSpec,
-    comps: list[RowCompression],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual rows and corner margins for a stack of gains.
 
     ``Ks`` has shape (N, q, p); the result is the (N, p, 6) residual rows
     and the (N, p) margins that ``mm_conditions`` reports for each gain.
-    Rows are grouped by order so that each group's compressed tails and
-    heads are stacked once and every product, norm and spectrum is one
+    Rows are grouped by order so that each group's Krylov tails are built
+    once over the whole stack and every product, norm and spectrum is one
     batched call.
     """
     N, p = Ks.shape[0], base.p
     outW = spec.maskW == 0
     outV = spec.maskV == 0
-    Wd, terms = _row_terms(base, Ks, _row_groups(base, spec, comps))
+    Wd, terms = _row_terms(base, Ks, _row_groups(base, spec))
     rows = np.zeros((N, p, 6))
     margins = np.full((N, p), np.inf)
     rows[:, :, 0] = np.max(np.abs(Wd) * outW, axis=-1, initial=0.0)
     rows[:, :, 1] = np.max(np.abs(base.B1) * outV, axis=-1, initial=0.0)
-    for idx, TW, TV, coupling, eigs in terms:
+    for idx, TW, TV, nxt, eigs in terms:
         rows[:, idx, 2] = np.max(
             np.abs(TW) * outW[idx, None, :], axis=(-2, -1), initial=0.0
         )
         rows[:, idx, 3] = np.max(
             np.abs(TV) * outV[idx, None, :], axis=(-2, -1), initial=0.0
         )
-        if coupling.size:
-            rows[:, idx, 4] = np.linalg.norm(coupling, 2, axis=(-2, -1))
+        rows[:, idx, 4] = np.linalg.norm(nxt, axis=-1)
         rows[:, idx, 5] = np.max(stability_distance(eigs, base.domain), axis=-1)
         margins[:, idx] = stability_margin(eigs, base.domain)
     return rows, margins
@@ -209,14 +241,18 @@ def mm_conditions(
 ) -> ConditionReport:
     """Absolute residuals of the six row-wise conditions for gain K.
 
-    Conditions 1 and 2 zero the masked-out entries of A11 - A12 K and B1;
-    conditions 3 and 4 do the same for the hidden-block images after row
-    compression; condition 5 measures the coupling that the order-n_i
-    truncation would discard; condition 6 is corner-spectrum stability.
+    Conditions 1 and 2 zero the masked-out entries of A11 - A12 K and B1.
+    Row i keeps T, the orthonormal basis of its Krylov subspace
+    span{a, a Aw, ...} (a = A12[i], Aw = A22 + K A12), of order n_i, or k
+    when the sequence breaks down at k < n_i (see ``_krylov_tails``).
+    Conditions 3 and 4 zero the masked-out entries of T A_K and
+    T (K B1 + B2); condition 5 is the norm of the next Krylov direction,
+    the coupling that truncation to T discards; condition 6 is the
+    stability of the corner T Aw T^T.
     """
     _check_spec_dims(base, spec)
     K = SrtrPair(base, K).K
-    rows, margins = _condition_rows(base, K[None], spec, compress_rows(base))
+    rows, margins = _condition_rows(base, K[None], spec)
     rows, margins = rows[0], margins[0]
     passed = bool(np.all(rows <= tol))
     return ConditionReport(rows=rows, margins=margins, tol=tol, passed=passed)
@@ -250,7 +286,7 @@ def _ring_homogeneous_gain(base: PartitionedRealization, spec: SynthesisSpec):
         grid = -np.geomspace(1e-2, 10.0 * scale, 120)
     else:
         grid = np.linspace(-0.95, 0.95, 120)
-    rows, _ = _condition_rows(base, gain(grid), spec, compress_rows(base))
+    rows, _ = _condition_rows(base, gain(grid), spec)
     # exact rings tie many grid points at one max residual; the first of
     # argsort's order among them (not argmin's first index) is the one taken
     return gain(grid[np.argsort(rows.max(axis=(1, 2)))[0]])
@@ -258,20 +294,21 @@ def _ring_homogeneous_gain(base: PartitionedRealization, spec: SynthesisSpec):
 
 def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
     """One trust-region least-squares solve from K = 0 over the signed
-    masked entries of conditions 1, 3 and 4, the coupling of condition 5
-    and a hinge that asks every corner eigenvalue to sit CORNER_MARGIN
-    inside the stability region. Condition 2 does not involve K."""
+    masked entries of conditions 1, 3 and 4, the next Krylov direction of
+    condition 5 and a hinge that asks every corner eigenvalue to sit
+    CORNER_MARGIN inside the stability region. Condition 2 does not involve
+    K."""
     import scipy.optimize  # deferred: importing it costs about a third of CLI start-up
 
     p, q = base.p, base.q
     outW = spec.maskW == 0
     outV = spec.maskV == 0
-    groups = _row_groups(base, spec, compress_rows(base))
+    groups = _row_groups(base, spec)
 
     def residual(k):
         Wd, terms = _row_terms(base, k.reshape(1, q, p), groups)
         parts = [Wd * outW]
-        for idx, TW, TV, coupling, eigs in terms:
+        for idx, TW, TV, nxt, eigs in terms:
             if base.domain == "continuous":
                 signed = eigs.real
             else:
@@ -279,7 +316,7 @@ def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
             parts += [
                 TW * outW[idx, None, :],
                 TV * outV[idx, None, :],
-                coupling,
+                nxt,
                 np.maximum(signed + CORNER_MARGIN, 0.0),
             ]
         return np.concatenate([part.ravel() for part in parts])
@@ -351,50 +388,36 @@ def reduce_rows(
     spec: SynthesisSpec,
     tol: float = 1e-2,
 ) -> list[StateSpaceSystem]:
-    """Per-row order-n_i realizations of [W V].
+    """Per-row realizations of [W V] of order at most n_i.
 
-    Row i keeps only the trailing n_i compressed hidden states; this is exact
-    when the truncation coupling (condition 5) vanishes, so rows whose
-    relative coupling exceeds ``tol`` raise InexactTruncationError. Rows with
-    a zero coupling vector come back as order-0 constants.
+    Row i keeps the hidden states T x2, with T the orthonormal basis of
+    span{a, a Aw, a Aw^2, ...} (a = A12[i], Aw = A22 + K A12) from Arnoldi
+    run for n_i steps; a row whose sequence breaks down at k < n_i keeps k
+    states. The row is (T Aw T^T, T Bw, ||a|| e_1, Dw_i). This is exact when
+    the next Krylov direction (condition 5) vanishes, so rows whose
+    relative coupling exceeds ``tol`` raise InexactTruncationError. Rows
+    with a zero coupling vector come back as order-0 constants.
     """
     _check_spec_dims(base, spec)
     pair = SrtrPair(base, K)
     p, q, m = base.p, base.q, base.m
-    Bw, Dw = pair.Bw, pair.Dw
-    Aw = pair.Aw
-    comps = compress_rows(base)
+    Aw, Bw, Dw = pair.Aw, pair.Bw, pair.Dw
     scale = max(1.0, float(np.linalg.norm(Aw, 2)) if q else 1.0)
-    rows: list[StateSpaceSystem] = []
-    for i in range(p):
-        if comps[i].is_zero or q == 0:
-            rows.append(
-                StateSpaceSystem(
-                    np.zeros((0, 0)),
-                    np.zeros((0, p + m)),
-                    np.zeros((1, 0)),
-                    Dw[i : i + 1, :],
-                    base.domain,
+    empty = np.zeros((0, 0)), np.zeros((0, p + m)), np.zeros((1, 0))
+    rows = [StateSpaceSystem(*empty, Dw[i : i + 1], base.domain) for i in range(p)]
+    for ni, idx, a in _row_groups(base, spec):
+        T, k, nxt = _krylov_tails(Aw[None], a, ni)
+        for i, ai, Ti, ki, wi in zip(idx, a, T[0], k[0], nxt[0]):
+            resid = float(np.linalg.norm(wi))
+            if resid > tol * scale:
+                raise InexactTruncationError(
+                    f"row {i}: discarded coupling {resid:.3e} exceeds "
+                    f"{tol:g} * {scale:.3e}",
+                    residual=resid,
                 )
-            )
-            continue
-        ni = spec.orders[i]
-        Qi = comps[i].Q
-        tail = Qi[q - ni :, :]
-        head = Qi[: q - ni, :]
-        coupling = tail @ Aw @ head.T
-        resid = float(np.linalg.norm(coupling, 2)) if coupling.size else 0.0
-        if resid > tol * scale:
-            raise InexactTruncationError(
-                f"row {i}: discarded coupling {resid:.3e} exceeds "
-                f"{tol:g} * {scale:.3e}",
-                residual=resid,
-            )
-        At = tail @ Aw @ tail.T
-        Bt = tail @ Bw
-        Ct = np.zeros((1, ni))
-        Ct[0, -1] = comps[i].norm
-        rows.append(StateSpaceSystem(At, Bt, Ct, Dw[i : i + 1, :], base.domain))
+            Ti = Ti[:ki]
+            Ct = np.linalg.norm(ai) * np.eye(1, ki)
+            rows[i] = StateSpaceSystem(Ti @ Aw @ Ti.T, Ti @ Bw, Ct, Dw[i : i + 1], base.domain)
     return rows
 
 

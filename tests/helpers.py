@@ -13,13 +13,14 @@ from srtrkit import fixtures
 from srtrkit.errors import NumericalFailureError
 from srtrkit.factorization import ThetaFactor, _hamiltonian_like, _reachable
 from srtrkit.linalg import (
+    controllability_staircase,
     eigenvalues,
     in_stability_region,
     stability_distance,
     stability_margin,
 )
 from srtrkit.srtr import SrtrPair
-from srtrkit.synthesis import compress_rows, mm_conditions
+from srtrkit.synthesis import mm_conditions
 from srtrkit.systems import PartitionedRealization, is_minimal
 
 
@@ -173,14 +174,14 @@ def shear_hidden(pair, K0):
     return SrtrPair(base, pair.K - K0)
 
 
-def block_network(rng, p):
+def block_network(rng, p, domain="continuous"):
     """Rotated block network: the direct sum of stable pairs with block
     sizes 1, 2, 1, 2, ... (p = q = m, p a multiple of 3), hidden
     coordinates rotated across all blocks. Returns the pair, its block
     mask and the block size of each row; row i of the controller has
     order 1 + its block size."""
     sizes = (1, 2) * (p // 3)
-    pair, mask = structured_pair(rng, block_sizes=sizes)
+    pair, mask = structured_pair(rng, block_sizes=sizes, domain=domain)
     return rotate_hidden(pair, rotation(rng, p)), mask, [b for b in sizes for _ in range(b)]
 
 
@@ -263,29 +264,33 @@ def exact_ring(rng, p, alpha, domain="continuous"):
 
 
 def conditions_reference(base, K, spec):
-    """Reference condition rows and margins, one output row at a time: the
-    six residuals of ``mm_conditions`` with its mask, product, norm and
-    spectrum taken per row."""
+    """Reference condition rows, margins and row orders, one output row at a
+    time on the staircase: row i keeps the first min(k, n_i) columns of
+    ``controllability_staircase(Aw.T, a[:, None])`` (a = A12[i], k its
+    reachable order) as its tail, and the rest as its head; condition 5 is
+    the norm of the coupling tail Aw head^T. Rows with a zero coupling
+    vector get order 0."""
     pair = SrtrPair(base, K)
-    p, q = base.p, base.q
+    p = base.p
     Wd = base.A11 - base.A12 @ pair.K
     AK = pair.A_K
     Bh = pair.K @ base.B1 + base.B2
     Aw = pair.Aw
-    comps = compress_rows(base)
     rows = np.zeros((p, 6))
     margins = np.full(p, np.inf)
+    orders = np.zeros(p, dtype=int)
     for i in range(p):
         outW = spec.maskW[i] == 0
         outV = spec.maskV[i] == 0
         rows[i, 0] = np.max(np.abs(Wd[i, outW])) if outW.any() else 0.0
         rows[i, 1] = np.max(np.abs(base.B1[i, outV])) if outV.any() else 0.0
-        if comps[i].is_zero or q == 0:
+        a = base.A12[i]
+        if not np.any(a):
             continue
-        ni = spec.orders[i]
-        Qi = comps[i].Q
-        tail = Qi[q - ni :, :]
-        head = Qi[: q - ni, :]
+        Z, k, _ = controllability_staircase(Aw.T, a[:, None])
+        orders[i] = min(k, spec.orders[i])
+        tail = Z[:, : orders[i]].T
+        head = Z[:, orders[i] :].T
         TW = tail @ AK
         TV = tail @ Bh
         rows[i, 2] = np.max(np.abs(TW[:, outW])) if outW.any() else 0.0
@@ -297,7 +302,7 @@ def conditions_reference(base, K, spec):
             (stability_distance(z, base.domain) for z in eigs), default=0.0
         )
         margins[i] = stability_margin(eigs, base.domain)
-    return rows, margins
+    return rows, margins, orders
 
 
 def exact_ring_base():
@@ -309,9 +314,9 @@ def exact_ring_base():
     alpha = -9.34, the common denominator of the printed rows. It then
     zeroes the masked-out entries that L leaves in A11 - A12 L, A12 A_K(L)
     and A12 (L B1 + B2), and rebuilds A11, A21 and B2 from them with
-    A22 = alpha I - L A12. With first-order rows each compressor tail is
-    the direction of a row of A12, so the last two products are conditions
-    3 and 4.
+    A22 = alpha I - L A12. With first-order rows each row's Krylov tail is
+    the direction of its row of A12, so the last two products are
+    conditions 3 and 4.
     """
     printed = fixtures.ring6_controller_base()
     masks = fixtures.ring6_masks()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,14 +173,23 @@ def test_loop_commands(ring_files, tmp_path):
 @pytest.mark.parametrize(
     "flag,value",
     [("--dt", "0"), ("--dt", "nan"), ("--horizon", "-1"), ("--horizon", "nan"),
-     ("--horizon", "inf")],
+     ("--horizon", "inf"), ("--horizon", "1e300")],
 )
 def test_loop_simulate_rejects_bad_grid(flag, value, tmp_path, capsys):
     rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
     cl = tmp_path / "cl.json"
     cl.write_text(jsonio.dumps(jsonio.closed_loop_to_dict(
         assemble_closed_loop(fixtures.ring6_plant(), rows))))
-    assert dispatch(["loop", "simulate", "--cl", str(cl), flag, value]) == 2
+    # the grid is rejected before any of it is allocated: loading the loop
+    # takes a few kB, one second of the ring's trajectory takes 0.6 MB
+    tracemalloc.start()
+    try:
+        rc = dispatch(["loop", "simulate", "--cl", str(cl), flag, value])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**19
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input: ")
     assert captured.out == ""

@@ -14,7 +14,6 @@ from srtrkit.linalg import (
     is_stabilizable,
     is_stable_spectrum,
     rank_with_tolerance,
-    row_compressor,
     sample_complex_points,
     sampled_residual,
     stability_distance,
@@ -256,32 +255,6 @@ def test_zero_entries_follow_reachable_subspaces():
     assert np.array_equal(
         zero_entries(Q @ A @ Q.T, Q @ B, C @ Q.T, D), [[False, False], [True, False]]
     )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_row_compressor_matches_contract(n, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=n)
-    comp = row_compressor(v)
-    Q = comp.Q
-    assert np.allclose(Q @ Q.T, np.eye(n), atol=1e-12)
-    mapped = v @ Q.T
-    target = np.zeros(n)
-    target[-1] = np.linalg.norm(v)
-    assert np.allclose(mapped, target, atol=1e-10 * (1 + np.linalg.norm(v)))
-    assert comp.norm == pytest.approx(np.linalg.norm(v))
-    assert not comp.is_zero
-
-
-def test_row_compressor_zero_vector():
-    comp = row_compressor(np.zeros(4))
-    assert comp.is_zero
-    assert np.array_equal(comp.Q, np.eye(4))
-    assert comp.norm == 0.0
 
 
 def test_sample_complex_points_avoids_poles():

@@ -13,6 +13,8 @@ from helpers import (
     exact_ring,
     random_pair,
     random_partitioned,
+    rotate_hidden,
+    rotation,
     shear_hidden,
     stable_targets,
     structured_pair,
@@ -20,13 +22,16 @@ from helpers import (
 import srtrkit
 from srtrkit import fixtures
 from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
+from srtrkit.linalg import eigenvalues, sample_complex_points
 from srtrkit.rational import siso_rational
+from srtrkit.srtr import SrtrPair
 from srtrkit.systems import eval_tfm
 from srtrkit.synthesis import (
     SolveOptions,
     SynthesisSpec,
     _condition_rows,
-    compress_rows,
+    _krylov_tails,
+    _row_groups,
     dense_spec,
     mm_conditions,
     mm_solve,
@@ -70,6 +75,10 @@ def test_spec_validation():
     spec = dense_spec(2, 3, 4)
     assert spec.p == 2 and spec.m == 3
     assert spec.orders == (4, 4)
+    # order caps above the hidden dimension are input errors (CLI exit 2)
+    base, K, _ = ring_inputs()
+    with pytest.raises(InvalidInputError):
+        mm_conditions(base, K, fixtures.ring6_spec(orders=7))
 
 
 def test_ring_condition_residuals_match_pinned_values():
@@ -94,24 +103,6 @@ def test_condition_report_dict():
     assert set(d) == {"rows", "perConditionMax", "stabilityMargins", "tol", "passed"}
 
 
-def test_compress_rows_structure():
-    base, _, _ = ring_inputs()
-    comps = compress_rows(base)
-    assert len(comps) == 6
-    for i, comp in enumerate(comps):
-        row = base.A12[i]
-        mapped = row @ comp.Q.T
-        assert np.allclose(mapped[:-1], 0.0, atol=1e-10)
-        assert mapped[-1] == pytest.approx(np.linalg.norm(row))
-
-
-def test_compress_rows_q_zero():
-    bank = fixtures.integrator_bank_pair(2)
-    comps = compress_rows(bank.base)
-    assert len(comps) == 2
-    assert all(c.is_zero for c in comps)
-
-
 def test_dense_spec_accepts_any_stable_gain():
     rng = np.random.default_rng(3)
     base = random_partitioned(rng, 2, 3, 2)
@@ -132,8 +123,9 @@ def test_unstable_gain_fails_condition_vi():
 
 def _kernel_cases():
     """(base, gains, spec) triples that reach every branch of the kernel:
-    rotated block networks with first-order and full block-order rows, a
-    zero coupling row, no hidden state, and discrete time."""
+    rotated block networks with first-order rows and with order bounds
+    1 + block size, at which the known gain breaks down, a zero coupling
+    row, no hidden state, and discrete time."""
     rng = np.random.default_rng(808)
     for p in (3, 9, 15):
         pair, mask, sizes = block_network(rng, p)
@@ -155,25 +147,53 @@ def _kernel_cases():
     )
     gains = [pair.K + t * rng.normal(size=pair.K.shape) for t in (0.0, 0.5, 0.5)]
     yield pair.base, gains, spec
+    pair, mask, sizes = block_network(rng, 9, "discrete")
+    gains = [pair.K, pair.K + 0.3 * rng.normal(size=pair.K.shape)]
+    yield pair.base, gains, SynthesisSpec(mask, mask, tuple(1 + b for b in sizes))
 
 
 def test_condition_kernel_matches_row_reference():
+    # the reference takes each row's tail from the staircase, so the Arnoldi
+    # kernel agrees with it to rounding, on the scale of the data it projects
     for base, gains, spec in _kernel_cases():
         for K in gains:
-            ref_rows, ref_margins = conditions_reference(base, K, spec)
+            ref_rows, ref_margins, ref_orders = conditions_reference(base, K, spec)
             report = mm_conditions(base, K, spec)
-            close = dict(rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(report.rows, ref_rows, **close)
-            np.testing.assert_allclose(report.margins, ref_margins, **close)
+            pair = SrtrPair(base, K)
+            scale = 1.0 + (np.linalg.norm(pair.Bw, 2) if base.q else 0.0)
+            np.testing.assert_allclose(report.rows, ref_rows, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(report.margins, ref_margins, rtol=1e-12, atol=1e-12)
+            orders = np.zeros(base.p, dtype=int)
+            for ni, idx, a in _row_groups(base, spec):
+                T, k, _ = _krylov_tails(pair.Aw[None], a, ni)
+                orders[idx] = k[0]
+                basis = T[0] @ T[0].swapaxes(-2, -1)
+                np.testing.assert_allclose(
+                    basis, np.eye(ni) * (np.arange(ni) < k[0][:, None, None]), atol=1e-12
+                )
+            np.testing.assert_array_equal(orders, ref_orders)
+
+
+def test_block_networks_meet_conditions_at_block_orders():
+    # at the known gain of a block network each row's Krylov subspace is its
+    # block's hidden states: rows with order bound b keep all of them, and
+    # rows with bound 1 + b break down at b
+    rng = np.random.default_rng(808)
+    for p in (3, 9, 15):
+        pair, mask, sizes = block_network(rng, p)
+        for extra in (0, 1):
+            spec = SynthesisSpec(mask, mask, tuple(b + extra for b in sizes))
+            report = mm_conditions(pair.base, pair.K, spec, tol=1e-9)
+            assert report.passed, report.per_condition_max()
+            assert [row.n for row in reduce_rows(pair.base, pair.K, spec)] == sizes
 
 
 def test_condition_kernel_stack_equals_single_calls():
     for base, gains, spec in _kernel_cases():
-        comps = compress_rows(base)
-        rows, margins = _condition_rows(base, np.stack(gains), spec, comps)
+        rows, margins = _condition_rows(base, np.stack(gains), spec)
         assert rows.shape == (len(gains), base.p, 6)
         for k, K in enumerate(gains):
-            one_rows, one_margins = _condition_rows(base, K[None], spec, comps)
+            one_rows, one_margins = _condition_rows(base, K[None], spec)
             np.testing.assert_allclose(rows[k], one_rows[0], rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(margins[k], one_margins[0], rtol=1e-14, atol=0.0)
 
@@ -190,29 +210,92 @@ def test_mm_solve_discrete_exact_ring():
         assert np.all(np.abs(np.linalg.eigvals(row.A)) < 1.0)
 
 
-def _sheared_block_problem(rng, domain):
+def _sheared_block_problem(seed, domain, rotated=False):
     """The (1, 2)-block structured pair with its hidden coordinates sheared by
-    a standard normal K0, and the block spec; the gain pair.K - K0 meets it."""
+    a standard normal K0, and, with ``rotated``, then rotated by a Haar Q
+    drawn from seed + 1; returns the sheared pair, whose gain meets the
+    block spec, and that spec."""
+    rng = np.random.default_rng(seed)
     pair, mask = structured_pair(rng, (1, 2), domain=domain)
     sheared = shear_hidden(pair, rng.standard_normal((pair.q, pair.p)))
+    if rotated:
+        sheared = rotate_hidden(sheared, rotation(np.random.default_rng(seed + 1), pair.q))
     spec = SynthesisSpec(mask, mask, (1, 2, 2))
     assert mm_conditions(sheared.base, sheared.K, spec, tol=1e-12).passed
-    return sheared.base, spec
+    return sheared, spec
+
+
+SHEARED_CASES = [("continuous", s) for s in range(9000, 9010)] + [
+    ("discrete", s) for s in range(9000, 9005)
+]
 
 
 @pytest.mark.parametrize(
-    "domain,seed",
-    [("continuous", s) for s in range(9000, 9010)]
-    + [("discrete", s) for s in range(9000, 9005)],
+    "domain,seed,rotated",
+    [pytest.param(d, s, False, id=f"{d}-{s}") for d, s in SHEARED_CASES]
+    + [pytest.param(d, s, True, id=f"{d}-{s}-rotated") for d, s in SHEARED_CASES],
 )
-def test_mm_solve_sheared_block_pairs(domain, seed):
+def test_mm_solve_sheared_block_pairs(domain, seed, rotated):
     # the zero gain fails these instances, and the known gain is neither zero
     # nor ring-homogeneous, so only the least-squares solve can find one
-    base, spec = _sheared_block_problem(np.random.default_rng(seed), domain)
+    pair, spec = _sheared_block_problem(seed, domain, rotated)
+    base = pair.base
     assert not mm_conditions(base, np.zeros((base.q, base.p)), spec).passed
     K = mm_solve(base, spec, SolveOptions(tol=1e-6))
     report = mm_conditions(base, K, spec, tol=1e-6)
     assert report.passed, report.per_condition_max()
+
+
+def _hidden_copies(pair, rng):
+    """The pair, a rotated and a sheared copy of its hidden coordinates, each
+    with the map that carries a gain of the pair to the same gain of the
+    copy."""
+    q, p = pair.K.shape
+    Q = rotation(rng, q)
+    K0 = rng.standard_normal((q, p))
+    return [
+        (pair, lambda G: G),
+        (rotate_hidden(pair, Q), lambda G: Q.T @ G),
+        (shear_hidden(pair, K0), lambda G: G - K0),
+    ]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("kind", ["block-p9", "sheared"])
+def test_synthesis_ignores_hidden_coordinates(kind, domain, extra):
+    # conditions, reduced rows and their verdicts belong to the pair (W, V),
+    # at the exact block orders and at order bounds one above them
+    rng = np.random.default_rng(9300)
+    if kind == "block-p9":
+        pair, mask, sizes = block_network(rng, 9, domain)
+    else:
+        pair, exact = _sheared_block_problem(9000, domain)
+        mask, sizes = exact.maskW, list(exact.orders)
+    spec = SynthesisSpec(mask, mask, tuple(b + extra for b in sizes))
+    gains = [pair.K, pair.K + 0.3 * rng.standard_normal(pair.K.shape)]
+    scale = 1.0 + np.linalg.norm(pair.Bw, 2)
+    lams = sample_complex_points(np.append(eigenvalues(pair.Aw), 0.0), 3, seed=1)
+    want = None
+    for copy, carry in _hidden_copies(pair, rng):
+        reports = [mm_conditions(copy.base, carry(G), spec) for G in gains]
+        rows = reduce_rows(copy.base, carry(pair.K), spec)
+        got = (
+            [r.passed for r in reports],
+            [r.per_condition_max() for r in reports],
+            [row.n for row in rows],
+            [np.vstack([eval_tfm(row, lam) for row in rows]) for lam in lams],
+            verify_structured(rows, spec),
+        )
+        if want is None:
+            want = got
+            assert want[0] == [True, False] and want[2] == sizes and want[4]
+            continue
+        assert got[0] == want[0] and got[2] == want[2] and got[4] == want[4]
+        for a, b in zip(got[1], want[1]):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * scale)
+        for a, b in zip(got[3], want[3]):
+            assert np.linalg.norm(a - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
 def test_mm_solve_trivial_when_a22_stable():
@@ -367,7 +450,8 @@ def test_import_leaves_scipy_signal_out():
 
 def test_mm_solve_deterministic():
     # the least-squares solve has no random start, so two calls agree exactly
-    base, spec = _sheared_block_problem(np.random.default_rng(9001), "continuous")
+    pair, spec = _sheared_block_problem(9001, "continuous")
+    base = pair.base
     K1 = mm_solve(base, spec, SolveOptions(tol=1e-6))
     K2 = mm_solve(base, spec, SolveOptions(tol=1e-6))
     assert np.array_equal(K1, K2)
