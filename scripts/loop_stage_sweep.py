@@ -6,14 +6,16 @@
 Unpacks both commits as ``scripts/bench_pairs.py`` does, times the stages
 of ``simulate`` (sampling, step matrices, stepping, outputs) and
 ``to_csv`` on stable random loops of n = 24, 48, 96 and 192 states in
-alternating rounds, compares the two sides' trajectories, and adds the
-result as ``stage_sweep`` to ``BENCH_<pr>.json`` (written before by
-``bench_pairs.py``). The stages are timed by wrapping private names of
-``loop.py`` (see ``sweep_worker``), so this script follows that module's
-internals and is specific to it. Run from the root of the repository.
+alternating rounds, compares the two sides' trajectories and the sha256 of
+their CSV texts, and adds the result as ``stage_sweep`` to
+``BENCH_<pr>.json`` (written before by ``bench_pairs.py``). The stages are
+timed by wrapping private names of ``loop.py`` (see ``sweep_worker``), so
+this script follows that module's internals and is specific to it. Run
+from the root of the repository.
 """
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -94,6 +96,7 @@ def sweep_worker(src: str, out: str) -> None:
         text = traj.to_csv()
         best["to_csv_s"] = time.perf_counter() - start
         best["csv_bytes"] = len(text)
+        best["csv_sha256"] = hashlib.sha256(text.encode("ascii")).hexdigest()
         del text
         result[str(n)] = best
         states[str(n)] = traj.x
@@ -116,15 +119,17 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
                 for n, stages in json.load(fh).items():
                     for key, val in stages.items():
                         cur = best[side].setdefault(n, {}).get(key, val)
-                        best[side][n][key] = val if key == "csv_bytes" else min(cur, val)
+                        exact = key in ("csv_bytes", "csv_sha256")
+                        best[side][n][key] = val if exact else min(cur, val)
             states[side] = np.load(str(out) + ".npz")
     sizes = {}
     for n in best["parent"]:
         xp, xc = states["parent"][n], states["change"][n]
         same = xp.shape == xc.shape
         rel = float(np.linalg.norm(xc - xp) / np.linalg.norm(xp)) if same else float("nan")
+        same_csv = best["parent"][n]["csv_sha256"] == best["change"][n]["csv_sha256"]
         sizes[n] = {"parent": best["parent"][n], "change": best["change"][n],
-                    "x_rel_diff": rel, "same_rows": same}
+                    "x_rel_diff": rel, "same_rows": same, "same_csv": same_csv}
     return {
         "input": ("stable random ClosedLoopModel of n states, p = m = n / 4, rng seed n, "
                   "spectral abscissa -0.2; sinusoids of t on all four channels; horizon %g, "
@@ -137,6 +142,7 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
                    "the rest of simulate (input forcing, recurrence, divergence check); "
                    "simulate_s: the whole call; to_csv_s: Trajectory.to_csv"),
         "x_rel_diff": "|x_change - x_parent|_F / |x_parent|_F over the whole trajectory",
+        "same_csv": "the two sides' to_csv texts have the same sha256 (csv_sha256)",
         "sizes": sizes,
     }
 

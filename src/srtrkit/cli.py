@@ -244,7 +244,7 @@ def cmd_loop_simulate(args) -> int:
     cl = jsonio.closed_loop_from_dict(jsonio.load_json(args.cl))
     x0 = None
     if args.x0:
-        x0 = np.asarray(jsonio.load_json(args.x0), dtype=float)
+        x0 = jsonio.vector_from_list(jsonio.load_json(args.x0), "x0")
     traj = simulate(cl, signals=None, x0=x0, horizon=args.horizon, dt=args.dt)
     if traj.diverged:
         print("warning: trajectory diverged before the horizon", file=sys.stderr)

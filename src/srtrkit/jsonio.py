@@ -52,6 +52,19 @@ def _matrix(data, name: str, rows: int | None = None, cols: int | None = None) -
     return M
 
 
+def vector_from_list(data, name: str) -> np.ndarray:
+    """A flat list of finite numbers, such as the initial state ``--x0``."""
+    try:
+        v = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not a list of numbers") from exc
+    if v.ndim != 1:
+        raise InvalidInputError(f"{name} must be a flat list of numbers")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+    return v
+
+
 def _need(d: dict, key: str):
     if key not in d:
         raise InvalidInputError(f"missing required field {key!r}")

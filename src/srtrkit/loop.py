@@ -9,8 +9,10 @@ node only carries its own dynamics.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -268,7 +270,7 @@ def check_internal_stability(cl: ClosedLoopModel) -> bool:
     return is_stable_spectrum(cl.Acl, cl.domain)
 
 
-_CSV_BLOCK = 512  # rows formatted per join in Trajectory.to_csv
+_CSV_BLOCK = 1 << 15  # values formatted per block in Trajectory.to_csv
 _BLOCK = 64  # most steps per block in _propagate
 _POWER_MAX = 1e12  # bound on ||Phi||_1^L for _propagate's block length L
 _CHANNELS = ("r", "w", "zeta", "du")
@@ -291,8 +293,16 @@ class Trajectory:
     diverged: bool = False
 
     def to_csv(self) -> str:
-        """Header line, then one line per grid point: every value as
-        ``%.12g``, formatted a block of rows at a time."""
+        """The trajectory as CSV text: a header line, then one line per grid
+        point.
+
+        The columns are t, then x, r, w, zeta, du, u, y, z and v, each with
+        indices from 0 (``x0, x1, ...``). Every value is written as Python's
+        ``"%.12g" % v`` writes it, so the text holds ``nan``, ``inf``,
+        ``-inf``, ``-0``, ``1e-05`` and ``1e+300``. Blocks of rows are
+        formatted by one numpy kernel, ``_format_g12``; the few values it
+        cannot round safely are formatted by ``%`` itself.
+        """
         cols = [
             ("x", self.x), ("r", self.r), ("w", self.w), ("zeta", self.zeta),
             ("du", self.du), ("u", self.u), ("y", self.y), ("z", self.z),
@@ -301,13 +311,174 @@ class Trajectory:
         header = ["t"]
         for name, arr in cols:
             header.extend(f"{name}{i}" for i in range(arr.shape[1]))
-        data = np.hstack([self.t[:, None]] + [arr for _, arr in cols])
-        row = ",".join(["%.12g"] * data.shape[1]) + "\n"
-        parts = [",".join(header) + "\n"]
-        for at in range(0, data.shape[0], _CSV_BLOCK):
-            rows = data[at : at + _CSV_BLOCK].tolist()
-            parts.append("".join([row % tuple(vals) for vals in rows]))
-        return "".join(parts)
+        arrays = [self.t[:, None]] + [arr for _, arr in cols]
+        seps = np.full(len(header), ord(","), np.uint64)
+        seps[-1] = ord("\n")
+        rows = max(1, _CSV_BLOCK // len(header))
+        # one growing buffer: a string per block would fragment the heap
+        text = bytearray((",".join(header) + "\n").encode("ascii"))
+        for at in range(0, self.t.shape[0], rows):
+            block = np.hstack([arr[at : at + rows] for arr in arrays], dtype=float)
+            _format_g12(block, seps, text)
+        return text.decode("ascii")
+
+
+# One formatted value in 20 bytes: byte 0 the sign, bytes 1-17 the digits
+# with their point (bytes 1-13 in scientific notation, whose exponent takes
+# bytes 14-18), byte 19 the separator. Bytes left zero are padding, deleted
+# from the text.
+_CANVAS = np.dtype({"names": ["w0", "w1", "w2"], "formats": ["<u8", "<u8", "<u4"],
+                    "offsets": [0, 8, 16], "itemsize": 20})
+_E0 = 300  # index of exponent 0 in the tables of _G12Tables
+# The scaled value carries a relative error of at most 2**-52 from the
+# power of ten and the product: below 2.3e-4 on a 12-digit mantissa. A
+# fraction this far from one half therefore rounds as the exact value does.
+_TIE_GUARD = 1e-3
+
+
+class _G12Tables(NamedTuple):
+    """Lookup tables of ``_format_g12``. A string is held in uint64 words,
+    its first byte in the low byte; a 16-byte string in a low and a high
+    word."""
+
+    quads: np.ndarray  # ASCII of each 4-digit group 0000..9999
+    trailing: np.ndarray  # trailing zeros of each group, 4 for 0000
+    pow10: np.ndarray  # 10**k, correctly rounded, at index k + _E0
+    keep_lo: np.ndarray  # the low j bytes of a 16-byte string, j = 0..16
+    keep_hi: np.ndarray
+    dot_lo: np.ndarray  # a point at byte j = 1..15; none at j = 0
+    dot_hi: np.ndarray
+    # per exponent e of the rounded value, at index e + _E0:
+    point: np.ndarray  # digits before the point
+    shift: np.ndarray  # bits the digits move for the prefix of 0.000ddd
+    prefix: np.ndarray  # the -e zeros of 0.000ddd, point not included
+    length: np.ndarray  # bytes of the string: 12 digits plus the prefix
+
+
+@functools.cache
+def _g12_tables() -> _G12Tables:
+    """The tables, built on first use. %g writes e < -4 and e >= 12 in
+    scientific notation, one digit before the point. It writes -4 <= e < 0
+    as 0.000ddd: the string is then "0zzz" and the 12 digits, with the
+    unused z left as padding, and the point goes after its first byte."""
+    u = np.uint64
+    g = np.arange(10_000, dtype=u)
+    quads = sum((g // u(10**(3 - i)) % u(10) + u(ord("0"))) << u(8 * i) for i in range(4))
+    trailing = sum((g % u(10**i) == 0).astype(np.intp) for i in range(1, 5))
+    pow10 = np.array([float("1e%d" % k) for k in range(-_E0, _E0 + 12)])
+
+    def halves(strings):
+        return (np.array([w & (2**64 - 1) for w in strings], dtype=u),
+                np.array([w >> 64 for w in strings], dtype=u))
+
+    keep_lo, keep_hi = halves([(1 << 8 * j) - 1 for j in range(17)])
+    dot_lo, dot_hi = halves([0] + [ord(".") << 8 * j for j in range(1, 16)])
+    e = np.arange(-_E0, _E0 + 1)
+    small = (e >= -4) & (e < 0)
+    sci = (e < -4) | (e >= 12)
+    zeros = np.where(small, -e, 0).astype(u)
+    tables = _G12Tables(
+        quads, trailing, pow10, keep_lo, keep_hi, dot_lo, dot_hi,
+        point=np.where(sci | small, 1, e + 1),
+        shift=np.where(small, 32, 0).astype(u),
+        prefix=((u(1) << u(8) * zeros) - u(1)) & u(0x30303030),
+        length=np.where(small, 16, 12),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray) -> None:
+    """Append to ``dest`` the text ``"%.12g" % v`` of every value of
+    ``block``, row by row, each followed by its column's separator from
+    ``seps``.
+
+    |v| is scaled by the correctly rounded 10**(11 - e), e = floor(log10
+    |v|), and rounded to the 12-digit mantissa M; e moves by one where the
+    scaled value leaves [1e11, 1e12) or M rounds up to 1e12. M becomes
+    ASCII in three 4-digit groups, its trailing zeros are cut, and sign,
+    prefix, digits, point and exponent are laid out on a canvas of
+    ``_CANVAS`` entries whose padding ``bytes.translate`` deletes. A value
+    within ``_TIE_GUARD`` of a rounding tie, a non-finite value and one
+    with |v| outside [1e-290, 1e290] is marked "%" on the canvas instead,
+    and formatted by ``"%.12g" % v``.
+    """
+    t = _g12_tables()
+    u = np.uint64
+    v = block.ravel()
+    a = np.abs(v)
+    zero = a == 0
+    inside = (a >= 1e-290) & (a <= 1e290)
+    fallback = ~(inside | zero)
+    a[~inside] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a * t.pow10[_E0 + 11 - e]
+    off = np.flatnonzero((s < 1e11) | (s >= 1e12))
+    e[off] += np.where(s[off] < 1e11, -1, 1)
+    s[off] = a[off] * t.pow10[_E0 + 11 - e[off]]
+    M = np.floor(s)
+    s -= M
+    M += s > 0.5
+    s -= 0.5
+    fallback |= (np.abs(s) < _TIE_GUARD) | (M < 1e11) | (M > 1e12)
+    carry = np.flatnonzero(M == 1e12)
+    M[carry] = 1e11
+    e[carry] += 1
+    M[zero] = 0.0
+    # digit groups of M; (M + 0.5) * 1e-8 is at least 5e-9 from an integer
+    q = np.trunc((M + 0.5) * 1e-8)
+    M -= q * 1e8
+    g0 = q.astype(np.intp)
+    q = np.trunc((M + 0.5) * 1e-4)
+    M -= q * 1e4
+    g1 = q.astype(np.intp)
+    g2 = M.astype(np.intp)
+    tz = t.trailing[g2]
+    more = np.flatnonzero(tz == 4)
+    if more.size:
+        t1 = t.trailing[g1[more]]
+        tz[more] += t1 + (t1 == 4) * t.trailing[g0[more]]
+    ie = e + _E0
+    k = t.point[ie]
+    sh = t.shift[ie]
+    n = np.maximum(t.length[ie] - tz, k)
+    d0, d1, d2 = t.quads[g0], t.quads[g1], t.quads[g2]
+    lo = (d0 | d1 << u(32)) << sh | t.prefix[ie]
+    hi = d2 << sh | d1 >> (u(32) - sh)
+    lo &= t.keep_lo[n]
+    hi &= t.keep_hi[n]
+    # the bytes after the first k move up one to make room for the point
+    klo = lo & t.keep_lo[k]
+    lo ^= klo
+    khi = hi & t.keep_hi[k]
+    hi ^= khi
+    k *= n > k
+    b0 = klo | lo << u(8) | t.dot_lo[k]
+    b1 = khi | hi << u(8) | lo >> u(56) | t.dot_hi[k]
+    out = np.empty(v.size, _CANVAS)
+    out["w0"] = (v.view(u) >> u(63)) * u(ord("-")) | b0 << u(8)
+    out["w1"] = b0 >> u(56) | b1 << u(8)
+    w2 = (b1 >> u(56) | hi >> u(56) << u(8)).reshape(block.shape) | seps << u(24)
+    out["w2"] = w2.ravel()
+    sci = np.flatnonzero((e < -4) | (e >= 12))
+    if sci.size:
+        x = e[sci]
+        ax = np.abs(x)
+        out["w1"][sci] |= np.where(x < 0, u(0x2D65), u(0x2B65)) << u(48)  # "e-", "e+"
+        out["w2"][sci] |= t.quads[ax] >> u(8) & np.where(ax < 100, u(0xFFFF00), u(0xFFFFFF))
+    fb = np.flatnonzero(fallback)
+    out["w0"][fb] = ord("%")
+    out["w1"][fb] = 0
+    out["w2"][fb] &= u(0xFF000000)
+    text = out.tobytes().translate(None, b"\0")
+    at, view = 0, memoryview(text)
+    for x in v[fb].tolist():
+        cut = text.index(b"%", at)
+        dest += view[at:cut]
+        dest += b"%.12g" % x
+        at = cut + 1
+    dest += view[at:]
 
 
 def _sample(fn, times: np.ndarray, dim: int, name: str) -> np.ndarray:

@@ -428,3 +428,19 @@ def sample_complex_points_reference(
             continue
         picked.append(z)
     return np.array(picked)
+
+
+def csv_reference(traj):
+    """Oracle for ``Trajectory.to_csv``: the header, then every row written
+    by Python's ``%`` with one ``%.12g`` per value."""
+    cols = [
+        ("x", traj.x), ("r", traj.r), ("w", traj.w), ("zeta", traj.zeta),
+        ("du", traj.du), ("u", traj.u), ("y", traj.y), ("z", traj.z),
+        ("v", traj.v),
+    ]
+    header = ["t"]
+    for name, arr in cols:
+        header.extend(f"{name}{i}" for i in range(arr.shape[1]))
+    data = np.hstack([traj.t[:, None]] + [arr for _, arr in cols])
+    row = ",".join(["%.12g"] * data.shape[1]) + "\n"
+    return ",".join(header) + "\n" + "".join(row % tuple(vals) for vals in data.tolist())

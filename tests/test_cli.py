@@ -7,7 +7,8 @@ import pytest
 from srtrkit import cli, errors, fixtures, jsonio
 from srtrkit.cli import dispatch, run_ring_reproduction
 from srtrkit.factorization import ThetaFactor, lcf_from_srtr
-from srtrkit.loop import assemble_closed_loop, rowwise_implementation
+from helpers import csv_reference
+from srtrkit.loop import assemble_closed_loop, rowwise_implementation, simulate
 
 
 @pytest.fixture
@@ -170,16 +171,24 @@ def test_loop_commands(ring_files, tmp_path):
     assert len(lines) == 12  # header + 11 samples
 
 
+def _ring_loop():
+    rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
+    return assemble_closed_loop(fixtures.ring6_plant(), rows)
+
+
+def _ring_loop_file(tmp_path):
+    cl = tmp_path / "cl.json"
+    cl.write_text(jsonio.dumps(jsonio.closed_loop_to_dict(_ring_loop())))
+    return cl
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--dt", "0"), ("--dt", "nan"), ("--horizon", "-1"), ("--horizon", "nan"),
      ("--horizon", "inf"), ("--horizon", "1e300")],
 )
 def test_loop_simulate_rejects_bad_grid(flag, value, tmp_path, capsys):
-    rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
-    cl = tmp_path / "cl.json"
-    cl.write_text(jsonio.dumps(jsonio.closed_loop_to_dict(
-        assemble_closed_loop(fixtures.ring6_plant(), rows))))
+    cl = _ring_loop_file(tmp_path)
     # the grid is rejected before any of it is allocated: loading the loop
     # takes a few kB, one second of the ring's trajectory takes 0.6 MB
     tracemalloc.start()
@@ -193,6 +202,32 @@ def test_loop_simulate_rejects_bad_grid(flag, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("x0", ['{"x": 1}', "[[1, 2], [3]]", '["a"]', "[[1, 2]]", "[NaN]"])
+def test_loop_simulate_rejects_malformed_x0(x0, tmp_path, capsys):
+    cl = _ring_loop_file(tmp_path)
+    x0_file = tmp_path / "x0.json"
+    x0_file.write_text(x0)
+    rc = dispatch(["loop", "simulate", "--cl", str(cl), "--x0", str(x0_file),
+                   "--horizon", "0.01"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: x0 ")
+    assert captured.out == ""
+
+
+def test_loop_simulate_trace_equals_reference(tmp_path):
+    cl = _ring_loop_file(tmp_path)
+    x0 = np.random.default_rng(23).normal(size=24)
+    x0_file = tmp_path / "x0.json"
+    x0_file.write_text(json.dumps(x0.tolist()))
+    out = tmp_path / "traj.csv"
+    rc = dispatch(["loop", "simulate", "--cl", str(cl), "--x0", str(x0_file),
+                   "--horizon", "2", "--dt", "0.001", "-o", str(out)])
+    assert rc == 0
+    traj = simulate(_ring_loop(), x0=x0, horizon=2.0, dt=0.001)
+    assert out.read_bytes() == csv_reference(traj).encode("ascii")
 
 
 def test_reproduce_command(capsys):

@@ -1,11 +1,13 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
-from helpers import random_pair
-from srtrkit import fixtures
+from helpers import csv_reference, random_pair
+from srtrkit import fixtures, loop
 from srtrkit.errors import AlgebraicLoopError, DimensionError, PreconditionError
 from srtrkit.loop import (
     _BLOCK,
@@ -415,17 +417,100 @@ def test_csv_layout():
 def test_csv_values_match_format_spec():
     # more rows than one formatting block, with the awkward values spread in
     rng = np.random.default_rng(9)
-    rows = 1100
+    rows = 2000
     awkward = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 1 / 3]
     cols = {k: rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-20, 20, size=(rows, 2))
             for k in ("x", "r", "w", "zeta", "du", "u", "y", "z", "v")}
     for i, val in enumerate(awkward):
         cols["x"][(i * 157) % rows, i % 2] = val
         cols["v"][rows - 1 - i, 0] = val
-    t = np.arange(rows) * 1e-3
-    traj = Trajectory(t=t, **cols)
-    data = np.hstack([t[:, None]] + list(cols.values()))
-    want = [",".join(f"{val:.12g}" for val in row) + "\n" for row in data]
-    got = traj.to_csv().splitlines(keepends=True)[1:]
-    assert len(got) == rows
-    assert [i for i in range(rows) if got[i] != want[i]] == []
+    traj = Trajectory(t=np.arange(rows) * 1e-3, **cols)
+    assert rows * 19 > loop._CSV_BLOCK
+    assert traj.to_csv() == csv_reference(traj)
+
+
+def _trajectory(values, width=10):
+    """Trajectory of ``values`` laid out in rows of ``width``: t, then the
+    nine channels, each at least one column wide."""
+    values = np.asarray(values, dtype=float).ravel()
+    data = np.zeros(-(-values.size // width) * width)
+    data[: values.size] = values
+    data = data.reshape(-1, width)
+    return Trajectory(data[:, 0], *np.array_split(data[:, 1:], 9, axis=1))
+
+
+def _twelve_digit_ties(rng, count):
+    """Doubles whose exact decimal value lies halfway between two 12-digit
+    numbers: m / 2**k with m odd and m 5**k of 13 digits, and integers
+    (2M + 1) 10**d / 2 with M of 12 digits."""
+    out = [123456789012.5, 123456789013.5]
+    for k in range(1, 9):
+        m = rng.integers(-(-10**12 // 5**k), 10**13 // 5**k, count) | 1
+        out.extend((m / 2.0**k).tolist())
+    for d in range(1, 4):
+        m = rng.integers(10**11, 10**12, count)
+        out.extend(((2 * m + 1) * 10**d // 2).astype(float).tolist())
+    return np.array(out)
+
+
+def _near_ties(rng, count):
+    """The doubles on either side of decimal ties M.5e(E) at random E: the
+    nearest double and its neighbour on the other side of the tie. The
+    scaled value of these lies within its own rounding error of the tie."""
+    m = rng.integers(10**11, 10**12, count).tolist()
+    e = rng.integers(-280, 280, count).tolist()
+    nearest = np.array([float("%d5e%d" % pair) for pair in zip(m, e)])
+    return np.concatenate(
+        [nearest, np.nextafter(nearest, 0.0), np.nextafter(nearest, np.inf)])
+
+
+def _csv_cases():
+    rng = np.random.default_rng(19)
+    ties = _twelve_digit_ties(rng, 50)
+    decades = [float("1e%d" % k) for k in range(-320, 309)]
+    thresholds = [9.99999999999e-05, 9.999999999995e-05, 1e-05, 0.0001,
+                  999999999999.5, 1e12, 1e16]
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-100,
+                -2.5e200, 1.5e-290, 1e290, 9.9e-291, 1.1e290, 1e308]
+    return {
+        "random-bits": rng.integers(0, 2**64, 5000 * 10, dtype=np.uint64).view(np.float64),
+        "decades": np.concatenate([decades, np.negative(decades)]),
+        "ties": np.concatenate([ties, -ties]),
+        "tie-neighbours": np.concatenate(
+            [np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), _near_ties(rng, 300)]),
+        "thresholds": np.concatenate([thresholds, np.negative(thresholds)]),
+        "specials": specials,
+        "ring-like": rng.normal(size=4000) * 10.0 ** rng.integers(-6, 2, 4000),
+    }
+
+
+@pytest.mark.parametrize("case", list(_csv_cases()))
+def test_csv_bytes_equal_percent_format(case):
+    values = _csv_cases()[case]
+    traj = _trajectory(values)
+    assert traj.to_csv() == csv_reference(traj)
+
+
+def test_csv_ties_are_rounded_half_even():
+    # an exact tie rounds to the even 12th digit, as % rounds it
+    traj = _trajectory([123456789012.5, 123456789013.5, 0.5, 2.5e-5, 1e-05])
+    assert traj.to_csv().splitlines()[1].split(",")[:5] == [
+        "123456789012", "123456789014", "0.5", "2.5e-05", "1e-05"]
+
+
+@pytest.mark.parametrize("rows,width", [(0, 10), (1, 10), (1, 19), (3, 10), (7000, 10)])
+def test_csv_shapes(rows, width):
+    rng = np.random.default_rng(rows + width)
+    traj = _trajectory(rng.normal(size=rows * width), width)
+    assert traj.x.shape[0] == rows
+    text = traj.to_csv()
+    assert text == csv_reference(traj)
+    assert text.count("\n") == rows + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 4), st.just(10)),
+                  elements=st.floats()))
+def test_csv_property_any_float(data):
+    traj = Trajectory(data[:, 0], *np.array_split(data[:, 1:], 9, axis=1))
+    assert traj.to_csv() == csv_reference(traj)
