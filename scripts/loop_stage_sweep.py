@@ -6,7 +6,8 @@
 Unpacks both commits as ``scripts/bench_pairs.py`` does, times the stages
 of ``simulate`` (sampling, step matrices, stepping, outputs) and
 ``to_csv`` on stable random loops of n = 24, 48, 96 and 192 states in
-alternating rounds, compares the two sides' trajectories and the sha256 of
+alternating rounds, reports each stage's best time with the quartiles of
+all its timed calls, compares the two sides' trajectories and the sha256 of
 their CSV texts, and adds the result as ``stage_sweep`` to
 ``BENCH_<pr>.json`` (written before by ``bench_pairs.py``). The stages are
 timed by wrapping private names of ``loop.py`` (see ``sweep_worker``), so
@@ -40,8 +41,8 @@ def sweep_worker(src: str, out: str) -> None:
     driven run. The stages are timed by wrapping the module's ``_sample``,
     ``_step_matrices`` and ``ClosedLoopModel.outputs``; ``stepping_s`` is
     the rest of ``simulate``: the input forcing, the recurrence and the
-    divergence check. Writes the best time of each stage over the calls as
-    JSON to ``out`` and the state trajectories to ``out + ".npz"``.
+    divergence check. Writes every timed call's stage times as JSON to
+    ``out`` and the state trajectories to ``out + ".npz"``.
     """
     sys.path.insert(0, src)
     import numpy as np
@@ -80,7 +81,7 @@ def sweep_worker(src: str, out: str) -> None:
             for c in ("r", "w", "zeta", "du")
         }
         x0 = rng.normal(size=n)
-        best: dict = {}
+        times: dict = {}
         for call in range(1 + SWEEP_CALLS):
             spent.clear()
             start = time.perf_counter()
@@ -91,14 +92,13 @@ def sweep_worker(src: str, out: str) -> None:
             stages["stepping_s"] = total - sum(spent.values())
             if call:
                 for key, val in stages.items():
-                    best[key] = min(best.get(key, val), val)
+                    times.setdefault(key, []).append(val)
         start = time.perf_counter()
         text = traj.to_csv()
-        best["to_csv_s"] = time.perf_counter() - start
-        best["csv_bytes"] = len(text)
-        best["csv_sha256"] = hashlib.sha256(text.encode("ascii")).hexdigest()
+        times["to_csv_s"] = [time.perf_counter() - start]
+        result[str(n)] = {"times": times, "csv_bytes": len(text),
+                          "csv_sha256": hashlib.sha256(text.encode("ascii")).hexdigest()}
         del text
-        result[str(n)] = best
         states[str(n)] = traj.x
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh)
@@ -108,7 +108,8 @@ def sweep_worker(src: str, out: str) -> None:
 def stage_sweep(roots: dict, tmp: Path) -> dict:
     import numpy as np
 
-    best = {s: {} for s in SIDES}
+    times = {s: {} for s in SIDES}
+    exact = {s: {} for s in SIDES}
     states = {}
     for i in range(SWEEP_ROUNDS):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -116,26 +117,32 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
             subprocess.run([sys.executable, __file__, "--worker", str(roots[side] / "src"),
                             str(out)], check=True)
             with open(out, encoding="utf-8") as fh:
-                for n, stages in json.load(fh).items():
-                    for key, val in stages.items():
-                        cur = best[side].setdefault(n, {}).get(key, val)
-                        exact = key in ("csv_bytes", "csv_sha256")
-                        best[side][n][key] = val if exact else min(cur, val)
+                for n, got in json.load(fh).items():
+                    for key, vals in got.pop("times").items():
+                        times[side].setdefault(n, {}).setdefault(key, []).extend(vals)
+                    exact[side][n] = got
             states[side] = np.load(str(out) + ".npz")
+
+    def spread(vals):
+        q1, median, q3 = np.percentile(vals, [25, 50, 75])
+        return {"best": min(vals), "q1": q1, "median": median, "q3": q3}
+
     sizes = {}
-    for n in best["parent"]:
+    for n in times["parent"]:
         xp, xc = states["parent"][n], states["change"][n]
         same = xp.shape == xc.shape
         rel = float(np.linalg.norm(xc - xp) / np.linalg.norm(xp)) if same else float("nan")
-        same_csv = best["parent"][n]["csv_sha256"] == best["change"][n]["csv_sha256"]
-        sizes[n] = {"parent": best["parent"][n], "change": best["change"][n],
-                    "x_rel_diff": rel, "same_rows": same, "same_csv": same_csv}
+        sides = {side: dict({key: spread(vals) for key, vals in times[side][n].items()},
+                            **exact[side][n]) for side in SIDES}
+        same_csv = sides["parent"]["csv_sha256"] == sides["change"]["csv_sha256"]
+        sizes[n] = dict(sides, x_rel_diff=rel, same_rows=same, same_csv=same_csv)
     return {
         "input": ("stable random ClosedLoopModel of n states, p = m = n / 4, rng seed n, "
                   "spectral abscissa -0.2; sinusoids of t on all four channels; horizon %g, "
                   "dt %g" % (SWEEP_HORIZON, SWEEP_DT)),
-        "time": ("best of %d simulate calls (%d alternating sweeps of %d calls, each after "
-                 "one untimed call) and of %d to_csv calls, one BLAS thread"
+        "time": ("best, first quartile, median and third quartile of each stage over %d "
+                 "simulate calls (%d alternating sweeps of %d calls, each after one untimed "
+                 "call) and over %d to_csv calls, one BLAS thread"
                  % (SWEEP_ROUNDS * SWEEP_CALLS, SWEEP_ROUNDS, SWEEP_CALLS, SWEEP_ROUNDS)),
         "stages": ("sample_s: loop._sample (grid and midpoints); step_matrices_s: "
                    "loop._step_matrices; outputs_s: ClosedLoopModel.outputs; stepping_s: "

@@ -144,9 +144,6 @@ class LcfOverS:
         """Ap, built on first use and read-only."""
         return self._mn.A
 
-    def gain_column(self) -> np.ndarray:
-        return np.vstack([self.F1, self.F2])
-
     @cached_property
     def _mn(self) -> StateSpaceSystem:
         b = self.blocks
@@ -333,14 +330,16 @@ def _greedy_groups(blocks: list[np.ndarray], p: int) -> list[int] | None:
     return chosen
 
 
-def _candidate_from_basis(
-    lcf: LcfOverS, basis: np.ndarray, subset: np.ndarray, cond_cap: float = 1e10
-):
+# largest condition number of V1 that still gives a Riccati solution
+COND_CAP = 1e10
+
+
+def _candidate_from_basis(lcf: LcfOverS, basis: np.ndarray, subset: np.ndarray):
     p = lcf.p
     Q, _ = np.linalg.qr(basis)
     V1, V2 = Q[:p], Q[p:]
     cond1 = float(np.linalg.cond(V1))
-    if not np.isfinite(cond1) or cond1 > cond_cap:
+    if not np.isfinite(cond1) or cond1 > COND_CAP:
         return None, cond1
     K = V2 @ np.linalg.inv(V1)
     Ap11, A12, _, _ = _riccati_data(lcf)
@@ -376,21 +375,9 @@ def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
     split from an equal eigenvalue that is left out. The cost is polynomial
     in p.
     """
-    p, q = lcf.p, lcf.q
+    p = lcf.p
     if tol is None:
         tol = 1e-10 * (1.0 + float(np.linalg.norm(lcf.blocks.A)))
-    if q == 0:
-        Ap11, _, _, _ = _riccati_data(lcf)
-        closed = eigenvalues(Ap11)
-        if not all(in_stability_region(z, lcf.domain) for z in closed):
-            raise NoSolutionError("empty-K case requires A11 + F1 already stable")
-        return RiccatiSolution(
-            K=np.zeros((0, p)),
-            residual_norm=0.0,
-            closed_spectrum=closed,
-            subspace_cond=1.0,
-            subset=closed,
-        )
     Aplus = _hamiltonian_like(lcf)
     w, V = np.linalg.eig(Aplus)
     # a real matrix has real eigenvalues and exact conjugate pairs: keep one

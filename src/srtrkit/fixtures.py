@@ -118,9 +118,9 @@ def ring6_masks() -> SparsityPattern:
     return SparsityPattern(mask, mask.copy())
 
 
-def ring6_spec(orders: int = 1, extra: str | None = RING_HOMOGENEOUS) -> SynthesisSpec:
+def ring6_spec(orders: int = 1) -> SynthesisSpec:
     masks = ring6_masks()
-    return SynthesisSpec(masks.maskW, masks.maskV, (orders,) * 6, extra)
+    return SynthesisSpec(masks.maskW, masks.maskV, (orders,) * 6, RING_HOMOGENEOUS)
 
 
 # Expected first-order row entries (ascending coefficients, local = own

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    check_domain,
     eigenvalues,
     in_stability_region,
     is_stabilizable,
@@ -70,17 +69,14 @@ def kd_from_srtr(pair: SrtrPair) -> KdController:
     )
 
 
-def unstable_pole_count(sys: StateSpaceSystem, domain: str | None = None) -> int:
+def unstable_pole_count(sys: StateSpaceSystem) -> int:
     """Eigenvalues outside the stability region, counted on the minimal part.
 
     Non-minimal inputs are pruned first so hidden cancelling modes do not
     inflate the count.
     """
-    if domain is None:
-        domain = sys.domain
-    check_domain(domain)
     return sum(
-        0 if in_stability_region(z, domain) else 1
+        0 if in_stability_region(z, sys.domain) else 1
         for z in eigenvalues(minimal_realization(sys).A)
     )
 
@@ -120,42 +116,25 @@ class RowImplementation:
         return StateSpaceSystem(A, B, C, D, self.domain)
 
 
-def rowwise_implementation(
-    pair: SrtrPair,
-    orders=None,
-    spec: SynthesisSpec | None = None,
-) -> RowImplementation:
+def rowwise_implementation(pair: SrtrPair, orders=None) -> RowImplementation:
     """Split the controller into per-row realizations.
 
-    Without ``orders`` each row keeps the pair's full hidden block and is then
-    pruned to its reachable and observable part, which drops the integrator
-    from identically zero rows. With ``orders`` (or a full spec) the hidden
-    block is first truncated to n_i states per row and one integrator state is
-    chained in front.
+    Row i of [W V] is truncated by ``reduce_rows`` to its Krylov subspace,
+    at most ``orders[i]`` states, or at most q without ``orders``, which is
+    exact. One integrator state is chained in front, and the row is pruned
+    to its reachable and observable part, so an exact row has at most
+    q + 1 states and an identically zero row has none.
     """
     if not srtr_is_stable(pair):
         raise PreconditionError("row-wise implementation needs a stable pair")
-    p, q, m = pair.p, pair.q, pair.m
-    if spec is None and orders is not None:
-        spec = dense_spec(p, m, q)
-        spec = SynthesisSpec(spec.maskW, spec.maskV, tuple(orders), None)
-    if spec is not None:
-        wv_rows = reduce_rows(pair.base, pair.K, spec)
-        rows = tuple(_row_with_integrator(r) for r in wv_rows)
-        return RowImplementation(rows, p, m, pair.domain)
-    kd = kd_from_srtr(pair)
-    rows = []
-    for i in range(p):
-        full = StateSpaceSystem(
-            kd.realization.A,
-            kd.realization.B,
-            kd.realization.C[i : i + 1, :],
-            kd.realization.D[i : i + 1, :],
-            pair.domain,
-        )
-        pruned = minimal_realization(full)
-        rows.append(pruned)
-    return RowImplementation(tuple(rows), p, m, pair.domain)
+    spec = dense_spec(pair.p, pair.m, pair.q)
+    if orders is not None:
+        spec = SynthesisSpec(spec.maskW, spec.maskV, tuple(orders))
+    rows = tuple(
+        minimal_realization(_row_with_integrator(r))
+        for r in reduce_rows(pair.base, pair.K, spec)
+    )
+    return RowImplementation(rows, pair.p, pair.m, pair.domain)
 
 
 @dataclass(frozen=True)

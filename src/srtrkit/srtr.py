@@ -123,19 +123,10 @@ class SrtrPair:
         return np.linalg.solve(pencil, wv[..., self.p :])
 
 
-def verify_srtr_identity(
-    pair: SrtrPair,
-    base: PartitionedRealization | None = None,
-    n_samples: int = 7,
-    seed: int = 0,
-) -> float:
-    """Max relative sampling residual of G = (lam I - W)^{-1} V.
-
-    ``base`` defaults to the pair's own base; passing a different one checks
-    the pair against that system's transfer matrix instead.
-    """
-    if base is None:
-        base = pair.base
+def verify_srtr_identity(pair: SrtrPair, n_samples: int = 7, seed: int = 0) -> float:
+    """Max relative sampling residual of G = (lam I - W)^{-1} V against the
+    transfer matrix of the pair's base."""
+    base = pair.base
     G = base.full_system()
     poles = np.concatenate([eigenvalues(base.A), eigenvalues(pair.Aw)])
     return sampled_residual(
@@ -145,8 +136,6 @@ def verify_srtr_identity(
 
 def srtr_is_stable(pair: SrtrPair) -> bool:
     """Stability of the pair is stability of its hidden dynamics Aw."""
-    if pair.q == 0:
-        return True
     return is_stable_spectrum(pair.Aw, pair.domain)
 
 

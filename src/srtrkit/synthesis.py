@@ -22,6 +22,7 @@ from .errors import (
 )
 from .linalg import (
     eigenvalues,
+    is_stable_spectrum,
     stability_distance,
     stability_margin,
     zero_entries,
@@ -84,9 +85,9 @@ class SynthesisSpec:
         return SparsityPattern(self.maskW, self.maskV)
 
 
-def dense_spec(p: int, m: int, q: int, extra: str | None = None) -> SynthesisSpec:
+def dense_spec(p: int, m: int, q: int) -> SynthesisSpec:
     """All-ones masks with full row orders: no structure asked for."""
-    return SynthesisSpec(np.ones((p, p)), np.ones((p, m)), (max(q, 1),) * p, extra)
+    return SynthesisSpec(np.ones((p, p)), np.ones((p, m)), (max(q, 1),) * p)
 
 
 @dataclass(frozen=True)
@@ -449,9 +450,7 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = 1e-9) -> b
             f"expected SrtrPair or a row collection, got {type(pair_or_rows).__name__}"
         )
     for i, row in enumerate(rows):
-        if row.n and not all(
-            stability_distance(z, row.domain) == 0.0 for z in row.poles()
-        ):
+        if not is_stable_spectrum(row.A, row.domain):
             return False
         allowed = np.concatenate([spec.maskW[i], spec.maskV[i]]).astype(bool)
         allowed[i] = True

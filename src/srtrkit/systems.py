@@ -274,7 +274,7 @@ class PartitionedRealization:
         return controllability_staircase(self.A22.T, self.A12.T)[1] == self.q
 
 
-def to_output_normal(sys: StateSpaceSystem, tol: float | None = None) -> tuple[
+def to_output_normal(sys: StateSpaceSystem) -> tuple[
     PartitionedRealization, np.ndarray
 ]:
     """Bring a strictly proper system with full-row-rank C into C = [I 0] form.
@@ -295,7 +295,7 @@ def to_output_normal(sys: StateSpaceSystem, tol: float | None = None) -> tuple[
         raise RegularityViolationError(
             f"more outputs ({p}) than states ({sys.n})"
         )
-    if rank_with_tolerance(sys.C, tol) < p:
+    if rank_with_tolerance(sys.C) < p:
         raise RegularityViolationError("output matrix is row-rank deficient")
     # stack C over an orthonormal completion of its row space; the inverse of
     # this T is [C^+, Q2] so C T^{-1} = [I 0] exactly in exact arithmetic

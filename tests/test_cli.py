@@ -160,6 +160,14 @@ def test_loop_commands(ring_files, tmp_path):
         "--orders", "1",
     ])
     assert rc == 0
+    # without --orders every row is exact, and the full-order loop is stable too
+    full = tmp_path / "full.json"
+    rc = dispatch([
+        "loop", "stability", "--plant", str(plant), "--pair", ring_files["pair"],
+        "-o", str(full),
+    ])
+    assert rc == 0
+    assert read_json(full)["internallyStable"] is True
     csv_path = tmp_path / "traj.csv"
     rc = dispatch([
         "loop", "simulate", "--cl", str(cl), "--horizon", "0.01", "--dt", "0.001",

@@ -186,6 +186,42 @@ def test_ctnare_no_stabilizing_solution():
         solve_ctnare(lcf)
 
 
+def _no_hidden_lcf(rng, domain, stable):
+    """LcfOverS with q = 0 whose A11 + F1 has a conjugate pair and one real
+    eigenvalue, in a random orthogonal basis; the real one is unstable when
+    ``stable`` is False."""
+    if domain == "continuous":
+        a, b = -rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0)
+        c = -rng.uniform(0.3, 2.0) if stable else rng.uniform(0.3, 2.0)
+    else:
+        a, b = rng.uniform(-0.6, 0.6), rng.uniform(0.1, 0.6)
+        c = rng.uniform(-0.9, 0.9) if stable else rng.uniform(1.1, 2.0)
+    T = np.array([[a, b, rng.normal()], [-b, a, rng.normal()], [0.0, 0.0, c]])
+    Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    A11 = rng.normal(size=(3, 3))
+    blocks = PartitionedRealization(
+        A11=A11, A12=np.zeros((3, 0)), A21=np.zeros((0, 3)), A22=np.zeros((0, 0)),
+        B1=rng.normal(size=(3, 2)), B2=np.zeros((0, 2)), domain=domain,
+    )
+    return LcfOverS(blocks, Q @ T @ Q.T - A11, np.zeros((0, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("seed", range(4))
+def test_ctnare_without_hidden_states(domain, seed):
+    # q = 0: K is empty and the closed spectrum is eig(A11 + F1) itself
+    rng = np.random.default_rng(seed)
+    lcf = _no_hidden_lcf(rng, domain, stable=True)
+    sol = solve_ctnare(lcf)
+    assert sol.K.shape == (0, 3)
+    want = eigenvalues(lcf.blocks.A11 + lcf.F1)
+    assert np.array_equal(np.sort_complex(sol.closed_spectrum), np.sort_complex(want))
+    assert sol.residual_norm == 0.0
+    assert abs(sol.subspace_cond - 1.0) <= 1e-12
+    with pytest.raises(NoSolutionError):
+        solve_ctnare(_no_hidden_lcf(rng, domain, stable=False))
+
+
 def test_ctnare_keeps_conjugate_pairs_whole():
     # The stable spectrum of [[A11+F1, -A12], [-(A21+F2), A22]] is -1 with
     # eigenvector e1, whose top block is the best single column, and the

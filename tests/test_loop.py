@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
-from helpers import csv_reference, random_pair
+from helpers import assign_stable_spectrum, csv_reference, random_pair, stable_targets
 from srtrkit import fixtures, loop
 from srtrkit.errors import AlgebraicLoopError, DimensionError, PreconditionError
 from srtrkit.loop import (
@@ -24,7 +24,16 @@ from srtrkit.loop import (
     simulate,
     unstable_pole_count,
 )
-from srtrkit.systems import StateSpaceSystem, eval_tfm
+from srtrkit.linalg import eigenvalues, stability_margin
+from srtrkit.srtr import SrtrPair
+from srtrkit.synthesis import SynthesisSpec, dense_spec, reduce_rows
+from srtrkit.systems import (
+    PartitionedRealization,
+    StateSpaceSystem,
+    _row_with_integrator,
+    eval_tfm,
+    is_minimal,
+)
 
 # overflow on the divergence path must stay inside simulate
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -98,6 +107,50 @@ def test_rowwise_requires_stable_pair():
     hot = fixtures.scalar_class_pair(2.0)
     with pytest.raises(PreconditionError):
         rowwise_implementation(hot, orders=[1])
+
+
+def test_exact_ring_rows_are_minimal_with_one_integrator():
+    # row i of lam^{-1} [W V] needs at most q + 1 = 7 states; no other
+    # row's integrator stays behind
+    rows = rowwise_implementation(fixtures.ring6_pair())
+    for row in rows.rows:
+        assert row.n <= 7
+        assert is_minimal(row)
+
+
+def test_exact_ring_closed_loop_is_stable():
+    cl = assemble_closed_loop(fixtures.ring6_plant(), rowwise_implementation(fixtures.ring6_pair()))
+    assert check_internal_stability(cl)
+    assert stability_margin(eigenvalues(cl.Acl), cl.domain) > 0.2
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_identically_zero_row_has_no_states(domain):
+    # row 0 of [W V] is zero: no coupling, no direct term, no input
+    rng = np.random.default_rng(31)
+    base = random_pair(rng, 3, 2, 2, domain=domain).base
+    A11, A12, B1 = base.A11.copy(), base.A12.copy(), base.B1.copy()
+    A11[0], A12[0], B1[0] = 0.0, 0.0, 0.0
+    base = PartitionedRealization(A11, A12, base.A21, base.A22, B1, base.B2, domain)
+    pair = SrtrPair(base, assign_stable_spectrum(base.A22, base.A12, stable_targets(2, rng, domain)))
+    for orders in (None, [2, 2, 2], [1, 2, 2]):
+        rows = rowwise_implementation(pair, orders=orders)
+        assert rows.rows[0].n == 0
+        assert np.all(rows.rows[0].D == 0.0)
+    lam = 0.7 + 1.3j
+    want = eval_tfm(pair.wv_system(), lam) / lam
+    for i, row in enumerate(rowwise_implementation(pair).rows):
+        assert np.allclose(eval_tfm(row, lam), want[i : i + 1], atol=1e-10)
+
+
+def test_truncated_ring_rows_are_integrators_on_reduced_rows():
+    pair = fixtures.ring6_pair()
+    spec = dense_spec(6, 6, 6)
+    spec = SynthesisSpec(spec.maskW, spec.maskV, (1,) * 6)
+    want = [_row_with_integrator(r) for r in reduce_rows(pair.base, pair.K, spec)]
+    for got, ref in zip(ring_rows().rows, want):
+        for name in "ABCD":
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_assemble_ring_closed_loop_is_stable():

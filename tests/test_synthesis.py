@@ -25,7 +25,7 @@ from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInput
 from srtrkit.linalg import eigenvalues, sample_complex_points
 from srtrkit.rational import siso_rational
 from srtrkit.srtr import SrtrPair
-from srtrkit.systems import eval_tfm
+from srtrkit.systems import StateSpaceSystem, eval_tfm
 from srtrkit.synthesis import (
     SolveOptions,
     SynthesisSpec,
@@ -412,6 +412,22 @@ def test_verify_structured_exact_pair():
         maskW=np.eye(3, dtype=int), maskV=np.eye(3, dtype=int), orders=(3,) * 3
     )
     assert not verify_structured(pair, wrong)
+
+
+@pytest.mark.parametrize(
+    "domain, boundary, inside",
+    [("continuous", [0.0], -0.5), ("discrete", [1.0, -1.0], 0.5)],
+)
+def test_verify_structured_rejects_rows_on_the_stability_boundary(domain, boundary, inside):
+    # stability is strict for rows as for pairs: a pole on the boundary fails
+    spec = dense_spec(1, 1, 1)
+
+    def row(pole):
+        return StateSpaceSystem([[pole]], [[1.0, 1.0]], [[1.0]], np.zeros((1, 2)), domain)
+
+    assert verify_structured([row(inside)], spec)
+    for pole in boundary:
+        assert not verify_structured([row(pole)], spec)
 
 
 @settings(max_examples=20, deadline=None)
