@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
@@ -248,7 +250,19 @@ def cmd_loop_simulate(args) -> int:
     traj = simulate(cl, signals=None, x0=x0, horizon=args.horizon, dt=args.dt)
     if traj.diverged:
         print("warning: trajectory diverged before the horizon", file=sys.stderr)
-    _emit(args, traj.to_csv())
+    if not args.output:
+        traj.to_csv(sys.stdout)
+        return 0
+    fh = open(args.output, "w", encoding="utf-8")
+    try:
+        with fh:
+            traj.to_csv(fh)
+    except BaseException:
+        # a short trace would still parse: remove it, unless it is no
+        # regular file of its own (/dev/null, a symlink)
+        if stat.S_ISREG(os.lstat(args.output).st_mode):
+            os.remove(args.output)
+        raise
     return 0
 
 

@@ -249,7 +249,7 @@ def check_internal_stability(cl: ClosedLoopModel) -> bool:
     return is_stable_spectrum(cl.Acl, cl.domain)
 
 
-_CSV_BLOCK = 1 << 15  # values formatted per block in Trajectory.to_csv
+_CSV_BLOCK = 1 << 15  # values formatted, and streamed, per block in Trajectory.to_csv
 _BLOCK = 64  # most steps per block in _propagate
 _POWER_MAX = 1e12  # bound on ||Phi||_1^L for _propagate's block length L
 _CHANNELS = ("r", "w", "zeta", "du")
@@ -271,7 +271,7 @@ class Trajectory:
     v: np.ndarray
     diverged: bool = False
 
-    def to_csv(self) -> str:
+    def to_csv(self, fh=None) -> str | None:
         """The trajectory as CSV text: a header line, then one line per grid
         point.
 
@@ -281,6 +281,12 @@ class Trajectory:
         ``-inf``, ``-0``, ``1e-05`` and ``1e+300``. Blocks of rows are
         formatted by one numpy kernel, ``_format_g12``; the few values it
         cannot round safely are formatted by ``%`` itself.
+
+        With ``fh``, a text file, the header and then each block go to
+        ``fh.write`` as soon as they are formatted, so no more than one
+        block of text is held at a time, and ``None`` is returned. If
+        formatting fails partway, ``fh`` has received the blocks before the
+        failure. Without ``fh``, the whole text is returned as one string.
         """
         cols = [
             ("x", self.x), ("r", self.r), ("w", self.w), ("zeta", self.zeta),
@@ -294,12 +300,20 @@ class Trajectory:
         seps = np.full(len(header), ord(","), np.uint64)
         seps[-1] = ord("\n")
         rows = max(1, _CSV_BLOCK // len(header))
-        # one growing buffer: a string per block would fragment the heap
+        # Without fh, one growing buffer: a string per block would fragment
+        # the heap. With fh, the buffer is written out and emptied before
+        # each block and after the last.
         text = bytearray((",".join(header) + "\n").encode("ascii"))
         for at in range(0, self.t.shape[0], rows):
+            if fh is not None:
+                fh.write(text.decode("ascii"))
+                del text[:]
             block = np.hstack([arr[at : at + rows] for arr in arrays], dtype=float)
             _format_g12(block, seps, text)
-        return text.decode("ascii")
+        if fh is None:
+            return text.decode("ascii")
+        fh.write(text.decode("ascii"))
+        return None
 
 
 # One formatted value in 20 bytes: byte 0 the sign, bytes 1-17 the digits

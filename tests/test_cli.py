@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srtrkit import cli, errors, fixtures, jsonio
+from srtrkit import cli, errors, fixtures, jsonio, loop
 from srtrkit.cli import dispatch, run_ring_reproduction
 from srtrkit.factorization import ThetaFactor, lcf_from_srtr
 from helpers import csv_reference
@@ -225,17 +225,44 @@ def test_loop_simulate_rejects_malformed_x0(x0, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_loop_simulate_trace_equals_reference(tmp_path):
+def test_loop_simulate_trace_equals_reference(tmp_path, capsys):
     cl = _ring_loop_file(tmp_path)
     x0 = np.random.default_rng(23).normal(size=24)
     x0_file = tmp_path / "x0.json"
     x0_file.write_text(json.dumps(x0.tolist()))
     out = tmp_path / "traj.csv"
-    rc = dispatch(["loop", "simulate", "--cl", str(cl), "--x0", str(x0_file),
-                   "--horizon", "2", "--dt", "0.001", "-o", str(out)])
-    assert rc == 0
+    argv = ["loop", "simulate", "--cl", str(cl), "--x0", str(x0_file),
+            "--horizon", "2", "--dt", "0.001"]
+    assert dispatch(argv + ["-o", str(out)]) == 0
     traj = simulate(_ring_loop(), x0=x0, horizon=2.0, dt=0.001)
-    assert out.read_bytes() == csv_reference(traj).encode("ascii")
+    # the trace is streamed in blocks of rows: this one takes five
+    assert traj.t.size > 4 * (loop._CSV_BLOCK // 73)
+    want = csv_reference(traj)
+    assert out.read_bytes() == want.encode("ascii")
+    capsys.readouterr()
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_loop_simulate_removes_partial_trace_on_failure(tmp_path, monkeypatch, capsys):
+    cl = _ring_loop_file(tmp_path)
+    calls = []
+    format_g12 = loop._format_g12
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise errors.NumericalFailureError("formatting failed")
+        return format_g12(*args)
+
+    monkeypatch.setattr(loop, "_format_g12", failing)
+    out = tmp_path / "traj.csv"
+    rc = dispatch(["loop", "simulate", "--cl", str(cl), "--horizon", "2", "--dt", "0.001",
+                   "-o", str(out)])
+    assert rc == 3
+    assert len(calls) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("numerical failure: formatting failed")
 
 
 def test_reproduce_command(capsys):

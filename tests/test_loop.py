@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -567,3 +569,79 @@ def test_csv_shapes(rows, width):
 def test_csv_property_any_float(data):
     traj = Trajectory(data[:, 0], *np.array_split(data[:, 1:], 9, axis=1))
     assert traj.to_csv() == csv_reference(traj)
+
+
+class _Sink:
+    """A text file that keeps every ``write`` it is given, or with
+    ``keep=False`` only counts the characters."""
+
+    def __init__(self, keep=True):
+        self.keep, self.writes, self.chars = keep, [], 0
+
+    def write(self, text):
+        self.chars += len(text)
+        if self.keep:
+            self.writes.append(text)
+
+
+@pytest.mark.parametrize("rows,width", [(0, 10), (1, 10), (3, 19), (7000, 10), (2000, 73)])
+def test_csv_streamed_equals_returned(rows, width):
+    rng = np.random.default_rng(rows * width + 1)
+    traj = _trajectory(rng.normal(size=rows * width) * 10.0 ** rng.integers(-8, 8, rows * width),
+                       width)
+    text = traj.to_csv()
+    assert text == csv_reference(traj)
+    buf = io.StringIO()
+    assert traj.to_csv(buf) is None
+    assert buf.getvalue() == text
+    # the header goes out first, then one write per block of whole rows
+    sink = _Sink()
+    traj.to_csv(sink)
+    per_block = loop._CSV_BLOCK // width
+    assert sink.writes[0] == text[: text.index("\n") + 1]
+    assert len(sink.writes) == 1 + -(-rows // per_block)
+    assert all(w.endswith("\n") and w.count("\n") <= per_block for w in sink.writes[1:])
+
+
+def test_csv_fallbacks_at_block_boundary():
+    # values that the kernel leaves to % (and -0.0), in the last row of the
+    # first block and the first row of the second, at the row ends too
+    width = 73
+    per_block = loop._CSV_BLOCK // width
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(3 * per_block, width))
+    awkward = [np.nan, -np.inf, -0.0, 123456789012.5, 1e300]
+    for row in (per_block - 1, per_block):
+        for i, val in enumerate(awkward):
+            data[row, [0, 1 + 13 * i, width - 1 - i][i % 3]] = val
+        data[row, -1] = awkward[row % len(awkward)]
+    traj = _trajectory(data, width)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    assert buf.getvalue() == traj.to_csv() == csv_reference(traj)
+
+
+def _ring_sized_trajectory(rows):
+    """``rows`` grid points of the ring loop's 73 columns (24 states, six of
+    every signal), ring-like magnitudes."""
+    rng = np.random.default_rng(rows)
+    data = rng.normal(size=(rows, 73)) * 10.0 ** rng.integers(-6, 2, (rows, 73))
+    return Trajectory(data[:, 0], data[:, 1:25], *np.split(data[:, 25:], 8, axis=1))
+
+
+def test_csv_stream_memory_is_one_block():
+    peaks, chars = [], []
+    for rows in (8000, 80000):
+        traj = _ring_sized_trajectory(rows)
+        sink = _Sink(keep=False)
+        tracemalloc.start()
+        try:
+            traj.to_csv(sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        chars.append(sink.chars)
+        del traj
+    assert chars[1] > 9 * chars[0]
+    assert peaks[1] <= 1.5 * peaks[0]
+    assert peaks[1] < chars[1] / 4
