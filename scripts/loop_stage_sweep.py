@@ -9,7 +9,9 @@ of ``simulate`` (sampling, step matrices, stepping, outputs) and
 alternating rounds, reports each stage's best time with the quartiles of
 all its timed calls, compares the two sides' trajectories and the sha256 of
 their CSV texts, and adds the result as ``stage_sweep`` to
-``BENCH_<pr>.json`` (written before by ``bench_pairs.py``). The stages are
+``BENCH_<pr>.json`` (written before by ``bench_pairs.py``). Per size and
+side it also runs one ``srtrkit loop simulate -o`` on the same loop (free
+response) in a fresh process that reports its own peak RSS. The stages are
 timed by wrapping private names of ``loop.py`` (see ``sweep_worker``), so
 this script follows that module's internals and is specific to it. Run
 from the root of the repository.
@@ -65,22 +67,7 @@ def sweep_worker(src: str, out: str) -> None:
 
     result, states = {}, {}
     for n in SWEEP_SIZES:
-        rng = np.random.default_rng(n)
-        k = n // 4
-        A = rng.normal(size=(n, n)) / np.sqrt(n)
-        A -= (np.max(np.linalg.eigvals(A).real) + 0.2) * np.eye(n)
-        cl = loop.ClosedLoopModel(
-            Acl=A, B_r=rng.normal(size=(n, k)), B_w=rng.normal(size=(n, k)),
-            B_zeta=rng.normal(size=(n, k)), B_du=rng.normal(size=(n, k)),
-            Cu=rng.normal(size=(k, n)), Cy=rng.normal(size=(k, n)),
-            E=rng.normal(size=(k, k)), F=np.zeros((k, k)),
-            n_plant=n, n_ctrl=0, domain="continuous")
-        signals = {
-            c: (lambda t, a=rng.normal(size=k), om=rng.uniform(0.5, 4.0),
-                ph=rng.uniform(0.0, 2 * np.pi): a * np.sin(om * t + ph))
-            for c in ("r", "w", "zeta", "du")
-        }
-        x0 = rng.normal(size=n)
+        cl, signals, x0 = random_loop(loop, n)
         times: dict = {}
         for call in range(1 + SWEEP_CALLS):
             spent.clear()
@@ -105,6 +92,73 @@ def sweep_worker(src: str, out: str) -> None:
     np.savez(out + ".npz", **states)
 
 
+def random_loop(loop, n: int):
+    """The sweep's stable random loop of n states, its sinusoids and x0."""
+    import numpy as np
+
+    rng = np.random.default_rng(n)
+    k = n // 4
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    A -= (np.max(np.linalg.eigvals(A).real) + 0.2) * np.eye(n)
+    cl = loop.ClosedLoopModel(
+        Acl=A, B_r=rng.normal(size=(n, k)), B_w=rng.normal(size=(n, k)),
+        B_zeta=rng.normal(size=(n, k)), B_du=rng.normal(size=(n, k)),
+        Cu=rng.normal(size=(k, n)), Cy=rng.normal(size=(k, n)),
+        E=rng.normal(size=(k, k)), F=np.zeros((k, k)),
+        n_plant=n, n_ctrl=0, domain="continuous")
+    signals = {
+        c: (lambda t, a=rng.normal(size=k), om=rng.uniform(0.5, 4.0),
+            ph=rng.uniform(0.0, 2 * np.pi): a * np.sin(om * t + ph))
+        for c in ("r", "w", "zeta", "du")
+    }
+    return cl, signals, rng.normal(size=n)
+
+
+def cli_worker(src: str, n: str, workdir: str) -> None:
+    """One ``srtrkit loop simulate -o`` run on the loop of ``n`` states with
+    the sources in ``src``; the loop, x0 and trace files go to ``workdir``.
+    Prints as JSON the exit code, this process's peak RSS before and after
+    the run, and the size and sha256 of the trace."""
+    import resource
+
+    sys.path.insert(0, src)
+    from srtrkit import cli, jsonio, loop
+
+    cl, _, x0 = random_loop(loop, int(n))
+    work = Path(workdir)
+    (work / "cl.json").write_text(jsonio.dumps(jsonio.closed_loop_to_dict(cl)))
+    (work / "x0.json").write_text(json.dumps(x0.tolist()))
+    del cl
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    rc = cli.dispatch(["loop", "simulate", "--cl", str(work / "cl.json"),
+                       "--x0", str(work / "x0.json"), "--horizon", repr(SWEEP_HORIZON),
+                       "--dt", repr(SWEEP_DT), "-o", str(work / "traj.csv")])
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    digest = hashlib.sha256()
+    with open(work / "traj.csv", "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    print(json.dumps({"cli_exit": rc, "cli_rss_before_mb": before / 1024,
+                      "cli_peak_rss_mb": peak / 1024,
+                      "cli_csv_bytes": (work / "traj.csv").stat().st_size,
+                      "cli_csv_sha256": digest.hexdigest()}))
+    (work / "traj.csv").unlink()
+
+
+def cli_peaks(roots: dict, tmp: Path) -> dict:
+    """``cli_worker``'s report per side and size, the sides alternating."""
+    out = {s: {} for s in SIDES}
+    for i, n in enumerate(SWEEP_SIZES):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            work = tmp / ("cli-%s-%d" % (side, n))
+            work.mkdir()
+            done = subprocess.run([sys.executable, __file__, "--cli-worker",
+                                   str(roots[side] / "src"), str(n), str(work)],
+                                  check=True, capture_output=True, text=True)
+            out[side][str(n)] = json.loads(done.stdout.strip().splitlines()[-1])
+    return out
+
+
 def stage_sweep(roots: dict, tmp: Path) -> dict:
     import numpy as np
 
@@ -122,6 +176,7 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
                         times[side].setdefault(n, {}).setdefault(key, []).extend(vals)
                     exact[side][n] = got
             states[side] = np.load(str(out) + ".npz")
+    peaks = cli_peaks(roots, tmp)
 
     def spread(vals):
         q1, median, q3 = np.percentile(vals, [25, 50, 75])
@@ -133,8 +188,9 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
         same = xp.shape == xc.shape
         rel = float(np.linalg.norm(xc - xp) / np.linalg.norm(xp)) if same else float("nan")
         sides = {side: dict({key: spread(vals) for key, vals in times[side][n].items()},
-                            **exact[side][n]) for side in SIDES}
-        same_csv = sides["parent"]["csv_sha256"] == sides["change"]["csv_sha256"]
+                            **exact[side][n], **peaks[side][n]) for side in SIDES}
+        same_csv = all(sides["parent"][key] == sides["change"][key]
+                       for key in ("csv_sha256", "cli_csv_sha256"))
         sizes[n] = dict(sides, x_rel_diff=rel, same_rows=same, same_csv=same_csv)
     return {
         "input": ("stable random ClosedLoopModel of n states, p = m = n / 4, rng seed n, "
@@ -149,7 +205,12 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
                    "the rest of simulate (input forcing, recurrence, divergence check); "
                    "simulate_s: the whole call; to_csv_s: Trajectory.to_csv"),
         "x_rel_diff": "|x_change - x_parent|_F / |x_parent|_F over the whole trajectory",
-        "same_csv": "the two sides' to_csv texts have the same sha256 (csv_sha256)",
+        "cli": ("one `srtrkit loop simulate --x0 -o` of the same loop (free response, same "
+                "grid) per size and side, alternating, in a fresh process: cli_peak_rss_mb is "
+                "its ru_maxrss after the run, cli_rss_before_mb after loading srtrkit and "
+                "writing the loop files"),
+        "same_csv": ("the two sides' to_csv texts have the same sha256 (csv_sha256), and so "
+                     "do their CLI traces (cli_csv_sha256)"),
         "sizes": sizes,
     }
 
@@ -182,5 +243,7 @@ def main(argv=None) -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
         sweep_worker(*sys.argv[2:4])
+    elif sys.argv[1:2] == ["--cli-worker"]:
+        cli_worker(*sys.argv[2:5])
     else:
         sys.exit(main())

@@ -244,8 +244,8 @@ def test_loop_simulate_trace_equals_reference(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
-def test_loop_simulate_removes_partial_trace_on_failure(tmp_path, monkeypatch, capsys):
-    cl = _ring_loop_file(tmp_path)
+def _fail_second_block(monkeypatch):
+    """Make the CSV kernel raise on its second block; returns its calls."""
     calls = []
     format_g12 = loop._format_g12
 
@@ -256,6 +256,12 @@ def test_loop_simulate_removes_partial_trace_on_failure(tmp_path, monkeypatch, c
         return format_g12(*args)
 
     monkeypatch.setattr(loop, "_format_g12", failing)
+    return calls
+
+
+def test_loop_simulate_removes_partial_trace_on_failure(tmp_path, monkeypatch, capsys):
+    cl = _ring_loop_file(tmp_path)
+    calls = _fail_second_block(monkeypatch)
     out = tmp_path / "traj.csv"
     rc = dispatch(["loop", "simulate", "--cl", str(cl), "--horizon", "2", "--dt", "0.001",
                    "-o", str(out)])
@@ -263,6 +269,18 @@ def test_loop_simulate_removes_partial_trace_on_failure(tmp_path, monkeypatch, c
     assert len(calls) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("numerical failure: formatting failed")
+
+
+def test_loop_simulate_keeps_a_linked_output_on_failure(tmp_path, monkeypatch):
+    # only a regular file is removed: -o /dev/null or a link stays in place
+    cl = _ring_loop_file(tmp_path)
+    _fail_second_block(monkeypatch)
+    target, link = tmp_path / "traj.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    rc = dispatch(["loop", "simulate", "--cl", str(cl), "--horizon", "2", "--dt", "0.001",
+                   "-o", str(link)])
+    assert rc == 3
+    assert link.is_symlink()
 
 
 def test_reproduce_command(capsys):
