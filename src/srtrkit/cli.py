@@ -363,10 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     up when it runs the command.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--samples", type=int, default=5)
     common.add_argument("-o", "--output", default=None)
+    tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    tol.add_argument("--tol", type=float, default=1e-6)
+    sampled = argparse.ArgumentParser(add_help=False, parents=[tol])
+    sampled.add_argument("--seed", type=int, default=42)
+    sampled.add_argument("--samples", type=int, default=5)
 
     parser = argparse.ArgumentParser(prog="srtrkit")
     top = parser.add_subparsers(dest="group", required=True)
@@ -377,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", required=True)
     sp.add_argument("--gain", required=True)
     sp.set_defaults(func="cmd_srtr_build")
-    sp = srtr_sub.add_parser("check", parents=[common])
+    sp = srtr_sub.add_parser("check", parents=[sampled])
     sp.add_argument("--in", dest="infile", required=True)
     sp.set_defaults(func="cmd_srtr_check")
     sp = srtr_sub.add_parser("nrf", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
     sp.set_defaults(func="cmd_srtr_nrf")
-    sp = srtr_sub.add_parser("pattern", parents=[common])
+    sp = srtr_sub.add_parser("pattern", parents=[tol])
     sp.add_argument("--in", dest="infile", required=True)
     sp.set_defaults(func="cmd_srtr_pattern")
 
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = lcf_sub.add_parser("to-srtr", parents=[common])
     sp.add_argument("--in", dest="infile", required=True)
     sp.set_defaults(func="cmd_lcf_to_srtr")
-    sp = lcf_sub.add_parser("check", parents=[common])
+    sp = lcf_sub.add_parser("check", parents=[sampled])
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--source", default=None)
     sp.set_defaults(func="cmd_lcf_check")
@@ -409,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = top.add_parser("synth", help="structured gain synthesis")
     synth_sub = synth.add_subparsers(dest="cmd", required=True)
-    sp = synth_sub.add_parser("conditions", parents=[common])
+    sp = synth_sub.add_parser("conditions", parents=[tol])
     sp.add_argument("--base", required=True)
     sp.add_argument("--gain", required=True)
     sp.add_argument("--spec", required=True)
     sp.set_defaults(func="cmd_synth_conditions")
-    sp = synth_sub.add_parser("solve", parents=[common])
+    sp = synth_sub.add_parser("solve", parents=[tol])
     sp.add_argument("--base", required=True)
     sp.add_argument("--spec", required=True)
     sp.set_defaults(func="cmd_synth_solve")

@@ -39,8 +39,6 @@ def _matrix(data, name: str, rows: int | None = None, cols: int | None = None) -
         raise InvalidInputError(f"field {name!r} is not a numeric matrix") from exc
     if M.size == 0 and rows is not None and cols is not None:
         return np.zeros((rows, cols))
-    if M.ndim == 1 and M.size == 0 and rows is not None and cols is not None:
-        return np.zeros((rows, cols))
     if M.ndim != 2:
         raise InvalidInputError(f"field {name!r} must be a list of rows")
     if not np.all(np.isfinite(M)):

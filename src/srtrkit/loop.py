@@ -32,7 +32,7 @@ from .linalg import (
 )
 from .srtr import SrtrPair, srtr_is_stable
 from .synthesis import SynthesisSpec, dense_spec, reduce_rows
-from .systems import StateSpaceSystem, _row_with_integrator, minimal_realization
+from .systems import StateSpaceSystem, minimal_realization, with_integrators
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,7 @@ def kd_from_srtr(pair: SrtrPair) -> KdController:
     The p integrator states feed the outputs; the hidden block is the pair's
     own Aw. Feedthrough is identically zero by construction.
     """
-    p, q, m = pair.p, pair.q, pair.m
-    A = np.block(
-        [[np.zeros((p, p)), pair.Cw], [np.zeros((q, p)), pair.Aw]]
-    )
-    B = np.vstack([pair.Dw, pair.Bw])
-    C = np.hstack([np.eye(p), np.zeros((p, q))])
-    D = np.zeros((p, p + m))
-    return KdController(
-        StateSpaceSystem(A, B, C, D, pair.domain), pair
-    )
+    return KdController(with_integrators(pair.wv_system()), pair)
 
 
 def unstable_pole_count(sys: StateSpaceSystem) -> int:
@@ -131,7 +122,7 @@ def rowwise_implementation(pair: SrtrPair, orders=None) -> RowImplementation:
     if orders is not None:
         spec = SynthesisSpec(spec.maskW, spec.maskV, tuple(orders))
     rows = tuple(
-        minimal_realization(_row_with_integrator(r))
+        minimal_realization(with_integrators(r))
         for r in reduce_rows(pair.base, pair.K, spec)
     )
     return RowImplementation(rows, pair.p, pair.m, pair.domain)

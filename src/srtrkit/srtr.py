@@ -40,6 +40,7 @@ from .systems import (
     StateSpaceSystem,
     eval_tfm,
     read_only_system,
+    with_integrators,
 )
 
 
@@ -198,22 +199,34 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     into its own input i solves (lam - W_ii) u_i = sum_j W_ij u_j + V_i z
     for u_i, so Phi[i, j] = W_ij / (lam - W_ii) for j != i and
     Gamma[i, k] = V_ik / (lam - W_ii), and input i no longer reaches the
-    row: the diagonal is exactly zero. One stacked ``column_staircases``
-    sweep over (A^T, c^T) of every fed-back row keeps each row's observable
-    part, and an input column whose observable component is below 1e-9 of
-    its own norm is set to zero. These rows, zero-padded to the largest
-    observable order, are what the returned NrfPair evaluates. A second
-    sweep over every entry keeps the part that its input reaches. By
-    Kalman's decomposition what remains is minimal, so each entry's degree
-    is its true McMillan degree and no root is cancelled by tolerance. The
-    entries of one order get their coefficients from one stacked
-    ``siso_rational`` call. Rows are swept in consecutive groups whose
-    stacks fit in ``STACK_DOUBLES``; a network that fits in one group makes
-    one call per order.
+    row: the diagonal is exactly zero. Row i is the principal block of the
+    ``with_integrators`` layout of [W V] on its integrator state i and the
+    q hidden states, gathered for every row at once. Its output is its
+    state 0 (C = e_0^T), so the feedback is one move: add column i of B
+    to column 0 of A, then zero column i of B. Input i read u_i = e_0^T x
+    before the move and column 0 of A reads it after, so a loop that
+    closes u_i is unchanged; only the row seen alone changes. One stacked
+    ``column_staircases`` sweep over (A^T, c^T) of every fed-back row keeps
+    each row's observable part, and an input column whose observable
+    component is below 1e-9 of its own norm is set to zero. These rows,
+    zero-padded to the largest observable order, are what the returned
+    NrfPair evaluates. A second sweep over every entry keeps the part that
+    its input reaches. By Kalman's decomposition what remains is minimal,
+    so each entry's degree is its true McMillan degree and no root is
+    cancelled by tolerance. The entries of one order get their coefficients
+    from one stacked ``siso_rational`` call. Rows are swept in consecutive
+    groups whose stacks fit in ``STACK_DOUBLES``; a network that fits in
+    one group makes one call per order.
     """
-    p, m = pair.p, pair.m
-    A, B = _fed_back_rows(pair)
-    n = A.shape[-1]
+    p, q, m = pair.p, pair.q, pair.m
+    kd = with_integrators(pair.wv_system())
+    i = np.arange(p)
+    states = np.column_stack([i, np.broadcast_to(np.arange(p, p + q), (p, q))])
+    A = kd.A[states[:, :, None], states[:, None, :]]
+    B = kd.B[states]
+    A[:, :, 0] += B[i, :, i]
+    B[i, :, i] = 0.0
+    n = q + 1
     entries = np.empty((p, p + m), dtype=object)
     Ao, Bo, co = np.zeros((p, n, n)), np.zeros((p, n, p + m)), np.zeros((p, n))
     order = np.zeros(p, dtype=int)
@@ -245,23 +258,6 @@ def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
         )))
     Z = V = None  # free the sweep before the coefficients are formed
     return [(r, j, siso_rational(*abc, np.zeros(r.size))) for r, j, abc in reduced]
-
-
-def _fed_back_rows(pair: SrtrPair) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of lam^{-1} [W V] with its output u_i, the first state, fed
-    back into input i, for every row: A of shape (p, q + 1, q + 1) and B of
-    shape (p, q + 1, p + m), whose column i of row i is zero."""
-    p, q = pair.p, pair.q
-    A = np.zeros((p, q + 1, q + 1))
-    A[:, 0, 1:] = pair.Cw
-    A[:, 1:, 1:] = pair.Aw
-    B = np.empty((p, q + 1, p + pair.m))
-    B[:, 0] = pair.Dw
-    B[:, 1:] = pair.Bw
-    i = np.arange(p)
-    A[:, :, 0] = B[i, :, i]
-    B[i, :, i] = 0.0
-    return A, B
 
 
 def _observable_parts(A: np.ndarray, B: np.ndarray):

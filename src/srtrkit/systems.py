@@ -26,7 +26,6 @@ from .linalg import (
     as_real_matrix,
     check_domain,
     controllability_staircase,
-    eigenvalues,
     rank_with_tolerance,
 )
 
@@ -74,9 +73,6 @@ class StateSpaceSystem:
     @property
     def n_outputs(self) -> int:
         return self.C.shape[0]
-
-    def poles(self) -> np.ndarray:
-        return eigenvalues(self.A)
 
 
 def eval_tfm(sys: StateSpaceSystem, lam) -> np.ndarray:
@@ -169,17 +165,18 @@ def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> Stat
     return StateSpaceSystem(A, B, C, sys.D.copy(), sys.domain)
 
 
-def _row_with_integrator(row_wv: StateSpaceSystem) -> StateSpaceSystem:
-    """Divide a single-output row of [W V] by lam: one extra leading state."""
-    k = row_wv.n
-    A = np.zeros((k + 1, k + 1))
-    A[0, 1:] = row_wv.C[0]
-    A[1:, 1:] = row_wv.A
-    B = np.vstack([row_wv.D, row_wv.B])
-    C = np.zeros((1, k + 1))
-    C[0, 0] = 1.0
-    D = np.zeros((1, row_wv.n_inputs))
-    return StateSpaceSystem(A, B, C, D, row_wv.domain)
+def with_integrators(wv: StateSpaceSystem) -> StateSpaceSystem:
+    """lam^{-1} times a system with p outputs: p integrator states in front
+    read its outputs and are the new outputs. A = [[0, C], [0, A]],
+    B = [D; B], C = [I 0], D = 0."""
+    p, k = wv.n_outputs, wv.n
+    A = np.zeros((p + k, p + k))
+    A[:p, p:] = wv.C
+    A[p:, p:] = wv.A
+    B = np.vstack([wv.D, wv.B])
+    C = np.eye(p, p + k)
+    D = np.zeros((p, wv.n_inputs))
+    return StateSpaceSystem(A, B, C, D, wv.domain)
 
 
 @dataclass(frozen=True)

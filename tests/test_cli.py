@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,29 @@ def test_srtr_nrf_and_pattern(ring_files, tmp_path):
     assert dispatch(["srtr", "pattern", "--in", ring_files["pair"], "-o", str(pat)]) == 0
     masks = read_json(pat)
     assert len(masks["maskW"]) == 6
+
+
+def test_sampling_flags_only_on_commands_that_read_them(ring_files):
+    assert dispatch(["srtr", "nrf", "--in", ring_files["pair"], "--seed", "1"]) == 2
+    assert dispatch([
+        "srtr", "check", "--in", ring_files["pair"],
+        "--seed", "3", "--samples", "4", "--tol", "1e-6",
+    ]) == 0
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line.split("#", 1)[0].strip()
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+        for line in block.splitlines()
+    ]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("srtrkit ")]
+    assert {argv[0] for argv in commands} == {
+        "fixtures", "srtr", "lcf", "riccati", "synth", "loop", "reproduce",
+    }
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).func.startswith("cmd_")
 
 
 def test_lcf_pipeline(ring_files, tmp_path):

@@ -32,9 +32,9 @@ from srtrkit.synthesis import SynthesisSpec, dense_spec, reduce_rows
 from srtrkit.systems import (
     PartitionedRealization,
     StateSpaceSystem,
-    _row_with_integrator,
     eval_tfm,
     is_minimal,
+    with_integrators,
 )
 
 # overflow on the divergence path must stay inside simulate
@@ -149,10 +149,32 @@ def test_truncated_ring_rows_are_integrators_on_reduced_rows():
     pair = fixtures.ring6_pair()
     spec = dense_spec(6, 6, 6)
     spec = SynthesisSpec(spec.maskW, spec.maskV, (1,) * 6)
-    want = [_row_with_integrator(r) for r in reduce_rows(pair.base, pair.K, spec)]
+    want = [with_integrators(r) for r in reduce_rows(pair.base, pair.K, spec)]
     for got, ref in zip(ring_rows().rows, want):
         for name in "ABCD":
             assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def own_loop_move(row, i, v):
+    """Add v to column 0 of A and subtract it from column i of B."""
+    A, B = row.A.copy(), row.B.copy()
+    A[:, 0] += v
+    B[:, i] -= v
+    return StateSpaceSystem(A, B, row.C, row.D, row.domain)
+
+
+def test_own_loop_move_keeps_ring_closed_loop():
+    # with C = e_0^T the row's input i reads its state 0, so moving column
+    # i of B into column 0 of A changes the row alone, not the loop
+    pair, plant = fixtures.ring6_pair(), fixtures.ring6_plant()
+    layout = [with_integrators(r) for r in reduce_rows(pair.base, pair.K, dense_spec(6, 6, 6))]
+    assert all(np.array_equal(row.C, np.eye(1, row.n)) for row in layout)
+    want = assemble_closed_loop(plant, rowwise_implementation(pair)).Acl
+    moved = [own_loop_move(row, i, row.B[:, i]) for i, row in enumerate(layout)]
+    for rows in (layout, moved):
+        Acl = assemble_closed_loop(plant, RowImplementation(tuple(rows), 6, 6, "continuous")).Acl
+        assert Acl.shape == want.shape
+        assert np.linalg.norm(Acl - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_assemble_ring_closed_loop_is_stable():

@@ -5,7 +5,8 @@ minimality verdicts must not depend on the hidden-state coordinates."""
 import numpy as np
 import pytest
 
-from helpers import block_network, rotate_hidden, rotation
+from helpers import block_network, random_pair, rotate_hidden, rotation
+from srtrkit import fixtures, srtr
 from srtrkit.linalg import (
     controllability_staircase,
     eigenvalues,
@@ -19,10 +20,10 @@ from srtrkit.synthesis import SynthesisSpec, verify_structured
 from srtrkit.systems import (
     PartitionedRealization,
     StateSpaceSystem,
-    _row_with_integrator,
     eval_tfm,
     is_minimal,
     minimal_realization,
+    with_integrators,
 )
 
 
@@ -71,13 +72,36 @@ def fed_back_row(pair, i):
     """Row i of lam^{-1} [W V] with its output fed back into input i,
     before any pruning."""
     wv = pair.wv_system()
-    row = _row_with_integrator(
+    row = with_integrators(
         StateSpaceSystem(wv.A, wv.B, wv.C[i : i + 1], wv.D[i : i + 1], wv.domain)
     )
     A = row.A + np.outer(row.B[:, i], row.C[0])
     B = row.B.copy()
     B[:, i] = 0.0
     return StateSpaceSystem(A, B, row.C, row.D, wv.domain)
+
+
+@pytest.mark.parametrize("case", ["ring", "discrete"])
+def test_normal_form_feeds_back_the_integrator_layout(case, monkeypatch):
+    if case == "ring":
+        pair = fixtures.ring6_pair()
+    else:
+        pair = random_pair(np.random.default_rng(7400), 4, 3, 2, domain="discrete")
+    stacks = []
+    observable_parts = srtr._observable_parts
+
+    def spy(A, B):
+        stacks.append((A.copy(), B.copy()))
+        return observable_parts(A, B)
+
+    monkeypatch.setattr(srtr, "_observable_parts", spy)
+    nrf_from_srtr(pair)
+    A, B = (np.concatenate(s) for s in zip(*stacks))
+    assert len(A) == pair.p
+    for i in range(pair.p):
+        want = fed_back_row(pair, i)
+        assert A[i].tobytes() == want.A.tobytes()
+        assert B[i].tobytes() == want.B.tobytes()
 
 
 def oracle_row(pair, i):
