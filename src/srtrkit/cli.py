@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import stat
 import sys
@@ -193,7 +194,11 @@ def _rows_from_args(args, pair=None):
         pair = _load_pair(args.pair)
     orders = None
     if getattr(args, "orders", None):
-        parts = [int(v) for v in args.orders.split(",")]
+        try:
+            parts = json.loads(f"[{args.orders}]")
+        except json.JSONDecodeError:
+            parts = [args.orders]
+        parts = [jsonio.integer(v, "each entry of --orders") for v in parts]
         orders = parts * pair.p if len(parts) == 1 else parts
         if len(orders) != pair.p:
             raise InvalidInputError(

@@ -11,7 +11,7 @@ points at once, so each sampled check makes one stacked evaluation per draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,7 @@ from .linalg import (
     rank_with_tolerance,
     sampled_residual,
 )
-from .srtr import SrtrPair, srtr_is_stable
+from .srtr import SrtrPair, gain_blocks, srtr_is_stable
 from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
@@ -99,7 +99,8 @@ class LcfOverS:
     [M N](lam) = [U 0] + [U 0](lam I - Ap)^{-1} [[F1, B1], [F2, B2]] with the
     pole matrix Ap = blocks.A + [[F1, 0], [F2, 0]]. Construction validates
     shapes and invertibility of U; stability of Ap is the factories'
-    guarantee and verify_lcf's to check.
+    guarantee and verify_lcf's to check. ``srtr.gain_blocks`` on the blocks
+    of Ap gives a gain's Riccati residual (A_K) and closed matrix.
     """
 
     blocks: PartitionedRealization
@@ -145,11 +146,18 @@ class LcfOverS:
         return self._mn.A
 
     @cached_property
-    def _mn(self) -> StateSpaceSystem:
+    def _poles(self) -> PartitionedRealization:
         b = self.blocks
+        return PartitionedRealization(
+            b.A11 + self.F1, b.A12, b.A21 + self.F2, b.A22, b.B1, b.B2, self.domain
+        )
+
+    @cached_property
+    def _mn(self) -> StateSpaceSystem:
+        b = self._poles
         p = self.p
         return read_only_system(
-            np.block([[b.A11 + self.F1, b.A12], [b.A21 + self.F2, b.A22]]),
+            b.A,
             np.block([[self.F1, b.B1], [self.F2, b.B2]]),
             np.hstack([self.U, np.zeros((p, self.q))]),
             np.hstack([self.U, np.zeros((p, self.m))]),
@@ -188,15 +196,16 @@ def lcf_from_srtr(pair: SrtrPair, theta: ThetaFactor) -> LcfOverS:
         )
     if not srtr_is_stable(pair):
         raise PreconditionError("the pair must be stable (all eig(Aw) in the region)")
-    b, K = pair.base, pair.K
-    L11 = b.A11 - b.A12 @ K
+    # the pair's gain blocks: Dw = [A11 - A12 K, B1], Bw = [A_K, K B1 + B2]
+    p, b = pair.p, pair.base
+    L11 = pair.Dw[:, :p]
     blocks = PartitionedRealization(
         A11=L11,
         A12=b.A12,
         A21=pair.A_K,
         A22=pair.Aw,
         B1=b.B1,
-        B2=K @ b.B1 + b.B2,
+        B2=pair.Bw[:, p:],
         domain=pair.domain,
     )
     X = np.linalg.solve(theta.Bx, theta.Ax @ theta.Bx)
@@ -256,20 +265,14 @@ class RiccatiSolution:
         }
 
 
-def _riccati_data(lcf: LcfOverS) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    b = lcf.blocks
-    return b.A11 + lcf.F1, b.A12, b.A21 + lcf.F2, b.A22
-
-
 def riccati_residual(lcf: LcfOverS, K: np.ndarray) -> float:
-    Ap11, A12, Ap21, A22 = _riccati_data(lcf)
-    R = K @ Ap11 - K @ A12 @ K + Ap21 - A22 @ K
-    return float(np.linalg.norm(R))
+    """Frobenius norm of the Riccati residual, A_K on the blocks of Ap."""
+    return float(np.linalg.norm(gain_blocks(lcf._poles, K)[1]))
 
 
 def _hamiltonian_like(lcf: LcfOverS) -> np.ndarray:
-    Ap11, A12, Ap21, A22 = _riccati_data(lcf)
-    return np.block([[Ap11, -A12], [-Ap21, A22]])
+    b = lcf._poles
+    return np.block([[b.A11, -b.A12], [-b.A21, b.A22]])
 
 
 def _reachable(count: int, singles: int, pairs: int) -> bool:
@@ -342,10 +345,8 @@ def _candidate_from_basis(lcf: LcfOverS, basis: np.ndarray, subset: np.ndarray):
     if not np.isfinite(cond1) or cond1 > COND_CAP:
         return None, cond1
     K = V2 @ np.linalg.inv(V1)
-    Ap11, A12, _, _ = _riccati_data(lcf)
-    closed = eigenvalues(Ap11 - A12 @ K)
-    stabilizing = all(in_stability_region(z, lcf.domain) for z in closed)
-    if not stabilizing:
+    closed = eigenvalues(gain_blocks(lcf._poles, K)[0])
+    if not np.all(in_stability_region(closed, lcf.domain)):
         return None, cond1
     return (
         RiccatiSolution(
@@ -359,7 +360,7 @@ def _candidate_from_basis(lcf: LcfOverS, basis: np.ndarray, subset: np.ndarray):
     )
 
 
-def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
+def solve_ctnare(lcf: LcfOverS) -> RiccatiSolution:
     """Right-stabilizing Riccati solution from a p-dimensional invariant
     subspace of the sign-flipped pole matrix.
 
@@ -373,17 +374,17 @@ def solve_ctnare(lcf: LcfOverS, tol: float | None = None) -> RiccatiSolution:
     eigenvalues first, which stays accurate on near-defective spectra. Each
     chosen eigenvalue claims the nearest diagonal block of its own, so it is
     split from an equal eigenvalue that is left out. The cost is polynomial
-    in p.
+    in p. A solution whose residual exceeds 1e-10 (1 + ||blocks.A||_F)
+    raises NumericalFailureError.
     """
     p = lcf.p
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.linalg.norm(lcf.blocks.A)))
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(lcf.blocks.A)))
     Aplus = _hamiltonian_like(lcf)
     w, V = np.linalg.eig(Aplus)
     # a real matrix has real eigenvalues and exact conjugate pairs: keep one
     # of each pair, as the real and imaginary parts of its eigenvector
     upper = np.flatnonzero(w.imag >= 0.0)
-    stable = [i for i in upper if in_stability_region(w[i], lcf.domain)]
+    stable = upper[in_stability_region(w[upper], lcf.domain)]
     blocks = [
         np.column_stack([V[:, i].real] + ([V[:, i].imag] if w[i].imag else []))
         for i in stable
@@ -450,10 +451,9 @@ def srtr_from_lcf(lcf: LcfOverS, solution: RiccatiSolution | None = None) -> Srt
     K = as_real_matrix(solution.K, "K")
     if K.shape != (lcf.q, lcf.p):
         raise DimensionError(f"K must be {lcf.q}x{lcf.p}, got {K.shape}")
-    Ap11, A12, _, _ = _riccati_data(lcf)
-    Ax = Ap11 - A12 @ K
+    Ax = gain_blocks(lcf._poles, K)[0]
     eig_ax = eigenvalues(Ax)
-    if not all(in_stability_region(z, lcf.domain) for z in eig_ax):
+    if not np.all(in_stability_region(eig_ax, lcf.domain)):
         raise PreconditionError("K is not right stabilizing for this factorization")
     pair = SrtrPair(lcf.blocks, K)
     # closed-form recovery check at a few points clear of all poles involved
@@ -509,25 +509,19 @@ def verify_lcf(
     """
     Ap = lcf.pole_matrix()
     spectrum = eigenvalues(Ap)
-    stable = all(in_stability_region(z, lcf.domain) for z in spectrum)
+    stable = bool(np.all(in_stability_region(spectrum, lcf.domain)))
     if source is None:
-        gsys = lcf.blocks.full_system()
-    elif isinstance(source, SrtrPair):
-        gsys = None
+        source = lcf.blocks.full_system()
+    if isinstance(source, SrtrPair):
+        poles = [spectrum, eigenvalues(source.base.A), eigenvalues(source.Aw)]
+        response = source.response
     elif isinstance(source, StateSpaceSystem):
-        gsys = source
+        poles = [spectrum, eigenvalues(source.A)]
+        response = partial(eval_tfm, source)
     else:
         raise TypeError(f"unsupported source type {type(source).__name__}")
-    pole_pool = list(spectrum)
-    if gsys is not None:
-        pole_pool += list(eigenvalues(gsys.A))
-    elif isinstance(source, SrtrPair):
-        pole_pool += list(eigenvalues(source.base.A)) + list(eigenvalues(source.Aw))
-
-    def responses(lams):
-        G = source.response(lams) if gsys is None else eval_tfm(gsys, lams)
-        return G, lcf.response(lams)
-
-    worst = sampled_residual(responses, np.array(pole_pool), n_samples, seed)
+    worst = sampled_residual(
+        lambda lams: (response(lams), lcf.response(lams)), np.concatenate(poles), n_samples, seed
+    )
     coprime = is_stabilizable(Ap, lcf.mn_system().B, lcf.domain)
     return LcfReport(stable=stable, identity_residual=worst, coprime_over_s=coprime)

@@ -37,7 +37,7 @@ def _matrix(data, name: str, rows: int | None = None, cols: int | None = None) -
         M = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"field {name!r} is not a numeric matrix") from exc
-    if M.size == 0 and rows is not None and cols is not None:
+    if M.size == 0 and rows is not None and cols is not None and rows * cols == 0:
         return np.zeros((rows, cols))
     if M.ndim != 2:
         raise InvalidInputError(f"field {name!r} must be a list of rows")
@@ -63,9 +63,23 @@ def vector_from_list(data, name: str) -> np.ndarray:
     return v
 
 
-def _need(d: dict, key: str):
+def integer(value, name: str) -> int:
+    """A whole number such as ``p`` or a row order. Bools, strings and
+    numbers with a fractional part are rejected; 6.0 reads as 6."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _need(d: dict, key: str, kind: type = object):
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"expected a JSON object with field {key!r}")
     if key not in d:
         raise InvalidInputError(f"missing required field {key!r}")
+    if not isinstance(d[key], kind):
+        raise InvalidInputError(f"field {key!r} must be a {kind.__name__}, got {d[key]!r}")
     return d[key]
 
 
@@ -112,13 +126,13 @@ def partitioned_to_dict(base: PartitionedRealization) -> dict:
 
 
 def partitioned_from_dict(d: dict) -> PartitionedRealization:
-    p = int(_need(d, "p"))
+    p = integer(_need(d, "p"), "field 'p'")
     A11 = _matrix(_need(d, "A11"), "A11", rows=p, cols=p)
-    A22raw = np.asarray(_need(d, "A22"), dtype=float)
-    q = A22raw.shape[0] if A22raw.ndim == 2 else 0
+    A22 = _need(d, "A22")
+    q = len(A22) if isinstance(A22, list) else 0
+    A22 = _matrix(A22, "A22", rows=q, cols=q)
     A12 = _matrix(_need(d, "A12"), "A12", rows=p, cols=q)
     A21 = _matrix(_need(d, "A21"), "A21", rows=q, cols=p)
-    A22 = _matrix(_need(d, "A22"), "A22", rows=q, cols=q)
     B1 = _matrix(_need(d, "B1"), "B1", rows=p)
     B2 = _matrix(_need(d, "B2"), "B2", rows=q, cols=B1.shape[1])
     try:
@@ -210,10 +224,10 @@ def spec_to_dict(spec: SynthesisSpec) -> dict:
 def spec_from_dict(d: dict) -> SynthesisSpec:
     maskW = _matrix(_need(d, "maskW"), "maskW")
     maskV = _matrix(_need(d, "maskV"), "maskV")
-    orders = _need(d, "orders")
+    orders = tuple(integer(v, "each entry of field 'orders'") for v in _need(d, "orders", list))
     try:
-        return SynthesisSpec(maskW, maskV, tuple(orders), d.get("extra"))
-    except (SrtrKitError, ValueError) as exc:
+        return SynthesisSpec(maskW, maskV, orders, d.get("extra"))
+    except SrtrKitError as exc:
         raise InvalidInputError(str(exc)) from exc
 
 
@@ -226,10 +240,10 @@ def gain_from_dict(d, p: int | None = None, q: int | None = None) -> np.ndarray:
 
 
 def rows_from_dict(d: dict) -> RowImplementation:
-    sys_rows = [system_from_dict(r) for r in _need(d, "rows")]
+    sys_rows = [system_from_dict(r) for r in _need(d, "rows", list)]
     if not sys_rows:
         raise InvalidInputError("rows list is empty")
-    p = int(d.get("p", len(sys_rows)))
+    p = integer(d.get("p", len(sys_rows)), "field 'p'")
     if p != len(sys_rows):
         raise InvalidInputError("field 'p' disagrees with the number of rows")
     m = sys_rows[0].n_inputs - p
@@ -274,7 +288,7 @@ def closed_loop_from_dict(d: dict) -> ClosedLoopModel:
         Cy=Cy,
         E=_matrix(_need(d, "E"), "E", rows=p, cols=m),
         F=_matrix(_need(d, "F"), "F", rows=m, cols=p),
-        n_plant=int(_need(d, "nPlant")),
-        n_ctrl=int(_need(d, "nCtrl")),
+        n_plant=integer(_need(d, "nPlant"), "field 'nPlant'"),
+        n_ctrl=integer(_need(d, "nCtrl"), "field 'nCtrl'"),
         domain=_domain(d),
     )

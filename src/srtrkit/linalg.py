@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, NumericalFailureError
+from .errors import DimensionError, InvalidInputError, NonFiniteError, NumericalFailureError
 
 DOMAINS = ("continuous", "discrete")
 
@@ -72,12 +72,9 @@ def auto_rank_tol(M, sv=None) -> float:
     return max(M.shape) * sv[0] * np.finfo(float).eps
 
 
-def rank_with_tolerance(M, tol: float | None = None) -> int:
-    """Number of singular values above ``tol``.
-
-    ``tol=None`` selects the automatic threshold
-    ``max(rows, cols) * ||M|| * eps``. Works for real and complex input.
-    """
+def rank_with_tolerance(M) -> int:
+    """Number of singular values above the automatic threshold
+    ``max(rows, cols) * ||M|| * eps``. Works for real and complex input."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise DimensionError(f"matrix required, got shape {M.shape}")
@@ -86,50 +83,49 @@ def rank_with_tolerance(M, tol: float | None = None) -> int:
     ):
         raise NonFiniteError("rank input contains non-finite entries")
     sv = singular_values(M)
-    if tol is None:
-        tol = auto_rank_tol(M, sv)
-    elif tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return int(np.count_nonzero(sv > tol))
+    return int(np.count_nonzero(sv > auto_rank_tol(M, sv)))
 
 
-def in_stability_region(lam: complex, domain: str) -> bool:
-    """Strict membership: open left half-plane or open unit disk."""
+def _outside(lam, domain: str) -> np.ndarray:
+    """How far each of ``lam`` lies outside the stability region, signed
+    and elementwise: Re lam for the open left half-plane, |lam| - 1 for the
+    open unit disk. Negative inside, zero on the boundary."""
     check_domain(domain)
-    if domain == "continuous":
-        return lam.real < 0.0
-    return abs(lam) < 1.0
+    lam = np.asarray(lam)
+    return lam.real if domain == "continuous" else np.abs(lam) - 1.0
+
+
+def in_stability_region(lam, domain: str):
+    """Strict membership in the open left half-plane or the open unit disk,
+    elementwise on arrays; a scalar gives a bool."""
+    inside = _outside(lam, domain) < 0.0
+    return inside if inside.ndim else bool(inside)
 
 
 def stability_distance(lam, domain: str):
     """Distance of ``lam`` outside the stability region (0 when inside),
     elementwise on arrays."""
-    check_domain(domain)
-    lam = np.asarray(lam)
-    if domain == "continuous":
-        dist = np.maximum(lam.real, 0.0)
-    else:
-        dist = np.maximum(np.abs(lam) - 1.0, 0.0)
+    dist = np.maximum(_outside(lam, domain), 0.0)
     return dist if dist.ndim else float(dist)
 
 
 def stability_margin(eigs, domain: str):
     """How far inside the region the worst eigenvalue sits (negative when
-    some eigenvalue is outside), taken over the last axis of ``eigs``."""
-    check_domain(domain)
-    eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    if eigs.shape[-1] == 0:
-        margin = np.full(eigs.shape[:-1], np.inf)
-    elif domain == "continuous":
-        margin = -np.max(eigs.real, axis=-1)
-    else:
-        margin = 1.0 - np.max(np.abs(eigs), axis=-1)
+    some eigenvalue is outside, inf when there is none), taken over the
+    last axis of ``eigs``."""
+    outside = _outside(np.atleast_1d(np.asarray(eigs, dtype=complex)), domain)
+    margin = -np.max(outside, axis=-1, initial=-np.inf)
     return margin if margin.ndim else float(margin)
 
 
 def is_stable_spectrum(A, domain: str) -> bool:
     """True iff every eigenvalue of A lies strictly inside the region."""
-    return all(in_stability_region(lam, domain) for lam in eigenvalues(A))
+    return bool(np.all(in_stability_region(eigenvalues(A), domain)))
+
+
+# relative cut below which every structural kernel counts a singular value
+# or a column norm as zero
+RANK_CUT = 1e-9
 
 
 def controllability_staircase(
@@ -143,7 +139,7 @@ def controllability_staircase(
     remaining block ``Z[:, k:].T @ A @ Z[:, k:]`` carries the uncontrollable
     modes. Each step compresses the newest block by an SVD and keeps the
     singular values above ``tol * max(||A||_2, ||B||_2)``; ``tol=None``
-    means 1e-9. No power of A is ever formed.
+    means ``RANK_CUT``. No power of A is ever formed.
 
     The margin is the singular value that decided k, divided by the same
     ``max(||A||_2, ||B||_2)`` so that it compares with ``tol``: the smallest
@@ -161,7 +157,7 @@ def controllability_staircase(
     if B.size == 0:
         return Z, 0, 0.0
     scale = max(singular_values(A)[0], singular_values(B)[0]) or 1.0
-    cut = (1e-9 if tol is None else tol) * scale
+    cut = (RANK_CUT if tol is None else tol) * scale
     H = A.copy()
     block = B
     k = 0
@@ -201,7 +197,7 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
     the reachable order k of shape (...): the first k columns of each Z
     span the reachable subspace of its pair. Step j keeps the newest block,
     a column x of length n - j, while ``||x|| > tol * max(||A||_2, ||b||)``
-    (``tol=None`` means 1e-9) and compresses it by one Householder
+    (``tol=None`` means ``RANK_CUT``) and compresses it by one Householder
     reflector, applied to every pair still going. ``||A||_2`` is computed
     once per matrix of ``A``, before it is broadcast.
     """
@@ -222,7 +218,7 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
         np.broadcast_to(np.linalg.norm(A, 2, axis=(-2, -1)), stack),
         np.linalg.norm(b, axis=-1),
     ).ravel()
-    cut = (1e-9 if tol is None else tol) * np.where(scale > 0.0, scale, 1.0)
+    cut = (RANK_CUT if tol is None else tol) * np.where(scale > 0.0, scale, 1.0)
     # T is the trailing block of each pair still going, x its newest column
     T = np.empty((count, n, n))
     T.reshape(stack + (n, n))[...] = A
@@ -264,7 +260,7 @@ def is_stabilizable(A, B, domain: str) -> bool:
     return is_stable_spectrum(U.T @ A @ U, domain)
 
 
-def zero_entries(A, B, C, D, tol: float = 1e-9) -> np.ndarray:
+def zero_entries(A, B, C, D, tol: float = RANK_CUT) -> np.ndarray:
     """Boolean mask of the entries of ``C (lam I - A)^{-1} B + D`` that are
     identically zero.
 
@@ -337,8 +333,13 @@ def sampled_residual(evaluate, poles, count: int, seed: int = 0) -> float:
 
     A draw on which sampling or evaluation fails (a singular solve, no room
     between the poles) is replaced by the draw of the next seed, up to five
-    draws.
+    draws. A ``count`` below 1, which would check nothing, or a negative
+    ``seed`` raises InvalidInputError.
     """
+    if count < 1:
+        raise InvalidInputError(f"the sample count must be at least 1, got {count}")
+    if seed < 0:
+        raise InvalidInputError(f"the seed must be at least 0, got {seed}")
     for attempt in range(5):
         try:
             refs, gots = evaluate(sample_complex_points(poles, count, seed=seed + attempt))

@@ -40,15 +40,6 @@ class KdController:
     """Strictly proper controller realization of [lam^{-1} W, lam^{-1} V]."""
 
     realization: StateSpaceSystem
-    source: SrtrPair
-
-    @property
-    def p(self) -> int:
-        return self.source.p
-
-    @property
-    def m(self) -> int:
-        return self.source.m
 
 
 def kd_from_srtr(pair: SrtrPair) -> KdController:
@@ -57,7 +48,7 @@ def kd_from_srtr(pair: SrtrPair) -> KdController:
     The p integrator states feed the outputs; the hidden block is the pair's
     own Aw. Feedthrough is identically zero by construction.
     """
-    return KdController(with_integrators(pair.wv_system()), pair)
+    return KdController(with_integrators(pair.wv_system()))
 
 
 def unstable_pole_count(sys: StateSpaceSystem) -> int:
@@ -66,10 +57,8 @@ def unstable_pole_count(sys: StateSpaceSystem) -> int:
     Non-minimal inputs are pruned first so hidden cancelling modes do not
     inflate the count.
     """
-    return sum(
-        0 if in_stability_region(z, sys.domain) else 1
-        for z in eigenvalues(minimal_realization(sys).A)
-    )
+    eigs = eigenvalues(minimal_realization(sys).A)
+    return int(np.count_nonzero(~in_stability_region(eigs, sys.domain)))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import (
+    RANK_CUT,
     as_real_matrix,
     auto_rank_tol,
     column_staircases,
@@ -208,7 +209,7 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     closes u_i is unchanged; only the row seen alone changes. One stacked
     ``column_staircases`` sweep over (A^T, c^T) of every fed-back row keeps
     each row's observable part, and an input column whose observable
-    component is below 1e-9 of its own norm is set to zero. These rows,
+    component is below RANK_CUT of its own norm is set to zero. These rows,
     zero-padded to the largest observable order, are what the returned
     NrfPair evaluates. A second sweep over every entry keeps the part that
     its input reaches. By Kalman's decomposition what remains is minimal,
@@ -264,7 +265,7 @@ def _observable_parts(A: np.ndarray, B: np.ndarray):
     """The observable part (Ao, Bo, co) of each row (A, B, e_0) from one
     stacked sweep over (A^T, e_0), zero-padded to the largest observable
     order of the stack, and each row's own order. A column of B whose
-    observable component is below 1e-9 of the column's norm is set to zero:
+    observable component is below RANK_CUT of the column's norm is set to zero:
     that much is rounding from the basis, and a cut on the projected column
     alone would lose the input's scale."""
     Z, k = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
@@ -273,7 +274,7 @@ def _observable_parts(A: np.ndarray, B: np.ndarray):
     Wt = np.swapaxes(W, 1, 2)
     Bo = Wt @ B
     norm = np.linalg.norm
-    Bo *= norm(Bo, axis=1, keepdims=True) > 1e-9 * norm(B, axis=1, keepdims=True)
+    Bo *= norm(Bo, axis=1, keepdims=True) > RANK_CUT * norm(B, axis=1, keepdims=True)
     return Wt @ A @ W, Bo, W[:, 0, :], k
 
 
@@ -297,7 +298,7 @@ class SparsityPattern:
         )
 
 
-def sparsity_pattern(obj, tol: float = 1e-9) -> SparsityPattern:
+def sparsity_pattern(obj, tol: float = RANK_CUT) -> SparsityPattern:
     """Zero/nonzero masks of the pair entries.
 
     An entry counts as zero when the staircase test of
@@ -359,7 +360,7 @@ def check_flcf(pair: SrtrPair, seed: int = 0) -> CoprimeReport:
     reports both.
 
     ``min_singular["finite"]`` is the staircase's decisive singular value
-    relative to max(||A||_2, ||B||_2), the scale of its 1e-9 cut: the
+    relative to max(||A||_2, ||B||_2), the scale of its RANK_CUT cut: the
     smallest value kept when it reaches every state, the largest value
     dropped when it stops short. ``"infinite"`` and ``"normalRank"`` are
     both the smallest singular value of the leading matrix. ``seed`` is
@@ -370,7 +371,7 @@ def check_flcf(pair: SrtrPair, seed: int = 0) -> CoprimeReport:
     lead = np.zeros((q + 2 * p, q + 2 * p + pair.m))
     lead[:q, :q] = np.eye(q)
     lead[q : q + p, q + p : q + 2 * p] = np.eye(p)
-    lead[q + p :] = np.hstack([b.A12, np.eye(p), -(b.A11 - b.A12 @ pair.K), b.B1])
+    lead[q + p :] = np.hstack([b.A12, np.eye(p), -pair.Dw[:, :p], b.B1])
     sv = singular_values(lead)
     full = bool(np.count_nonzero(sv > auto_rank_tol(lead, sv)) == q + 2 * p)
     no_finite = k == b.n

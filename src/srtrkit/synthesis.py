@@ -21,6 +21,7 @@ from .errors import (
     InvalidInputError,
 )
 from .linalg import (
+    RANK_CUT,
     eigenvalues,
     is_stable_spectrum,
     stability_distance,
@@ -28,7 +29,6 @@ from .linalg import (
     zero_entries,
 )
 from .srtr import (
-    SparsityPattern,
     SrtrPair,
     gain_blocks,
     sparsity_pattern,
@@ -80,9 +80,6 @@ class SynthesisSpec:
     @property
     def m(self) -> int:
         return self.maskV.shape[1]
-
-    def pattern(self) -> SparsityPattern:
-        return SparsityPattern(self.maskW, self.maskV)
 
 
 def dense_spec(p: int, m: int, q: int) -> SynthesisSpec:
@@ -147,7 +144,7 @@ def _krylov_tails(Aw: np.ndarray, a: np.ndarray, ni: int):
     row, Arnoldi with one re-orthogonalization runs from +a/||a|| through
     span{a, a Aw, a Aw^2, ...}, forming no power of Aw. It stops after ni
     directions, or at order k < ni when the next direction has norm at most
-    1e-9 max(||Aw||_2, ||a||), the cut of ``linalg.column_staircases``.
+    RANK_CUT max(||Aw||_2, ||a||), the cut of ``linalg.column_staircases``.
     Returns T (N, r, ni, q), holding each basis in its first k rows and
     zeros below, the orders k (N, r), and the next direction (N, r, q), the
     part of the last basis row times Aw outside span T (zero when T spans
@@ -157,7 +154,7 @@ def _krylov_tails(Aw: np.ndarray, a: np.ndarray, ni: int):
     r = a.shape[0]
     anorm = np.linalg.norm(a, axis=1)
     if ni > 1:
-        cut = 1e-9 * np.maximum(np.linalg.norm(Aw, 2, axis=(-2, -1))[:, None], anorm)
+        cut = RANK_CUT * np.maximum(np.linalg.norm(Aw, 2, axis=(-2, -1))[:, None], anorm)
     T = np.zeros((N, r, ni, q))
     k = np.full((N, r), ni)
     nxt = np.zeros((N, r, q))
@@ -310,15 +307,11 @@ def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
         Wd, terms = _row_terms(base, k.reshape(1, q, p), groups)
         parts = [Wd * outW]
         for idx, TW, TV, nxt, eigs in terms:
-            if base.domain == "continuous":
-                signed = eigs.real
-            else:
-                signed = np.abs(eigs) - 1.0
             parts += [
                 TW * outW[idx, None, :],
                 TV * outV[idx, None, :],
                 nxt,
-                np.maximum(signed + CORNER_MARGIN, 0.0),
+                np.maximum(CORNER_MARGIN - stability_margin(eigs[..., None], base.domain), 0.0),
             ]
         return np.concatenate([part.ravel() for part in parts])
 
@@ -431,7 +424,7 @@ def _rows_list(pair_or_rows) -> list[StateSpaceSystem] | None:
     return None
 
 
-def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = 1e-9) -> bool:
+def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = RANK_CUT) -> bool:
     """Structure and stability in one verdict.
 
     For a pair: its sparsity pattern must be contained in the masks and its

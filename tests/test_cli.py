@@ -77,6 +77,34 @@ def test_sampling_flags_only_on_commands_that_read_them(ring_files):
     ]) == 0
 
 
+@pytest.mark.parametrize("command", ["srtr", "lcf"])
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"], ["--seed", "-1"]])
+def test_sampled_checks_reject_empty_counts_and_negative_seeds(
+    command, flags, ring_files, tmp_path, capsys
+):
+    if command == "srtr":
+        argv = ["srtr", "check", "--in", ring_files["pair"]]
+    else:
+        lcf = tmp_path / "lcf.json"
+        assert dispatch(["lcf", "from-srtr", "--in", ring_files["pair"], "-o", str(lcf)]) == 0
+        argv = ["lcf", "check", "--in", str(lcf), "--source", ring_files["pair"]]
+    capsys.readouterr()
+    assert dispatch(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("orders", ["a", "1.5", "1,x", "true", "[1]"])
+def test_loop_assemble_rejects_malformed_orders(orders, ring_files, tmp_path, capsys):
+    plant = tmp_path / "plant.json"
+    plant.write_text(jsonio.dumps(jsonio.system_to_dict(fixtures.ring6_plant())))
+    argv = ["loop", "assemble", "--plant", str(plant), "--pair", ring_files["pair"]]
+    assert dispatch(argv + ["--orders", orders]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and captured.out == ""
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = [
@@ -331,6 +359,89 @@ def test_fixture_export_all_names(tmp_path):
         assert dispatch(["fixtures", "export", name, "-o", str(out)]) == 0
         assert out.exists()
     assert dispatch(["fixtures", "export", "missing-name"]) == 2
+
+
+BASE_FIELDS = ["domain", "p", "A11", "A12", "A21", "A22", "B1", "B2"]
+SYSTEM_FIELDS = ["domain", "A", "B", "C", "D"]
+# the fields of each ring input file, and the command that reads it ("{}"
+# stands for the file, "@kind" for the valid ring file of that kind)
+INPUT_FILES = {
+    "base": (BASE_FIELDS, ["srtr", "build", "--base", "{}", "--gain", "@K"]),
+    "K": (["K"], ["srtr", "build", "--base", "@base", "--gain", "{}"]),
+    "pair": (BASE_FIELDS + ["K"], ["srtr", "check", "--in", "{}"]),
+    "lcf": (BASE_FIELDS + ["F1", "F2", "U"], ["lcf", "check", "--in", "{}"]),
+    "spec": (["maskW", "maskV", "orders", "extra"],
+             ["synth", "conditions", "--base", "@base", "--gain", "@K", "--spec", "{}",
+              "--tol", "5e-3"]),
+    "plant": (SYSTEM_FIELDS, ["loop", "assemble", "--plant", "{}", "--rows", "@rows"]),
+    "cl": (["domain", "Acl", "Br", "Bw", "Bzeta", "Bdu", "Cu", "Cy", "E", "F", "nPlant",
+            "nCtrl"], ["loop", "stability", "--cl", "{}"]),
+    "rows": (["domain", "p", "rows"],
+             ["loop", "assemble", "--plant", "@plant", "--rows", "{}"]),
+    "x0": ([None], ["loop", "simulate", "--cl", "@cl", "--x0", "{}", "--horizon", "0.01"]),
+}
+MALFORMED = {"string": "x", "ragged": [[1, 2], [3]], "scalar": 0.5, "empty": []}
+
+
+@pytest.fixture(scope="module")
+def ring_inputs(tmp_path_factory):
+    """Valid ring input files, one per kind of INPUT_FILES, by kind."""
+    pair, plant = fixtures.ring6_pair(), fixtures.ring6_plant()
+    rows = rowwise_implementation(pair, orders=[1] * 6)
+    cl = assemble_closed_loop(plant, rows)
+    contents = {
+        "base": jsonio.partitioned_to_dict(pair.base),
+        "K": {"K": pair.K.tolist()},
+        "pair": jsonio.pair_to_dict(pair),
+        "lcf": jsonio.lcf_to_dict(lcf_from_srtr(pair, cli._default_theta(6, pair.domain))),
+        "spec": jsonio.spec_to_dict(fixtures.ring6_spec(orders=1)),
+        "plant": jsonio.system_to_dict(plant),
+        "cl": jsonio.closed_loop_to_dict(cl),
+        "rows": {"domain": rows.domain, "p": rows.p,
+                 "rows": [jsonio.system_to_dict(r) for r in rows.rows]},
+        "x0": np.zeros(cl.n).tolist(),
+    }
+    root = tmp_path_factory.mktemp("ring_inputs")
+    paths = {}
+    for kind, data in contents.items():
+        paths[kind] = str(root / f"{kind}.json")
+        Path(paths[kind]).write_text(json.dumps(data))
+    return contents, paths
+
+
+def _argv(kind, paths, path):
+    return [path if a == "{}" else paths[a[1:]] if a[0] == "@" else a
+            for a in INPUT_FILES[kind][1]]
+
+
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_ring_inputs_are_read_and_cover_every_field(kind, ring_inputs, capsys):
+    contents, paths = ring_inputs
+    fields = INPUT_FILES[kind][0]
+    if fields != [None]:
+        assert sorted(contents[kind]) == sorted(fields)
+    assert dispatch(_argv(kind, paths, paths[kind])) == 0
+    assert "invalid input" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", MALFORMED)
+@pytest.mark.parametrize(
+    "kind,field", [(kind, f) for kind, (fields, _) in INPUT_FILES.items() for f in fields]
+)
+def test_malformed_input_field_exits_2(kind, field, bad, ring_inputs, tmp_path, capsys):
+    contents, paths = ring_inputs
+    if field is None:
+        data = MALFORMED[bad]
+    else:
+        data = dict(contents[kind])
+        data[field] = MALFORMED[bad]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    assert dispatch(_argv(kind, paths, str(path))) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid input: "), captured.err
+    assert captured.out == ""
 
 
 def test_exit_codes_for_bad_input(tmp_path):

@@ -16,6 +16,7 @@ from helpers import (
 )
 from srtrkit import fixtures
 from srtrkit.errors import (
+    InvalidInputError,
     InvalidThetaError,
     KontrollerFormError,
     NoSolutionError,
@@ -34,7 +35,7 @@ from srtrkit.factorization import (
     verify_lcf,
 )
 from srtrkit.linalg import eigenvalues, is_stable_spectrum
-from srtrkit.srtr import SrtrPair
+from srtrkit.srtr import SrtrPair, verify_srtr_identity
 from srtrkit.systems import (
     PartitionedRealization,
     StateSpaceSystem,
@@ -272,6 +273,29 @@ def test_riccati_solution_dict():
     d = sol.as_dict()
     assert set(d) == {"K", "residualNorm", "closedSpectrum", "subspaceCond"}
     assert d["closedSpectrum"] == [[-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_riccati_residual_is_bit_identical_to_the_riccati_formula(domain):
+    rng = np.random.default_rng(31)
+    pair = random_pair(rng, 3, 3, 2, domain)
+    lcf = lcf_from_srtr(pair, random_theta(3, rng, domain))
+    K = solve_ctnare(lcf).K + 1e-3 * rng.normal(size=(3, 3))
+    b = lcf.blocks
+    Ap11, Ap21 = b.A11 + lcf.F1, b.A21 + lcf.F2
+    R = K @ Ap11 - K @ b.A12 @ K + Ap21 - b.A22 @ K
+    assert riccati_residual(lcf, K) == float(np.linalg.norm(R))
+    assert riccati_residual(lcf, K) > 0.0
+
+
+def test_sampled_checks_reject_empty_counts_and_negative_seeds():
+    lcf = ring_lcf()
+    pair = fixtures.ring6_pair()
+    for kwargs in ({"n_samples": 0}, {"n_samples": -3}, {"seed": -1}):
+        with pytest.raises(InvalidInputError):
+            verify_lcf(lcf, pair, **kwargs)
+        with pytest.raises(InvalidInputError):
+            verify_srtr_identity(pair, **kwargs)
 
 
 def test_ring_round_trip_is_exact():

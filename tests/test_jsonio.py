@@ -137,3 +137,33 @@ def test_nonfinite_rejected():
     d["A"][0][0] = float("nan")
     with pytest.raises(InvalidInputError):
         jsonio.system_from_dict(d)
+
+
+@pytest.mark.parametrize("value", [6, 6.0])
+def test_integer_fields_accept_whole_numbers(value):
+    d = jsonio.pair_to_dict(fixtures.ring6_pair())
+    d["p"] = value
+    assert jsonio.pair_from_dict(d).p == 6
+    assert jsonio.integer(value, "p") == 6 and type(jsonio.integer(value, "p")) is int
+
+
+@pytest.mark.parametrize("value", [1.5, 6.5, True, "6", None, [6], float("nan"), float("inf")])
+def test_integer_fields_reject_bools_strings_and_fractions(value):
+    with pytest.raises(InvalidInputError):
+        jsonio.integer(value, "p")
+    d = jsonio.pair_to_dict(fixtures.ring6_pair())
+    d["p"] = value
+    with pytest.raises(InvalidInputError):
+        jsonio.pair_from_dict(d)
+    spec = jsonio.spec_to_dict(fixtures.ring6_spec(orders=1))
+    spec["orders"][2] = value
+    with pytest.raises(InvalidInputError):
+        jsonio.spec_from_dict(spec)
+
+
+@pytest.mark.parametrize("A22", [[[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]], "x", 2.0])
+def test_malformed_hidden_block_is_invalid_input(A22):
+    d = jsonio.partitioned_to_dict(fixtures.ring6_controller_base())
+    d["A22"] = A22
+    with pytest.raises(InvalidInputError):
+        jsonio.partitioned_from_dict(d)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import pbh_holds, planted_unreachable, rotation, sample_complex_points_reference
-from srtrkit.errors import NumericalFailureError
+from srtrkit.errors import InvalidInputError, NumericalFailureError
 from srtrkit.linalg import (
     DOMAINS,
     auto_rank_tol,
@@ -62,6 +62,35 @@ def test_stability_predicates_on_stacks():
                 assert list(dist[a, b]) == one
 
 
+# points on and next to the boundary of both regions, and the membership
+# each region gives them
+BOUNDARY = np.array([0.0, 1e-300, -1e-300, 1j, -1j, -1.0, 0.6 + 0.8j])
+INSIDE = {
+    "continuous": [False, False, True, False, False, True, False],
+    "discrete": [True, True, True, False, False, False, False],
+}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_region_predicates_share_one_rule_on_the_boundary(domain):
+    inside = in_stability_region(BOUNDARY, domain)
+    margin = stability_margin(BOUNDARY[:, None], domain)
+    dist = stability_distance(BOUNDARY, domain)
+    assert inside.tolist() == INSIDE[domain]
+    for k, z in enumerate(BOUNDARY):
+        for point in (z, complex(z)):
+            one = in_stability_region(point, domain)
+            assert type(one) is bool and one == inside[k]
+        assert inside[k] == (margin[k] > 0.0)
+        assert dist[k] == max(-margin[k], 0.0)
+        assert dist[k] == stability_distance(z, domain)
+        if z.imag == 0.0:
+            assert is_stable_spectrum(np.diag([z.real]), domain) == inside[k]
+    real = BOUNDARY.imag == 0.0
+    assert is_stable_spectrum(np.diag(BOUNDARY[real & inside].real), domain)
+    assert not is_stable_spectrum(np.diag(BOUNDARY[real].real), domain)
+
+
 def test_is_stable_spectrum():
     assert is_stable_spectrum(np.diag([-1.0, -2.0]), "continuous")
     assert not is_stable_spectrum(np.diag([-1.0, 0.0]), "continuous")
@@ -101,6 +130,14 @@ def test_sampled_residual_redraws_failed_points():
     assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(NumericalFailureError):
         sampled_residual(_fail, poles, 3)
+
+
+@pytest.mark.parametrize("count,seed", [(0, 0), (-3, 0), (5, -1)])
+def test_sampled_residual_rejects_checks_that_sample_nothing(count, seed):
+    calls = []
+    with pytest.raises(InvalidInputError):
+        sampled_residual(calls.append, np.zeros(0), count, seed)
+    assert calls == []
 
 
 def _fail(lams):
