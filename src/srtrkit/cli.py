@@ -360,6 +360,14 @@ def cmd_fixtures_export(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number at least 0 (NaN fails both comparisons)."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command tree, built once per process and shared by every call.
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", default=None)
     tol = argparse.ArgumentParser(add_help=False, parents=[common])
-    tol.add_argument("--tol", type=float, default=1e-6)
+    tol.add_argument("--tol", type=_tolerance, default=1e-6)
     sampled = argparse.ArgumentParser(add_help=False, parents=[tol])
     sampled.add_argument("--seed", type=int, default=42)
     sampled.add_argument("--samples", type=int, default=5)

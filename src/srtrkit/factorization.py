@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -377,6 +376,8 @@ def solve_ctnare(lcf: LcfOverS) -> RiccatiSolution:
     in p. A solution whose residual exceeds 1e-10 (1 + ||blocks.A||_F)
     raises NumericalFailureError.
     """
+    import scipy.linalg  # deferred: importing it would double CLI start-up
+
     p = lcf.p
     tol = 1e-10 * (1.0 + float(np.linalg.norm(lcf.blocks.A)))
     Aplus = _hamiltonian_like(lcf)

@@ -278,6 +278,13 @@ def closed_loop_from_dict(d: dict) -> ClosedLoopModel:
     Cu = _matrix(_need(d, "Cu"), "Cu", cols=n)
     Cy = _matrix(_need(d, "Cy"), "Cy", cols=n)
     p, m = Cu.shape[0], Cy.shape[0]
+    n_plant = integer(_need(d, "nPlant"), "field 'nPlant'")
+    n_ctrl = integer(_need(d, "nCtrl"), "field 'nCtrl'")
+    if min(n_plant, n_ctrl) < 0 or n_plant + n_ctrl != n:
+        raise InvalidInputError(
+            f"fields 'nPlant' and 'nCtrl' must be at least 0 and sum to the {n} "
+            f"states of 'Acl', got {n_plant} and {n_ctrl}"
+        )
     return ClosedLoopModel(
         Acl=Acl,
         B_r=_matrix(_need(d, "Br"), "Br", rows=n, cols=m),
@@ -288,7 +295,7 @@ def closed_loop_from_dict(d: dict) -> ClosedLoopModel:
         Cy=Cy,
         E=_matrix(_need(d, "E"), "E", rows=p, cols=m),
         F=_matrix(_need(d, "F"), "F", rows=m, cols=p),
-        n_plant=integer(_need(d, "nPlant"), "field 'nPlant'"),
-        n_ctrl=integer(_need(d, "nCtrl"), "field 'nCtrl'"),
+        n_plant=n_plant,
+        n_ctrl=n_ctrl,
         domain=_domain(d),
     )

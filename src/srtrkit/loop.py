@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AlgebraicLoopError,
@@ -509,6 +508,8 @@ def _step_matrices(A: np.ndarray, dt: float) -> tuple:
     for j = 0, 1, 2; the quadratic through the three samples then fixes the
     weights.
     """
+    import scipy.linalg  # deferred: importing it would double CLI start-up
+
     n = A.shape[0]
     M = np.zeros((4 * n, 4 * n))
     M[:n, :n] = A * dt

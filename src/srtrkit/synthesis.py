@@ -296,7 +296,7 @@ def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
     condition 5 and a hinge that asks every corner eigenvalue to sit
     CORNER_MARGIN inside the stability region. Condition 2 does not involve
     K."""
-    import scipy.optimize  # deferred: importing it costs about a third of CLI start-up
+    import scipy.optimize  # deferred: importing it would more than triple CLI start-up
 
     p, q = base.p, base.q
     outW = spec.maskW == 0

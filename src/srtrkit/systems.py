@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -83,6 +82,8 @@ def eval_tfm(sys: StateSpaceSystem, lam) -> np.ndarray:
     estimate of its reciprocal condition number; a point whose estimate is
     below 1e-13 counts as a pole.
     """
+    import scipy.linalg  # deferred: importing it would double CLI start-up
+
     lams = np.asarray(lam, dtype=complex)
     points = lams.reshape(-1)
     n = sys.n

@@ -77,6 +77,27 @@ def test_sampling_flags_only_on_commands_that_read_them(ring_files):
     ]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["srtr", "check", "--in", "@pair"],
+        ["srtr", "pattern", "--in", "@pair"],
+        ["synth", "conditions", "--base", "@base", "--gain", "@gain", "--spec", "@spec"],
+    ],
+    ids=["srtr-check", "srtr-pattern", "synth-conditions"],
+)
+def test_tol_must_be_finite_and_at_least_0(argv, value, ring_files, capsys):
+    argv = [ring_files[a[1:]] if a[0] == "@" else a for a in argv]
+    assert dispatch(argv + [f"--tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --tol" in captured.err and captured.out == ""
+
+
+def test_tol_may_be_0(ring_files):
+    assert dispatch(["srtr", "pattern", "--in", ring_files["pair"], "--tol", "0"]) == 0
+
+
 @pytest.mark.parametrize("command", ["srtr", "lcf"])
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-3"], ["--seed", "-1"]])
 def test_sampled_checks_reject_empty_counts_and_negative_seeds(
@@ -381,6 +402,8 @@ INPUT_FILES = {
     "x0": ([None], ["loop", "simulate", "--cl", "@cl", "--x0", "{}", "--horizon", "0.01"]),
 }
 MALFORMED = {"string": "x", "ragged": [[1, 2], [3]], "scalar": 0.5, "empty": []}
+# whole numbers that read as integers but do not fit the file
+MISFIT = {("cl", "nPlant"): 999, ("cl", "nCtrl"): -5}
 
 
 @pytest.fixture(scope="module")
@@ -424,17 +447,19 @@ def test_ring_inputs_are_read_and_cover_every_field(kind, ring_inputs, capsys):
     assert "invalid input" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", MALFORMED)
 @pytest.mark.parametrize(
-    "kind,field", [(kind, f) for kind, (fields, _) in INPUT_FILES.items() for f in fields]
+    "kind,field,bad",
+    [(kind, f, bad) for bad in MALFORMED for kind, (fields, _) in INPUT_FILES.items()
+     for f in fields] + [(kind, f, "misfit") for kind, f in MISFIT],
 )
 def test_malformed_input_field_exits_2(kind, field, bad, ring_inputs, tmp_path, capsys):
     contents, paths = ring_inputs
+    value = MISFIT[kind, field] if bad == "misfit" else MALFORMED[bad]
     if field is None:
-        data = MALFORMED[bad]
+        data = value
     else:
         data = dict(contents[kind])
-        data[field] = MALFORMED[bad]
+        data[field] = value
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
     assert dispatch(_argv(kind, paths, str(path))) == 2

@@ -132,6 +132,17 @@ def test_closed_loop_roundtrip():
     assert back.domain == cl.domain
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_closed_loop_state_split_is_not_negative(shift):
+    # the split still sums to the size of Acl, but one side is below 0
+    rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
+    d = jsonio.closed_loop_to_dict(assemble_closed_loop(fixtures.ring6_plant(), rows))
+    n = len(d["Acl"])
+    d["nPlant"], d["nCtrl"] = (n + 1, -1) if shift > 0 else (-1, n + 1)
+    with pytest.raises(InvalidInputError, match="nPlant"):
+        jsonio.closed_loop_from_dict(d)
+
+
 def test_nonfinite_rejected():
     d = jsonio.system_to_dict(fixtures.ring6_plant())
     d["A"][0][0] = float("nan")

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +15,6 @@ from helpers import (
     stable_targets,
     structured_pair,
 )
-import srtrkit
 from srtrkit import fixtures
 from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
 from srtrkit.linalg import eigenvalues, sample_complex_points
@@ -448,20 +443,6 @@ def test_assign_stable_spectrum_places_poles(p, q, seed):
 def test_assign_stable_spectrum_q_zero():
     K = assign_stable_spectrum(np.zeros((0, 0)), np.zeros((2, 0)), np.zeros(0))
     assert K.shape == (0, 2)
-
-
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal, with the scipy.stats it pulls in, would double the start-up
-    # time of every CLI command; nothing in the package imports it.
-    # scipy.optimize costs about a third of start-up; only the least-squares
-    # gain solve of mm_solve imports it
-    code = "import sys, srtrkit; print(sorted({'scipy.signal', 'scipy.optimize'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srtrkit.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]", f"import srtrkit loaded {done.stdout.strip()}"
 
 
 def test_mm_solve_deterministic():
