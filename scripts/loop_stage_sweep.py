@@ -43,8 +43,11 @@ def sweep_worker(src: str, out: str) -> None:
     driven run. The stages are timed by wrapping the module's ``_sample``,
     ``_step_matrices`` and ``ClosedLoopModel.outputs``; ``stepping_s`` is
     the rest of ``simulate``: the input forcing, the recurrence and the
-    divergence check. Writes every timed call's stage times as JSON to
-    ``out`` and the state trajectories to ``out + ".npz"``.
+    divergence check. ``to_csv`` is timed on the driven trace and on the
+    free response from the same x0 (``to_csv_free_s``), the signal-free
+    shape that ``loop simulate`` writes. Writes every timed call's stage
+    times as JSON to ``out`` and the state trajectories to
+    ``out + ".npz"``.
     """
     sys.path.insert(0, src)
     import numpy as np
@@ -80,12 +83,17 @@ def sweep_worker(src: str, out: str) -> None:
             if call:
                 for key, val in stages.items():
                     times.setdefault(key, []).append(val)
-        start = time.perf_counter()
-        text = traj.to_csv()
-        times["to_csv_s"] = [time.perf_counter() - start]
-        result[str(n)] = {"times": times, "csv_bytes": len(text),
-                          "csv_sha256": hashlib.sha256(text.encode("ascii")).hexdigest()}
-        del text
+        result[str(n)] = {"times": times}
+        # the driven trace, then the free response that `loop simulate` writes
+        free = loop.simulate(cl, x0=x0, horizon=SWEEP_HORIZON, dt=SWEEP_DT)
+        for tag, trace in (("", traj), ("_free", free)):
+            start = time.perf_counter()
+            text = trace.to_csv()
+            times["to_csv%s_s" % tag] = [time.perf_counter() - start]
+            result[str(n)].update({
+                "csv%s_bytes" % tag: len(text),
+                "csv%s_sha256" % tag: hashlib.sha256(text.encode("ascii")).hexdigest()})
+            del text
         states[str(n)] = traj.x
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh)
@@ -189,28 +197,34 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
         rel = float(np.linalg.norm(xc - xp) / np.linalg.norm(xp)) if same else float("nan")
         sides = {side: dict({key: spread(vals) for key, vals in times[side][n].items()},
                             **exact[side][n], **peaks[side][n]) for side in SIDES}
-        same_csv = all(sides["parent"][key] == sides["change"][key]
-                       for key in ("csv_sha256", "cli_csv_sha256"))
-        sizes[n] = dict(sides, x_rel_diff=rel, same_rows=same, same_csv=same_csv)
+        hashes = {key: sides["parent"][key] == sides["change"][key]
+                  for key in ("csv_sha256", "csv_free_sha256", "cli_csv_sha256")}
+        sizes[n] = dict(sides, x_rel_diff=rel, same_rows=same,
+                        same_csv=hashes["csv_free_sha256"] and hashes["cli_csv_sha256"],
+                        same_driven_csv=hashes["csv_sha256"])
     return {
         "input": ("stable random ClosedLoopModel of n states, p = m = n / 4, rng seed n, "
                   "spectral abscissa -0.2; sinusoids of t on all four channels; horizon %g, "
                   "dt %g" % (SWEEP_HORIZON, SWEEP_DT)),
         "time": ("best, first quartile, median and third quartile of each stage over %d "
                  "simulate calls (%d alternating sweeps of %d calls, each after one untimed "
-                 "call) and over %d to_csv calls, one BLAS thread"
+                 "call) and over %d to_csv calls per trace, one BLAS thread"
                  % (SWEEP_ROUNDS * SWEEP_CALLS, SWEEP_ROUNDS, SWEEP_CALLS, SWEEP_ROUNDS)),
         "stages": ("sample_s: loop._sample (grid and midpoints); step_matrices_s: "
                    "loop._step_matrices; outputs_s: ClosedLoopModel.outputs; stepping_s: "
                    "the rest of simulate (input forcing, recurrence, divergence check); "
-                   "simulate_s: the whole call; to_csv_s: Trajectory.to_csv"),
+                   "simulate_s: the whole call; to_csv_s: Trajectory.to_csv of the driven "
+                   "trace; to_csv_free_s: Trajectory.to_csv of the free response from the "
+                   "same x0, whose r, w, zeta and du are zero, as `loop simulate` writes it"),
         "x_rel_diff": "|x_change - x_parent|_F / |x_parent|_F over the whole trajectory",
         "cli": ("one `srtrkit loop simulate --x0 -o` of the same loop (free response, same "
                 "grid) per size and side, alternating, in a fresh process: cli_peak_rss_mb is "
                 "its ru_maxrss after the run, cli_rss_before_mb after loading srtrkit and "
                 "writing the loop files"),
-        "same_csv": ("the two sides' to_csv texts have the same sha256 (csv_sha256), and so "
-                     "do their CLI traces (cli_csv_sha256)"),
+        "same_csv": ("the two sides' to_csv texts of the free response have the same sha256 "
+                     "(csv_free_sha256), and so do their CLI traces (cli_csv_sha256)"),
+        "same_driven_csv": ("the same for the driven trace (csv_sha256); a driven trajectory "
+                            "that moves at rounding level (x_rel_diff) changes its text"),
         "sizes": sizes,
     }
 

@@ -25,7 +25,7 @@ from .factorization import (
     srtr_from_lcf,
     verify_lcf,
 )
-from .linalg import eigenvalues, stability_margin
+from .linalg import check_tolerance, eigenvalues, stability_margin
 from .loop import (
     assemble_closed_loop,
     check_internal_stability,
@@ -361,11 +361,12 @@ def cmd_fixtures_export(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """``--tol``: a finite number at least 0 (NaN fails both comparisons)."""
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
-    return value
+    """``--tol``: a finite number at least 0, as ``linalg.check_tolerance``
+    requires."""
+    try:
+        return check_tolerance(float(text))
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache

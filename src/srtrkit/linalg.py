@@ -24,6 +24,15 @@ def check_domain(domain: str) -> str:
     return domain
 
 
+def check_tolerance(tol, name: str = "tol") -> float:
+    """``tol`` as a float: a cut or tolerance must be finite and at least 0.
+    NaN, +-inf and negative values raise ``InvalidInputError``."""
+    value = float(tol)
+    if not 0.0 <= value < np.inf:  # NaN fails both comparisons
+        raise InvalidInputError(f"{name} must be finite and at least 0, got {tol!r}")
+    return value
+
+
 def as_real_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite real 2-D array of doubles."""
     A = np.asarray(M, dtype=float)
@@ -146,6 +155,7 @@ def controllability_staircase(
     value kept when k reaches n, the largest value dropped when the
     staircase stops short (0 when B has no columns, inf when n = 0).
     """
+    tol = RANK_CUT if tol is None else check_tolerance(tol)
     A = as_real_matrix(A, "A")
     B = as_real_matrix(B, "B")
     n = A.shape[0]
@@ -157,7 +167,7 @@ def controllability_staircase(
     if B.size == 0:
         return Z, 0, 0.0
     scale = max(singular_values(A)[0], singular_values(B)[0]) or 1.0
-    cut = (RANK_CUT if tol is None else tol) * scale
+    cut = tol * scale
     H = A.copy()
     block = B
     k = 0
@@ -201,6 +211,7 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
     reflector, applied to every pair still going. ``||A||_2`` is computed
     once per matrix of ``A``, before it is broadcast.
     """
+    tol = RANK_CUT if tol is None else check_tolerance(tol)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[-1] if A.ndim >= 2 else -1
@@ -218,7 +229,7 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
         np.broadcast_to(np.linalg.norm(A, 2, axis=(-2, -1)), stack),
         np.linalg.norm(b, axis=-1),
     ).ravel()
-    cut = (RANK_CUT if tol is None else tol) * np.where(scale > 0.0, scale, 1.0)
+    cut = tol * np.where(scale > 0.0, scale, 1.0)
     # T is the trailing block of each pair still going, x its newest column
     T = np.empty((count, n, n))
     T.reshape(stack + (n, n))[...] = A
@@ -269,6 +280,7 @@ def zero_entries(A, B, C, D, tol: float = RANK_CUT) -> np.ndarray:
     ``column_staircases`` sweep over the columns of B. Both tests cut at
     ``tol * ||[C D]||_2``.
     """
+    tol = check_tolerance(tol)
     A = as_real_matrix(A, "A")
     B = as_real_matrix(B, "B")
     C = as_real_matrix(C, "C")

@@ -259,7 +259,12 @@ class Trajectory:
         ``"%.12g" % v`` writes it, so the text holds ``nan``, ``inf``,
         ``-inf``, ``-0``, ``1e-05`` and ``1e+300``. Blocks of rows are
         formatted by one numpy kernel, ``_format_g12``; the few values it
-        cannot round safely are formatted by ``%`` itself.
+        cannot round safely are formatted by ``%`` itself. Each distinct
+        column is formatted once: a channel whose bits are all zero, or
+        equal to those of an earlier channel, takes its text from the
+        column it repeats (see ``_distinct_columns``). A free response, as
+        ``loop simulate`` writes it, has r, w, zeta and du zero, and z and v
+        equal to y and u wherever y and u hold no -0.0.
 
         With ``fh``, a text file, the header and then each block go to
         ``fh.write`` as soon as they are formatted, so no more than one
@@ -275,7 +280,7 @@ class Trajectory:
         header = ["t"]
         for name, arr in cols:
             header.extend(f"{name}{i}" for i in range(arr.shape[1]))
-        arrays = [self.t[:, None]] + [arr for _, arr in cols]
+        arrays, columns = _distinct_columns([self.t[:, None]] + [arr for _, arr in cols])
         seps = np.full(len(header), ord(","), np.uint64)
         seps[-1] = ord("\n")
         rows = max(1, _CSV_BLOCK // len(header))
@@ -288,11 +293,52 @@ class Trajectory:
                 fh.write(text.decode("ascii"))
                 del text[:]
             block = np.hstack([arr[at : at + rows] for arr in arrays], dtype=float)
-            _format_g12(block, seps, text)
+            _format_g12(block, seps, text, columns)
         if fh is None:
             return text.decode("ascii")
         fh.write(text.decode("ascii"))
         return None
+
+
+def _distinct_columns(arrays: list) -> tuple:
+    """The arrays to format, and where each column of ``arrays`` side by
+    side finds its values.
+
+    An array whose bits are all zero, or bitwise equal to an earlier kept
+    array of the same shape, is left out: its columns map to one kept
+    column of zeros, or to the columns of that earlier array. The first and
+    last rows are compared before the whole array, so arrays that differ
+    there cost next to nothing. Returns the kept arrays and the map, an
+    index array with one entry per column, or None when every array is
+    kept.
+    """
+    kept, columns, seen = [], [], []
+    width, zero = 0, None
+    for arr in arrays:
+        arr = np.asarray(arr, dtype=float)
+        k = arr.shape[1]
+        bits = arr.view(np.uint64)
+        if len(bits) and k:
+            if not (bits[0].any() or bits[-1].any() or bits.any()):
+                if zero is None:
+                    zero, width = width, width + 1
+                    kept.append(arr[:, :1])
+                columns.extend([zero] * k)
+                continue
+            twin = next((at for at, other in seen if other.shape == bits.shape
+                         and np.array_equal(other[0], bits[0])
+                         and np.array_equal(other[-1], bits[-1])
+                         and np.array_equal(other, bits)), None)
+            if twin is not None:
+                columns.extend(range(twin, twin + k))
+                continue
+            seen.append((width, bits))
+        kept.append(arr)
+        columns.extend(range(width, width + k))
+        width += k
+    if len(kept) == len(arrays):
+        return kept, None
+    return kept, np.array(columns, dtype=np.intp)
 
 
 # One formatted value in 20 bytes: byte 0 the sign, bytes 1-17 the digits
@@ -361,20 +407,25 @@ def _g12_tables() -> _G12Tables:
     return tables
 
 
-def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray) -> None:
+def _format_g12(
+    block: np.ndarray, seps: np.ndarray, dest: bytearray, columns=None
+) -> None:
     """Append to ``dest`` the text ``"%.12g" % v`` of every value of
     ``block``, row by row, each followed by its column's separator from
-    ``seps``.
+    ``seps``. With ``columns``, an index array, the text is that of
+    ``block[:, columns]``, and each value of ``block`` is formatted once.
 
     |v| is scaled by the correctly rounded 10**(11 - e), e = floor(log10
     |v|), and rounded to the 12-digit mantissa M; e moves by one where the
     scaled value leaves [1e11, 1e12) or M rounds up to 1e12. M becomes
     ASCII in three 4-digit groups, its trailing zeros are cut, and sign,
     prefix, digits, point and exponent are laid out on a canvas of
-    ``_CANVAS`` entries whose padding ``bytes.translate`` deletes. A value
-    within ``_TIE_GUARD`` of a rounding tie, a non-finite value and one
-    with |v| outside [1e-290, 1e290] is marked "%" on the canvas instead,
-    and formatted by ``"%.12g" % v``.
+    ``_CANVAS`` entries. With ``columns``, one gather of whole entries along
+    the column axis lays out the canvas of ``block[:, columns]``. The
+    separators are then patched in, and ``bytes.translate`` deletes the
+    padding. A value within ``_TIE_GUARD`` of a rounding tie, a non-finite
+    value and one with |v| outside [1e-290, 1e290] is marked "%" on the
+    canvas instead, and formatted by ``"%.12g" % v``.
     """
     t = _g12_tables()
     u = np.uint64
@@ -431,8 +482,7 @@ def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray) -> None:
     out = np.empty(v.size, _CANVAS)
     out["w0"] = (v.view(u) >> u(63)) * u(ord("-")) | b0 << u(8)
     out["w1"] = b0 >> u(56) | b1 << u(8)
-    w2 = (b1 >> u(56) | hi >> u(56) << u(8)).reshape(block.shape) | seps << u(24)
-    out["w2"] = w2.ravel()
+    out["w2"] = b1 >> u(56) | hi >> u(56) << u(8)
     sci = np.flatnonzero((e < -4) | (e >= 12))
     if sci.size:
         x = e[sci]
@@ -442,10 +492,18 @@ def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray) -> None:
     fb = np.flatnonzero(fallback)
     out["w0"][fb] = ord("%")
     out["w1"][fb] = 0
-    out["w2"][fb] &= u(0xFF000000)
+    out["w2"][fb] = 0
+    values = v[fb]
+    out = out.reshape(block.shape)
+    if columns is not None:
+        out = out.view("V20").take(columns, axis=1).view(_CANVAS)
+        if fb.size:
+            row, col = np.nonzero(fallback.reshape(block.shape)[:, columns])
+            values = block[row, columns[col]]
+    out["w2"] |= seps.astype(np.uint32) << np.uint32(24)
     text = out.tobytes().translate(None, b"\0")
     at, view = 0, memoryview(text)
-    for x in v[fb].tolist():
+    for x in values.tolist():
         cut = text.index(b"%", at)
         dest += view[at:cut]
         dest += b"%.12g" % x
@@ -520,8 +578,14 @@ def _step_matrices(A: np.ndarray, dt: float) -> tuple:
     return Phi, (dt * (F0 - 3 * F1 + 4 * F2), dt * (4 * F1 - 8 * F2), dt * (4 * F2 - F1))
 
 
-def _propagate(Phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Rows x_0 = x0 and x_{k+1} = Phi x_k + G[k], stepped in blocks.
+def _propagate(Phi: np.ndarray, x0: np.ndarray, steps: int, terms=()) -> np.ndarray:
+    """Rows x_0 = x0 and x_{k+1} = Phi x_k + g_k for k < ``steps``, stepped
+    in blocks.
+
+    The forcing g_k is the sum of ``S[k] @ H.T`` over the pairs (S, H) of
+    ``terms``, zero without them. It is written straight into the rows that
+    are stepped: one product into the rows, then one in-place add per
+    further pair.
 
     The steps are cut into blocks of L. First the zero-start response of
     every block, all blocks stepped together (L products). Then the states
@@ -531,7 +595,7 @@ def _propagate(Phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
     so no power overflows and rows before a divergence are formed from
     finite values; it is 1, the plain recurrence, on strongly unstable loops.
     """
-    steps, n = G.shape
+    n = x0.size
     if not steps:
         return x0[None, :].copy()
     norm = np.linalg.norm(Phi, 1)
@@ -540,7 +604,12 @@ def _propagate(Phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
     C = -(-steps // L)
     X = np.zeros((1 + C * L, n))
     X[0] = x0
-    X[1 : 1 + steps] = G
+    G = X[1 : 1 + steps]
+    for i, (samples, weights) in enumerate(terms):
+        if i:
+            G += samples @ weights.T
+        else:
+            np.matmul(samples, weights.T, out=G)
     Z = X[1:].reshape(C, L, n)
     PhiT = Phi.T
     for j in range(1, L):
@@ -575,7 +644,14 @@ def simulate(
     exact for zero input; otherwise it integrates the quadratic through the
     three samples exactly, for a local error of order dt^5. Discrete models
     iterate ``x_{k+1} = Acl x_k + B s_k`` with t as the step index. The
-    recurrence runs in blocks of steps (see ``_propagate``).
+    recurrence runs in blocks of steps (see ``_propagate``). The given
+    channels are sampled into one array, r | w | zeta | du side by side
+    (the trajectory's r, w, zeta and du are column views of it), and in
+    continuous time into a second one at the midpoints. The forcing is
+    written straight into the rows that ``_propagate`` steps: one product
+    of the start samples with ``W0 [B_r B_w B_zeta B_du]`` (in discrete
+    time with the stacked B alone), then in-place adds for the midpoint and
+    end samples. Without signals no product runs.
 
     Signals are callables of t returning one value per channel entry, or a
     scalar for all of them; missing channels are zero. Each is called once
@@ -628,30 +704,33 @@ def simulate(
         tgrid = np.arange(steps + 1, dtype=float)
     N = steps + 1
     given = [c for c in _CHANNELS if signals.get(c) is not None]
-    S = {
-        c: _sample(signals[c], tgrid, dims[c], c) if c in given
-        else np.zeros((N, dims[c]))
-        for c in _CHANNELS
-    }
-    # G[k] is the input's share of step k
-    G = np.zeros((steps, n))
+    # the channels side by side, r | w | zeta | du: sampled on the grid and,
+    # in continuous time, at the step midpoints
+    edges = np.cumsum([0] + [dims[c] for c in _CHANNELS])
+    cols = {c: slice(a, b) for c, a, b in zip(_CHANNELS, edges[:-1], edges[1:])}
+    grid = np.zeros((N, edges[-1]))
+    for c in given:
+        grid[:, cols[c]] = _sample(signals[c], tgrid, dims[c], c)
+    B = np.hstack([getattr(cl, "B_" + c) for c in _CHANNELS])
+    terms = []
     if continuous:
         Phi, (W0, Wm, W1) = _step_matrices(cl.Acl, dt)
-        for c in given:
-            B = getattr(cl, "B_" + c)
-            mid = _sample(signals[c], tgrid[:-1] + dt / 2, dims[c], c)
-            G += S[c][:-1] @ (W0 @ B).T + mid @ (Wm @ B).T + S[c][1:] @ (W1 @ B).T
+        if given:
+            mid = np.zeros((steps, edges[-1]))
+            for c in given:
+                mid[:, cols[c]] = _sample(signals[c], tgrid[:-1] + dt / 2, dims[c], c)
+            terms = [(grid[:-1], W0 @ B), (mid, Wm @ B), (grid[1:], W1 @ B)]
     else:
         Phi = cl.Acl
-        for c in given:
-            G += S[c][:-1] @ getattr(cl, "B_" + c).T
+        if given:
+            terms = [(grid[:-1], B)]
     with np.errstate(over="ignore", invalid="ignore"):
-        X = _propagate(Phi, x0, G)
+        X = _propagate(Phi, x0, steps, terms)
         good = np.linalg.norm(X, axis=1) <= 1e12  # False for nan and inf rows too
     filled = N if good.all() else int(np.argmin(good))
     sl = slice(0, filled)
     X = X[sl]
-    R, Wd, Z, Du = (S[c][sl] for c in _CHANNELS)
+    R, Wd, Z, Du = (grid[sl, cols[c]] for c in _CHANNELS)
     U, Y, Zm, V = cl.outputs(X, R, Z, Wd)
     return Trajectory(
         t=tgrid[sl], x=X, r=R, w=Wd, zeta=Z, du=Du,

@@ -26,6 +26,7 @@ from .linalg import (
     RANK_CUT,
     as_real_matrix,
     auto_rank_tol,
+    check_tolerance,
     column_staircases,
     controllability_staircase,
     eigenvalues,
@@ -310,6 +311,7 @@ def sparsity_pattern(obj, tol: float = RANK_CUT) -> SparsityPattern:
     (lam I - W), which the normalized form shares through its row
     denominators.
     """
+    tol = check_tolerance(tol)
     if isinstance(obj, SrtrPair):
         nonzero = ~zero_entries(obj.Aw, obj.Bw, obj.Cw, obj.Dw, tol)
     elif isinstance(obj, NrfPair):

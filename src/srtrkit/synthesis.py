@@ -22,6 +22,7 @@ from .errors import (
 )
 from .linalg import (
     RANK_CUT,
+    check_tolerance,
     eigenvalues,
     is_stable_spectrum,
     stability_distance,
@@ -248,6 +249,7 @@ def mm_conditions(
     the coupling that truncation to T discards; condition 6 is the
     stability of the corner T Aw T^T.
     """
+    tol = check_tolerance(tol)
     _check_spec_dims(base, spec)
     K = SrtrPair(base, K).K
     rows, margins = _condition_rows(base, K[None], spec)
@@ -259,6 +261,9 @@ def mm_conditions(
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-6
+
+    def __post_init__(self):
+        check_tolerance(self.tol)
 
 
 # how far inside the stability region the least-squares hinge pushes every
@@ -392,6 +397,7 @@ def reduce_rows(
     relative coupling exceeds ``tol`` raise InexactTruncationError. Rows
     with a zero coupling vector come back as order-0 constants.
     """
+    tol = check_tolerance(tol)
     _check_spec_dims(base, spec)
     pair = SrtrPair(base, K)
     p, q, m = base.p, base.q, base.m
@@ -432,6 +438,7 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = RANK_CUT) 
     transfer-matrix entries identically zero wherever the masks say so (the
     coupling diagonal is exempt, mirroring the pattern convention).
     """
+    tol = check_tolerance(tol)
     if isinstance(pair_or_rows, SrtrPair):
         pat = sparsity_pattern(pair_or_rows, tol)
         ok_w = bool(np.all(pat.maskW <= np.maximum(spec.maskW, np.eye(spec.p, dtype=int))))

@@ -444,3 +444,34 @@ def csv_reference(traj):
     data = np.hstack([traj.t[:, None]] + [arr for _, arr in cols])
     row = ",".join(["%.12g"] * data.shape[1]) + "\n"
     return ",".join(header) + "\n" + "".join(row % tuple(vals) for vals in data.tolist())
+
+
+def forcing_reference(cl, signals, horizon, dt=1e-3):
+    """Oracle for the input's share of each step of ``loop.simulate``:
+    returns Phi and the rows g_k of x_{k+1} = Phi x_k + g_k, summed channel
+    by channel from each channel's own products with its samples, which
+    are taken one time point at a time."""
+    from srtrkit.loop import _step_matrices
+
+    dims = {"r": cl.m, "w": cl.p, "zeta": cl.m, "du": cl.p}
+    continuous = cl.domain == "continuous"
+    steps = int(round(horizon / dt)) if continuous else int(horizon)
+    t = np.arange(steps + 1) * dt if continuous else np.arange(steps + 1.0)
+
+    def samples(fn, times, dim):
+        return np.array([np.broadcast_to(np.ravel(fn(tk)), dim) for tk in times]).reshape(-1, dim)
+
+    G = np.zeros((steps, cl.n))
+    if continuous:
+        Phi, (W0, Wm, W1) = _step_matrices(cl.Acl, dt)
+    else:
+        Phi = cl.Acl
+    for c, fn in signals.items():
+        B = getattr(cl, "B_" + c)
+        S = samples(fn, t, dims[c])
+        if continuous:
+            mid = samples(fn, t[:-1] + dt / 2, dims[c])
+            G += S[:-1] @ (W0 @ B).T + mid @ (Wm @ B).T + S[1:] @ (W1 @ B).T
+        else:
+            G += S[:-1] @ B.T
+    return Phi, G

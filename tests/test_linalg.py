@@ -7,6 +7,7 @@ from srtrkit.errors import InvalidInputError, NumericalFailureError
 from srtrkit.linalg import (
     DOMAINS,
     auto_rank_tol,
+    check_tolerance,
     column_staircases,
     controllability_staircase,
     eigenvalues,
@@ -331,3 +332,31 @@ def test_sample_complex_points_dense_pole_set_still_works():
     poles = rng.normal(size=40) + 1j * rng.normal(size=40)
     pts = sample_complex_points(poles, 8, seed=1, min_distance=0.05)
     assert len(pts) == 8
+
+
+BAD_TOLS = [np.nan, np.inf, -np.inf, -1.0, -1e-300]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_cuts_must_be_finite_and_at_least_0(tol):
+    rng = np.random.default_rng(3)
+    A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
+    C, D = rng.normal(size=(3, 4)), np.zeros((3, 2))
+    for call in (
+        lambda: check_tolerance(tol),
+        lambda: controllability_staircase(A, B, tol),
+        lambda: column_staircases(A, B.T, tol),
+        lambda: zero_entries(A, B, C, D, tol),
+        lambda: is_minimal(StateSpaceSystem(A, B, C, D), tol),
+    ):
+        with pytest.raises(InvalidInputError, match="must be finite and at least 0"):
+            call()
+
+
+def test_cut_0_and_none_are_accepted():
+    rng = np.random.default_rng(3)
+    A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
+    assert check_tolerance(0) == 0.0
+    assert controllability_staircase(A, B, 0.0)[1] == 4
+    assert controllability_staircase(A, B, None)[1] == 4
+    assert np.array_equal(column_staircases(A, B.T, None)[1], [4, 4])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
-from helpers import assign_stable_spectrum, csv_reference, random_pair, stable_targets
+from helpers import (
+    assign_stable_spectrum,
+    csv_reference,
+    forcing_reference,
+    random_pair,
+    stable_targets,
+)
 from srtrkit import fixtures, loop
 from srtrkit.errors import AlgebraicLoopError, DimensionError, PreconditionError
 from srtrkit.loop import (
@@ -427,9 +433,50 @@ def test_propagate_matches_recurrence(domain, rows):
     x0 = rng.normal(size=n)
     G = rng.normal(size=(rows - 1, n)) * 1e-2
     want = _recurrence(Phi, x0, G)
-    got = _propagate(Phi, x0, G)
+    got = _propagate(Phi, x0, rows - 1, [(G, np.eye(n))])
     assert got.shape == (rows, n)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _random_model(rng, n, p, m, domain):
+    """A stable random loop of n states with p inputs and m outputs."""
+    A = rng.normal(size=(n, n)) / np.sqrt(n)
+    if domain == "continuous":
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.2) * np.eye(n)
+    else:
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    return ClosedLoopModel(
+        Acl=A, B_r=rng.normal(size=(n, m)), B_w=rng.normal(size=(n, p)),
+        B_zeta=rng.normal(size=(n, m)), B_du=rng.normal(size=(n, p)),
+        Cu=rng.normal(size=(p, n)), Cy=rng.normal(size=(m, n)),
+        E=rng.normal(size=(p, m)), F=np.zeros((m, p)),
+        n_plant=n, n_ctrl=0, domain=domain,
+    )
+
+
+@pytest.mark.parametrize("channels", [("r", "w", "zeta", "du"), ("w",), ("zeta", "du")])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_simulate_forcing_matches_per_channel_oracle(domain, channels):
+    # the stacked forcing, written into the stepped rows, against each
+    # channel's own products summed, stepped by the same recurrence
+    rng = np.random.default_rng(len(channels))
+    cl = _random_model(rng, 7, 2, 3, domain)
+    dims = {"r": cl.m, "w": cl.p, "zeta": cl.m, "du": cl.p}
+    signals = {
+        c: (lambda t, a=rng.normal(size=dims[c]), om=rng.uniform(0.5, 4.0):
+            a * np.sin(om * t) + 0.1 * t)
+        for c in channels
+    }
+    x0 = rng.normal(size=cl.n)
+    horizon = 0.5 if domain == "continuous" else 300
+    traj = simulate(cl, signals=signals, x0=x0, horizon=horizon, dt=1e-3)
+    Phi, G = forcing_reference(cl, signals, horizon)
+    want = _propagate(Phi, x0, len(G), [(G, np.eye(cl.n))])
+    assert traj.x.shape == want.shape and not traj.diverged
+    assert np.linalg.norm(traj.x - want) <= 1e-13 * np.linalg.norm(want)
+    for c in ("r", "w", "zeta", "du"):
+        assert getattr(traj, c).shape == (len(traj.t), dims[c])
+        assert np.any(getattr(traj, c)) == (c in channels)
 
 
 def _scalar_model(Acl, domain):
@@ -641,6 +688,85 @@ def test_csv_fallbacks_at_block_boundary():
     buf = io.StringIO()
     traj.to_csv(buf)
     assert buf.getvalue() == traj.to_csv() == csv_reference(traj)
+
+
+def _free_trajectory(rng, rows, n, p, m):
+    """A trace shaped as a free response writes it: r, w, zeta and du zero,
+    z = r + y and v = u + w."""
+    x = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-6, 2, (rows, n))
+    u, y = rng.normal(size=(rows, p)), rng.normal(size=(rows, m))
+    r, w = np.zeros((rows, m)), np.zeros((rows, p))
+    return Trajectory(np.arange(rows) * 1e-3, x, r, w, np.zeros((rows, m)),
+                      np.zeros((rows, p)), u, y, r + y, u + w)
+
+
+def _assert_csv(traj):
+    text = traj.to_csv()
+    assert text == csv_reference(traj)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    assert buf.getvalue() == text
+    return text
+
+
+def test_csv_repeated_channels_keep_the_sign_of_zero():
+    # r = +0.0 and y = -0.0 give z = +0.0: z equals y in value, not in bits
+    rng = np.random.default_rng(22)
+    traj = _free_trajectory(rng, 50, 4, 3, 3)
+    traj.y[[0, 7, 49], 1] = -0.0
+    traj.u[:, 2] = -0.0
+    traj.z[:], traj.v[:] = traj.r + traj.y, traj.u + traj.w
+    assert np.array_equal(traj.z, traj.y) and np.array_equal(traj.v, traj.u)
+    arrays = [traj.t[:, None], traj.x, traj.r, traj.w, traj.zeta, traj.du,
+              traj.u, traj.y, traj.z, traj.v]
+    kept, columns = loop._distinct_columns(arrays)
+    # t, x, one zero column, u, y, and z and v for their signed zeros
+    assert sum(a.shape[1] for a in kept) == 1 + 4 + 1 + 4 * 3
+    assert len(columns) == 1 + 4 + 8 * 3
+    lines = _assert_csv(traj).splitlines()
+    header = lines[0].split(",")
+    row = lines[8].split(",")
+    assert row[header.index("y1")] == "-0" and row[header.index("z1")] == "0"
+    assert row[header.index("u2")] == "-0" and row[header.index("v2")] == "0"
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (5, 2), (1, 1), (3, 0)])
+def test_csv_zero_channels_of_unequal_widths(p, m):
+    rng = np.random.default_rng(10 * p + m)
+    for rows in (0, 1, 3, 2 * loop._CSV_BLOCK // (1 + 6 + 4 * (p + m))):
+        traj = _free_trajectory(rng, rows, 6, p, m)
+        _assert_csv(traj)
+    # every channel zero but t, x and u
+    traj.y[:] = 0.0
+    traj.z[:] = 0.0
+    _assert_csv(traj)
+
+
+def test_csv_channels_equal_only_in_their_first_and_last_rows():
+    rng = np.random.default_rng(23)
+    traj = _free_trajectory(rng, 3 * loop._CSV_BLOCK // 37, 6, 3, 3)
+    traj.z[1:-1] += 1e-9  # z matches y in its first and last rows only
+    traj.v[5, 0] = np.nextafter(traj.v[5, 0], 1.0)  # one bit inside
+    traj.du[10, 2] = 5e-324  # zero in the first and last rows only
+    traj.w[-1, 0] = -0.0  # zero in value, not in bits
+    _assert_csv(traj)
+
+
+def test_csv_repeated_channels_with_fallbacks_at_block_boundary():
+    # nan, a rounding tie and 1e300, which % formats, in a channel and its
+    # repeat, in the last row of a block and the first of the next
+    rng = np.random.default_rng(24)
+    p = m = 6
+    width = 1 + 24 + 8 * p
+    per_block = loop._CSV_BLOCK // width
+    traj = _free_trajectory(rng, 3 * per_block, 24, p, m)
+    for row in (per_block - 1, per_block):
+        traj.y[row, [0, 2, m - 1]] = [np.nan, 123456789012.5, 1e300]
+        traj.u[row, [0, p - 1]] = [-np.inf, 1e300]
+    traj.x[per_block, 0] = np.nan
+    traj.z[:], traj.v[:] = traj.y, traj.u
+    text = _assert_csv(traj)
+    assert text.count("nan") == 5 and text.count("1e+300") == 8
 
 
 def _ring_sized_trajectory(rows):

@@ -17,7 +17,7 @@ from helpers import (
     structured_pair,
 )
 from srtrkit import fixtures
-from srtrkit.errors import DimensionError
+from srtrkit.errors import DimensionError, InvalidInputError
 from srtrkit.linalg import DOMAINS, sample_complex_points
 from srtrkit.srtr import (
     SrtrPair,
@@ -315,3 +315,14 @@ def test_verify_identity_resamples_near_poles():
     # the implementation redraws until evaluation succeeds.
     pair = scalar_pair(0.999)
     assert verify_srtr_identity(pair, n_samples=11, seed=2) < 1e-7
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_sparsity_pattern_rejects_a_bad_cut(tol):
+    # NaN marked every entry nonzero, -1 every entry too
+    pair = structured_pair(np.random.default_rng(1), (1, 2, 1))[0]
+    with pytest.raises(InvalidInputError, match="must be finite and at least 0"):
+        sparsity_pattern(pair, tol=tol)
+    with pytest.raises(InvalidInputError):
+        sparsity_pattern(nrf_from_srtr(pair), tol=tol)
+    assert sparsity_pattern(pair, tol=0.0).maskW.shape == (pair.p, pair.p)

@@ -452,3 +452,21 @@ def test_mm_solve_deterministic():
     K1 = mm_solve(base, spec, SolveOptions(tol=1e-6))
     K2 = mm_solve(base, spec, SolveOptions(tol=1e-6))
     assert np.array_equal(K1, K2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_tolerances_must_be_finite_and_at_least_0(tol):
+    # mm_conditions reported passed: False at NaN and -1 where 5e-3 passes
+    base, K, spec = ring_inputs()
+    pair = SrtrPair(base, K)
+    for call in (
+        lambda: mm_conditions(base, K, spec, tol=tol),
+        lambda: SolveOptions(tol=tol),
+        lambda: reduce_rows(base, K, spec, tol=tol),
+        lambda: verify_structured(pair, spec, tol=tol),
+        lambda: verify_structured(reduce_rows(base, K, spec), spec, tol=tol),
+    ):
+        with pytest.raises(InvalidInputError, match="must be finite and at least 0"):
+            call()
+    assert mm_conditions(base, K, spec, tol=5e-3).passed
+    assert SolveOptions(tol=0.0).tol == 0.0
