@@ -24,12 +24,12 @@ def check_domain(domain: str) -> str:
     return domain
 
 
-def check_tolerance(tol, name: str = "tol") -> float:
+def check_tolerance(tol) -> float:
     """``tol`` as a float: a cut or tolerance must be finite and at least 0.
     NaN, +-inf and negative values raise ``InvalidInputError``."""
     value = float(tol)
     if not 0.0 <= value < np.inf:  # NaN fails both comparisons
-        raise InvalidInputError(f"{name} must be finite and at least 0, got {tol!r}")
+        raise InvalidInputError(f"tol must be finite and at least 0, got {tol!r}")
     return value
 
 

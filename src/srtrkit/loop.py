@@ -407,13 +407,12 @@ def _g12_tables() -> _G12Tables:
     return tables
 
 
-def _format_g12(
-    block: np.ndarray, seps: np.ndarray, dest: bytearray, columns=None
-) -> None:
+def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray, columns) -> None:
     """Append to ``dest`` the text ``"%.12g" % v`` of every value of
     ``block``, row by row, each followed by its column's separator from
-    ``seps``. With ``columns``, an index array, the text is that of
-    ``block[:, columns]``, and each value of ``block`` is formatted once.
+    ``seps``. With ``columns`` an index array and not None, the text is
+    that of ``block[:, columns]``, and each value of ``block`` is formatted
+    once.
 
     |v| is scaled by the correctly rounded 10**(11 - e), e = floor(log10
     |v|), and rounded to the 12-digit mantissa M; e moves by one where the
