@@ -200,8 +200,8 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
         hashes = {key: sides["parent"][key] == sides["change"][key]
                   for key in ("csv_sha256", "csv_free_sha256", "cli_csv_sha256")}
         sizes[n] = dict(sides, x_rel_diff=rel, same_rows=same,
-                        same_csv=hashes["csv_free_sha256"] and hashes["cli_csv_sha256"],
-                        same_driven_csv=hashes["csv_sha256"])
+                        same_csv=hashes["csv_sha256"] and hashes["cli_csv_sha256"],
+                        same_free_csv=hashes["csv_free_sha256"])
     return {
         "input": ("stable random ClosedLoopModel of n states, p = m = n / 4, rng seed n, "
                   "spectral abscissa -0.2; sinusoids of t on all four channels; horizon %g, "
@@ -221,10 +221,11 @@ def stage_sweep(roots: dict, tmp: Path) -> dict:
                 "grid) per size and side, alternating, in a fresh process: cli_peak_rss_mb is "
                 "its ru_maxrss after the run, cli_rss_before_mb after loading srtrkit and "
                 "writing the loop files"),
-        "same_csv": ("the two sides' to_csv texts of the free response have the same sha256 "
-                     "(csv_free_sha256), and so do their CLI traces (cli_csv_sha256)"),
-        "same_driven_csv": ("the same for the driven trace (csv_sha256); a driven trajectory "
-                            "that moves at rounding level (x_rel_diff) changes its text"),
+        "same_csv": ("the two sides' to_csv texts of the driven trace have the same sha256 "
+                     "(csv_sha256), and so do their CLI traces (cli_csv_sha256); a driven "
+                     "trajectory that moves at rounding level (x_rel_diff) changes its text"),
+        "same_free_csv": ("the same for the to_csv texts of the free response "
+                          "(csv_free_sha256)"),
         "sizes": sizes,
     }
 

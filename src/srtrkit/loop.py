@@ -309,8 +309,7 @@ def _distinct_columns(arrays: list) -> tuple:
     column of zeros, or to the columns of that earlier array. The first and
     last rows are compared before the whole array, so arrays that differ
     there cost next to nothing. Returns the kept arrays and the map, an
-    index array with one entry per column, or None when every array is
-    kept.
+    index array with one entry per column.
     """
     kept, columns, seen = [], [], []
     width, zero = 0, None
@@ -336,8 +335,6 @@ def _distinct_columns(arrays: list) -> tuple:
         kept.append(arr)
         columns.extend(range(width, width + k))
         width += k
-    if len(kept) == len(arrays):
-        return kept, None
     return kept, np.array(columns, dtype=np.intp)
 
 
@@ -409,22 +406,20 @@ def _g12_tables() -> _G12Tables:
 
 def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray, columns) -> None:
     """Append to ``dest`` the text ``"%.12g" % v`` of every value of
-    ``block``, row by row, each followed by its column's separator from
-    ``seps``. With ``columns`` an index array and not None, the text is
-    that of ``block[:, columns]``, and each value of ``block`` is formatted
-    once.
+    ``block[:, columns]``, row by row, each followed by its column's
+    separator from ``seps``. Each value of ``block`` is formatted once.
 
     |v| is scaled by the correctly rounded 10**(11 - e), e = floor(log10
     |v|), and rounded to the 12-digit mantissa M; e moves by one where the
     scaled value leaves [1e11, 1e12) or M rounds up to 1e12. M becomes
     ASCII in three 4-digit groups, its trailing zeros are cut, and sign,
     prefix, digits, point and exponent are laid out on a canvas of
-    ``_CANVAS`` entries. With ``columns``, one gather of whole entries along
-    the column axis lays out the canvas of ``block[:, columns]``. The
-    separators are then patched in, and ``bytes.translate`` deletes the
-    padding. A value within ``_TIE_GUARD`` of a rounding tie, a non-finite
-    value and one with |v| outside [1e-290, 1e290] is marked "%" on the
-    canvas instead, and formatted by ``"%.12g" % v``.
+    ``_CANVAS`` entries. One gather of whole entries along the column axis
+    lays out the canvas of ``block[:, columns]``. The separators are then
+    patched in, and ``bytes.translate`` deletes the padding. A value
+    within ``_TIE_GUARD`` of a rounding tie, a non-finite value and one
+    with |v| outside [1e-290, 1e290] is marked "%" on the canvas instead,
+    and formatted by ``"%.12g" % v``.
     """
     t = _g12_tables()
     u = np.uint64
@@ -492,13 +487,9 @@ def _format_g12(block: np.ndarray, seps: np.ndarray, dest: bytearray, columns) -
     out["w0"][fb] = ord("%")
     out["w1"][fb] = 0
     out["w2"][fb] = 0
-    values = v[fb]
-    out = out.reshape(block.shape)
-    if columns is not None:
-        out = out.view("V20").take(columns, axis=1).view(_CANVAS)
-        if fb.size:
-            row, col = np.nonzero(fallback.reshape(block.shape)[:, columns])
-            values = block[row, columns[col]]
+    out = out.reshape(block.shape).view("V20").take(columns, axis=1).view(_CANVAS)
+    row, col = np.nonzero(fallback.reshape(block.shape)[:, columns])
+    values = block[row, columns[col]]
     out["w2"] |= seps.astype(np.uint32) << np.uint32(24)
     text = out.tobytes().translate(None, b"\0")
     at, view = 0, memoryview(text)
@@ -577,7 +568,7 @@ def _step_matrices(A: np.ndarray, dt: float) -> tuple:
     return Phi, (dt * (F0 - 3 * F1 + 4 * F2), dt * (4 * F1 - 8 * F2), dt * (4 * F2 - F1))
 
 
-def _propagate(Phi: np.ndarray, x0: np.ndarray, steps: int, terms=()) -> np.ndarray:
+def _propagate(Phi: np.ndarray, x0: np.ndarray, steps: int, terms: list) -> np.ndarray:
     """Rows x_0 = x0 and x_{k+1} = Phi x_k + g_k for k < ``steps``, stepped
     in blocks.
 
@@ -638,19 +629,20 @@ def simulate(
 
     Continuous models step exactly with the matrix exponential: each step
     is ``x_{k+1} = Phi x_k + H0 s_k + Hm s_{k+1/2} + H1 s_{k+1}``, where s
-    stacks the inputs sampled at the step's start, middle and end and
-    ``Hj = Wj [B_r B_w B_zeta B_du]`` (see ``_step_matrices``). This is
-    exact for zero input; otherwise it integrates the quadratic through the
-    three samples exactly, for a local error of order dt^5. Discrete models
-    iterate ``x_{k+1} = Acl x_k + B s_k`` with t as the step index. The
-    recurrence runs in blocks of steps (see ``_propagate``). The given
-    channels are sampled into one array, r | w | zeta | du side by side
-    (the trajectory's r, w, zeta and du are column views of it), and in
-    continuous time into a second one at the midpoints. The forcing is
-    written straight into the rows that ``_propagate`` steps: one product
-    of the start samples with ``W0 [B_r B_w B_zeta B_du]`` (in discrete
-    time with the stacked B alone), then in-place adds for the midpoint and
-    end samples. Without signals no product runs.
+    stacks the given inputs sampled at the step's start, middle and end,
+    and ``Hj = Wj B`` with B their B blocks side by side, ``[B_r B_w]`` for
+    r and w, say (see ``_step_matrices``). This is exact for zero input;
+    otherwise it integrates the quadratic through the three samples
+    exactly, for a local error of order dt^5. Discrete models iterate
+    ``x_{k+1} = Acl x_k + B s_k`` with t as the step index. The recurrence
+    runs in blocks of steps (see ``_propagate``). The given channels are
+    sampled side by side into one array, of which the trajectory's given
+    channels are column views, and in continuous time into a second one at
+    the midpoints; missing channels are zero arrays of their own. The
+    forcing is written straight into the rows that ``_propagate`` steps:
+    one product of the start samples with ``W0 B`` (in discrete time with B
+    alone), then in-place adds for the midpoint and end samples. Without
+    signals no product runs.
 
     Signals are callables of t returning one value per channel entry, or a
     scalar for all of them; missing channels are zero. Each is called once
@@ -703,19 +695,21 @@ def simulate(
         tgrid = np.arange(steps + 1, dtype=float)
     N = steps + 1
     given = [c for c in _CHANNELS if signals.get(c) is not None]
-    # the channels side by side, r | w | zeta | du: sampled on the grid and,
-    # in continuous time, at the step midpoints
-    edges = np.cumsum([0] + [dims[c] for c in _CHANNELS])
-    cols = {c: slice(a, b) for c, a, b in zip(_CHANNELS, edges[:-1], edges[1:])}
-    grid = np.zeros((N, edges[-1]))
+    # the given channels side by side: sampled on the grid and, in
+    # continuous time, at the step midpoints
+    edges = np.cumsum([0] + [dims[c] for c in given])
+    cols = {c: slice(a, b) for c, a, b in zip(given, edges[:-1], edges[1:])}
+    grid = np.empty((N, edges[-1]))
+    S = {c: np.zeros((N, dims[c])) for c in _CHANNELS if c not in given}
     for c in given:
-        grid[:, cols[c]] = _sample(signals[c], tgrid, dims[c], c)
-    B = np.hstack([getattr(cl, "B_" + c) for c in _CHANNELS])
+        S[c] = grid[:, cols[c]]
+        S[c][:] = _sample(signals[c], tgrid, dims[c], c)
+    B = np.hstack([np.zeros((n, 0))] + [getattr(cl, "B_" + c) for c in given])
     terms = []
     if continuous:
         Phi, (W0, Wm, W1) = _step_matrices(cl.Acl, dt)
         if given:
-            mid = np.zeros((steps, edges[-1]))
+            mid = np.empty((steps, edges[-1]))
             for c in given:
                 mid[:, cols[c]] = _sample(signals[c], tgrid[:-1] + dt / 2, dims[c], c)
             terms = [(grid[:-1], W0 @ B), (mid, Wm @ B), (grid[1:], W1 @ B)]
@@ -729,7 +723,7 @@ def simulate(
     filled = N if good.all() else int(np.argmin(good))
     sl = slice(0, filled)
     X = X[sl]
-    R, Wd, Z, Du = (grid[sl, cols[c]] for c in _CHANNELS)
+    R, Wd, Z, Du = (S[c][sl] for c in _CHANNELS)
     U, Y, Zm, V = cl.outputs(X, R, Z, Wd)
     return Trajectory(
         t=tgrid[sl], x=X, r=R, w=Wd, zeta=Z, du=Du,
