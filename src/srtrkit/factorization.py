@@ -86,9 +86,6 @@ class ThetaFactor:
         read-only."""
         return self._system
 
-    def evaluate(self, lam) -> np.ndarray:
-        return eval_tfm(self.system(), lam)
-
 
 @dataclass(frozen=True)
 class LcfOverS:

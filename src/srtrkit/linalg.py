@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, NonFiniteError, NumericalFailureError
+from .errors import (
+    DimensionError, InvalidInputError, NonFiniteError, NumericalFailureError, PoleEvaluationError,
+)
 
 DOMAINS = ("continuous", "discrete")
 
@@ -343,10 +345,10 @@ def sampled_residual(evaluate, poles, count: int, seed: int = 0) -> float:
     sample points clear of ``poles``; ``evaluate(lams)`` returns the pair
     (ref, got) of (k, ...) stacks at the k points of the 1-D array ``lams``.
 
-    A draw on which sampling or evaluation fails (a singular solve, no room
-    between the poles) is replaced by the draw of the next seed, up to five
-    draws. A ``count`` below 1, which would check nothing, or a negative
-    ``seed`` raises InvalidInputError.
+    A draw on which sampling or evaluation fails (a singular solve, a point
+    too close to a pole, no room between the poles) is replaced by the draw
+    of the next seed, up to five draws. A ``count`` below 1, which would
+    check nothing, or a negative ``seed`` raises InvalidInputError.
     """
     if count < 1:
         raise InvalidInputError(f"the sample count must be at least 1, got {count}")
@@ -355,7 +357,7 @@ def sampled_residual(evaluate, poles, count: int, seed: int = 0) -> float:
     for attempt in range(5):
         try:
             refs, gots = evaluate(sample_complex_points(poles, count, seed=seed + attempt))
-        except (np.linalg.LinAlgError, NumericalFailureError):
+        except (np.linalg.LinAlgError, NumericalFailureError, PoleEvaluationError):
             continue
         worst = 0.0
         for ref, got in zip(refs, gots):

@@ -40,6 +40,7 @@ from .rational import siso_rational
 from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
+    _guarded_inverse,
     eval_tfm,
     read_only_system,
     with_integrators,
@@ -112,12 +113,6 @@ class SrtrPair:
         first use, its matrices read-only."""
         return self._wv
 
-    def eval_w(self, lam) -> np.ndarray:
-        return eval_tfm(self.wv_system(), lam)[..., : self.p]
-
-    def eval_v(self, lam) -> np.ndarray:
-        return eval_tfm(self.wv_system(), lam)[..., self.p :]
-
     def response(self, lam) -> np.ndarray:
         """G(lam) = (lam I - W(lam))^{-1} V(lam), at a point or at each
         point of a 1-D array."""
@@ -173,13 +168,16 @@ class NrfPair:
 
     def _rows(self, lam) -> np.ndarray:
         """[Phi Gamma] at a point, or at each point of a 1-D array, from
-        one stacked solve. A padded state's pencil block is the identity,
-        so padding adds no pole."""
+        one ``_guarded_inverse`` of every row's pencil, so a pole of any row
+        raises as in ``eval_tfm``. A padded state's pencil block is the
+        identity, so padding adds no pole."""
         eye = np.eye(self.A.shape[-1])
         E = eye * (np.arange(len(eye)) < self.order[:, None])[:, :, None]
-        lam = np.asarray(lam, dtype=complex)[..., None, None, None]
-        pencil = lam * E + (eye - E) - self.A
-        return (self.c[:, None, :] @ np.linalg.solve(pencil, self.B))[..., 0, :]
+        lams = np.asarray(lam, dtype=complex)
+        points = lams.reshape(-1)
+        pencils = points[:, None, None, None] * E + (eye - E) - self.A
+        rows = (self.c[:, None, :] @ (_guarded_inverse(pencils, points) @ self.B))[..., 0, :]
+        return rows if lams.ndim else rows[0]
 
     def eval_phi(self, lam) -> np.ndarray:
         return self._rows(lam)[..., : self.p]

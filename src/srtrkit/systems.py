@@ -74,40 +74,42 @@ class StateSpaceSystem:
         return self.C.shape[0]
 
 
+def _guarded_inverse(pencils: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Inverse of a (k, ..., n, n) stack of pencils, ``pencils[i]`` those of
+    ``points[i]``. A point is a pole when one of its pencils is exactly
+    singular, and too close to one when a pencil's exact 1-norm condition
+    number ||P||_1 ||P^-1||_1 exceeds 1e13 (LAPACK gecon estimates a lower
+    bound of it, so this cut is at least as strict); either raises
+    PoleEvaluationError naming the first such point."""
+    axes = tuple(range(1, pencils.ndim - 2))
+    try:
+        inv = np.linalg.inv(pencils)
+    except np.linalg.LinAlgError:
+        i = np.argmax(np.any(np.linalg.slogdet(pencils)[0] == 0, axis=axes))
+        raise PoleEvaluationError(f"evaluation point {points[i]} is a pole") from None
+    norms = [np.abs(M).sum(axis=-2).max(axis=-1) for M in (pencils, inv)]
+    cond = norms[0] * norms[1]
+    clear = np.all(cond <= 1e13, axis=axes)
+    if not clear.all():
+        i = np.argmin(clear)
+        raise PoleEvaluationError(
+            f"evaluation point {points[i]} is too close to a pole (cond={np.max(cond[i]):.2e})"
+        )
+    return inv
+
+
 def eval_tfm(sys: StateSpaceSystem, lam) -> np.ndarray:
     """Transfer matrix C (lam I - A)^{-1} B + D at a point, or at each point
-    of a 1-D array ``lam`` as a (k, p, m) stack.
-
-    One LU of each pencil lam I - A does its solve and gives LAPACK's
-    estimate of its reciprocal condition number; a point whose estimate is
-    below 1e-13 counts as a pole.
-    """
-    import scipy.linalg  # deferred: importing it would double CLI start-up
-
+    of a 1-D array ``lam`` as a (k, p, m) stack, from one stacked
+    ``_guarded_inverse`` of the pencils lam I - A, which rejects poles."""
     lams = np.asarray(lam, dtype=complex)
     points = lams.reshape(-1)
     n = sys.n
     if n == 0:
         G = np.repeat(sys.D[None], points.size, axis=0).astype(complex)
         return G if lams.ndim else G[0]
-    pencils = points[:, None, None] * np.eye(n) - sys.A
-    getrf, gecon, getrs = scipy.linalg.lapack.get_lapack_funcs(
-        ("getrf", "gecon", "getrs"), (pencils,)
-    )
-    B = sys.B.astype(complex)
-    X = np.empty((points.size,) + B.shape, dtype=complex)
-    for i, pencil in enumerate(pencils):
-        lu, piv, info = getrf(pencil)
-        if info > 0:
-            raise PoleEvaluationError(f"evaluation point {points[i]} is a pole")
-        rcond, _ = gecon(lu, np.linalg.norm(pencil, 1))
-        if not rcond >= 1e-13:
-            raise PoleEvaluationError(
-                f"evaluation point {points[i]} is too close to a pole "
-                f"(cond={1 / rcond:.2e})"
-            )
-        X[i], _ = getrs(lu, piv, B)
-    G = sys.C @ X + sys.D
+    inv = _guarded_inverse(points[:, None, None] * np.eye(n) - sys.A, points)
+    G = sys.C @ (inv @ sys.B) + sys.D
     return G if lams.ndim else G[0]
 
 
@@ -264,12 +266,6 @@ class PartitionedRealization:
         """The whole realization as one system, built on first use; its
         matrices are read-only."""
         return self._system
-
-    def observable_pair(self) -> bool:
-        """Observability of (A22, A12): the hidden block must be seen
-        through the coupling rows, so the dual staircase reaches all q
-        hidden states."""
-        return controllability_staircase(self.A22.T, self.A12.T)[1] == self.q
 
 
 def to_output_normal(sys: StateSpaceSystem) -> tuple[

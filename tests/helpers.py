@@ -41,7 +41,7 @@ def random_partitioned(rng, p, q, m, domain="continuous", max_tries=50):
         )
         if not is_minimal(base.full_system()):
             continue
-        if q > 0 and not base.observable_pair():
+        if q > 0 and controllability_staircase(base.A22.T, base.A12.T)[1] < q:
             continue
         return base
     raise AssertionError("could not draw a usable random base")

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_theta_validation():
     with pytest.raises(InvalidThetaError):
         ThetaFactor(-np.eye(2), np.zeros((2, 2)), np.eye(2), "continuous")
     theta = ThetaFactor(-2.0 * np.eye(2), np.eye(2), np.eye(2), "continuous")
-    assert np.allclose(theta.evaluate(1.0), np.eye(2) / 3.0)
+    assert np.allclose(eval_tfm(theta.system(), 1.0), np.eye(2) / 3.0)
 
 
 def test_lcf_factorization_identity():
@@ -98,7 +99,8 @@ def test_stacked_evaluation_matches_per_point_calls():
     theta = ring_theta()
     lcf = lcf_from_srtr(pair, theta)
     lams = np.array([0.6 + 1.1j, 2.0 + 0.3j, -0.1 + 2.5j])
-    for evaluate in (pair.response, pair.eval_w, pair.eval_v, lcf.response, theta.evaluate,
+    for evaluate in (pair.response, partial(eval_tfm, pair.wv_system()), lcf.response,
+                     partial(eval_tfm, theta.system()),
                      lambda lam: np.concatenate(lcf.eval_mn(lam), axis=-1)):
         stack = evaluate(lams)
         assert np.array_equal(stack, np.stack([evaluate(lam) for lam in lams]))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import pbh_holds, planted_unreachable, rotation, sample_complex_points_reference
-from srtrkit.errors import InvalidInputError, NumericalFailureError
+from srtrkit.errors import InvalidInputError, NumericalFailureError, PoleEvaluationError
 from srtrkit.linalg import (
     DOMAINS,
     auto_rank_tol,
@@ -131,6 +131,22 @@ def test_sampled_residual_redraws_failed_points():
     assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(NumericalFailureError):
         sampled_residual(_fail, poles, 3)
+
+
+def test_sampled_residual_redraws_points_near_a_pole():
+    poles = np.array([-1.0, 2.0j, -2.0j])
+    first = sample_complex_points(poles, 3, seed=0)
+    calls = []
+
+    def evaluate(lams):
+        calls.append(lams)
+        if len(calls) == 1:
+            raise PoleEvaluationError(f"evaluation point {lams[0]} is too close to a pole")
+        return lams[:, None], lams[:, None]
+
+    assert sampled_residual(evaluate, poles, 3) == 0.0
+    assert np.array_equal(calls[0], first)
+    assert np.array_equal(calls[1], sample_complex_points(poles, 3, seed=1))
 
 
 @pytest.mark.parametrize("count,seed", [(0, 0), (-3, 0), (5, -1)])

@@ -54,8 +54,10 @@ SCIPY_FREE_COMMANDS = [
     "fixtures export ring6-K -o K.json",
     "fixtures export ring6-plant -o plant.json",
     "srtr build --base base.json --gain K.json -o pair.json",
+    "srtr check --in pair.json -o check.json",
     "srtr nrf --in pair.json -o nrf.json",
     "lcf from-srtr --in pair.json -o lcf.json",
+    "lcf check --in lcf.json --source pair.json -o lcfcheck.json",
     "synth conditions --base base.json --gain K.json --spec spec.json --tol 5e-3 -o cond.json",
     "synth solve --base base.json --spec spec.json --tol 5e-3 -o solve.json",
     "synth reduce --base base.json --gain K.json --spec spec.json -o rows.json",

@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -17,7 +18,7 @@ from helpers import (
     structured_pair,
 )
 from srtrkit import fixtures
-from srtrkit.errors import DimensionError, InvalidInputError
+from srtrkit.errors import DimensionError, InvalidInputError, PoleEvaluationError
 from srtrkit.linalg import DOMAINS, sample_complex_points
 from srtrkit.srtr import (
     SrtrPair,
@@ -182,6 +183,17 @@ def test_nrf_padded_rows_add_no_pole_at_origin():
     for lam in (1e-9, 1e-9j, 0.0):
         G = pair.response(lam)
         assert np.linalg.norm(nrf.response(lam) - G) <= 1e-12 * np.linalg.norm(G)
+
+
+def test_nrf_eval_phi_at_a_row_pole_raises():
+    nrf = nrf_from_srtr(fixtures.ring6_pair())
+    i = int(np.argmax(nrf.order))
+    k = nrf.order[i]
+    pole = np.linalg.eigvals(nrf.A[i, :k, :k])[0]
+    with pytest.raises(PoleEvaluationError):
+        nrf.eval_phi(pole)
+    with pytest.raises(PoleEvaluationError, match=re.escape(f"point {np.complex128(pole)}")):
+        nrf.eval_phi(np.array([pole + 0.5, pole]))
 
 
 def test_sparsity_pattern_block_structure():

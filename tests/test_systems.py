@@ -97,6 +97,31 @@ def test_eval_tfm_stack_names_the_point_at_a_pole():
     with pytest.raises(PoleEvaluationError, match=re.escape(f"point {near} is too close")):
         eval_tfm(two, np.array([2.5, near, 3.0]))
 
+
+def test_eval_tfm_guard_measures_conditioning_not_distance():
+    # a Jordan chain at -1 coupled by 1e5: at 0, a distance of 1 from every
+    # eigenvalue, ||P||_1 ||P^-1||_1 is about 1e15
+    A = -np.eye(3) + 1e5 * np.eye(3, k=1)
+    chain = StateSpaceSystem(A, np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1)), "continuous")
+    assert np.min(np.abs(np.linalg.eigvals(A))) >= 0.1
+    assert np.linalg.cond(-A, 1) > 1e13
+    with pytest.raises(PoleEvaluationError, match="point 0j is too close"):
+        eval_tfm(chain, 0.0)
+    # the same eigenvalues without the coupling are far from any pole at 0
+    loose = StateSpaceSystem(-np.eye(3), np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1)),
+                             "continuous")
+    assert np.allclose(eval_tfm(loose, 0.0), [[3.0]])
+
+
+def test_eval_tfm_stack_names_an_exactly_singular_point():
+    two = StateSpaceSystem(
+        np.diag([2.0, 3.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)),
+        "continuous",
+    )
+    with pytest.raises(PoleEvaluationError, match=re.escape("point (3+0j) is a pole")):
+        eval_tfm(two, np.array([2.5, 3.0, 4.0]))
+
+
 def test_static_system_evaluation():
     sys = StateSpaceSystem(
         np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)),
