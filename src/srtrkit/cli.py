@@ -187,26 +187,6 @@ def cmd_synth_reduce(args) -> int:
     return 0
 
 
-def _rows_from_args(args, pair=None):
-    if getattr(args, "rows", None):
-        return jsonio.rows_from_dict(jsonio.load_json(args.rows))
-    if pair is None:
-        pair = _load_pair(args.pair)
-    orders = None
-    if getattr(args, "orders", None):
-        try:
-            parts = json.loads(f"[{args.orders}]")
-        except json.JSONDecodeError:
-            parts = [args.orders]
-        parts = [jsonio.integer(v, "each entry of --orders") for v in parts]
-        orders = parts * pair.p if len(parts) == 1 else parts
-        if len(orders) != pair.p:
-            raise InvalidInputError(
-                f"--orders needs 1 or {pair.p} integers, got {len(parts)}"
-            )
-    return rowwise_implementation(pair, orders=orders)
-
-
 def cmd_loop_kd(args) -> int:
     pair = _load_pair(args.pair)
     kd = kd_from_srtr(pair)
@@ -222,20 +202,26 @@ def cmd_loop_kd(args) -> int:
 
 def cmd_loop_assemble(args) -> int:
     plant = jsonio.system_from_dict(jsonio.load_json(args.plant))
-    rows = _rows_from_args(args)
-    cl = assemble_closed_loop(plant, rows)
+    pair = _load_pair(args.pair)
+    orders = None
+    if args.orders:
+        try:
+            parts = json.loads(f"[{args.orders}]")
+        except json.JSONDecodeError:
+            parts = [args.orders]
+        parts = [jsonio.integer(v, "each entry of --orders") for v in parts]
+        orders = parts * pair.p if len(parts) == 1 else parts
+        if len(orders) != pair.p:
+            raise InvalidInputError(
+                f"--orders needs 1 or {pair.p} integers, got {len(parts)}"
+            )
+    cl = assemble_closed_loop(plant, rowwise_implementation(pair, orders=orders))
     _emit_json(args, jsonio.closed_loop_to_dict(cl))
     return 0
 
 
 def cmd_loop_stability(args) -> int:
-    if args.cl:
-        cl = jsonio.closed_loop_from_dict(jsonio.load_json(args.cl))
-    else:
-        if not args.plant:
-            raise InvalidInputError("provide --cl or --plant with --rows/--pair")
-        plant = jsonio.system_from_dict(jsonio.load_json(args.plant))
-        cl = assemble_closed_loop(plant, _rows_from_args(args))
+    cl = jsonio.closed_loop_from_dict(jsonio.load_json(args.cl))
     stable = check_internal_stability(cl)
     _emit_json(
         args,
@@ -447,16 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func="cmd_loop_kd")
     sp = loop_sub.add_parser("assemble", parents=[common])
     sp.add_argument("--plant", required=True)
-    sp.add_argument("--rows", default=None)
-    sp.add_argument("--pair", default=None)
+    sp.add_argument("--pair", required=True)
     sp.add_argument("--orders", default=None)
     sp.set_defaults(func="cmd_loop_assemble")
     sp = loop_sub.add_parser("stability", parents=[common])
-    sp.add_argument("--cl", default=None)
-    sp.add_argument("--plant", default=None)
-    sp.add_argument("--rows", default=None)
-    sp.add_argument("--pair", default=None)
-    sp.add_argument("--orders", default=None)
+    sp.add_argument("--cl", required=True)
     sp.set_defaults(func="cmd_loop_stability")
     sp = loop_sub.add_parser("simulate", parents=[common])
     sp.add_argument("--cl", required=True)

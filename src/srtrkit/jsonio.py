@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SrtrKitError
 from .factorization import LcfOverS, ThetaFactor
-from .loop import ClosedLoopModel, RowImplementation
+from .loop import ClosedLoopModel
 from .rational import RationalFn
 from .srtr import NrfPair, SparsityPattern, SrtrPair
 from .synthesis import SynthesisSpec
@@ -237,22 +237,6 @@ def gain_from_dict(d, p: int | None = None, q: int | None = None) -> np.ndarray:
     if data is None:
         raise InvalidInputError("expected a gain matrix or an object with a 'K' field")
     return _matrix(data, "K", rows=q, cols=p)
-
-
-def rows_from_dict(d: dict) -> RowImplementation:
-    sys_rows = [system_from_dict(r) for r in _need(d, "rows", list)]
-    if not sys_rows:
-        raise InvalidInputError("rows list is empty")
-    p = integer(d.get("p", len(sys_rows)), "field 'p'")
-    if p != len(sys_rows):
-        raise InvalidInputError("field 'p' disagrees with the number of rows")
-    m = sys_rows[0].n_inputs - p
-    if m < 0:
-        raise InvalidInputError("rows have fewer inputs than outputs require")
-    for r in sys_rows:
-        if r.n_outputs != 1 or r.n_inputs != p + m:
-            raise InvalidInputError("each row must be 1 x (p+m)")
-    return RowImplementation(tuple(sys_rows), p, m, _domain(d))
 
 
 def closed_loop_to_dict(cl: ClosedLoopModel) -> dict:

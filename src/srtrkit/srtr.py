@@ -41,6 +41,7 @@ from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
     _guarded_inverse,
+    _pencils,
     eval_tfm,
     read_only_system,
     with_integrators,
@@ -171,11 +172,10 @@ class NrfPair:
         one ``_guarded_inverse`` of every row's pencil, so a pole of any row
         raises as in ``eval_tfm``. A padded state's pencil block is the
         identity, so padding adds no pole."""
-        eye = np.eye(self.A.shape[-1])
-        E = eye * (np.arange(len(eye)) < self.order[:, None])[:, :, None]
+        active = np.arange(self.A.shape[-1]) < self.order[:, None]
         lams = np.asarray(lam, dtype=complex)
         points = lams.reshape(-1)
-        pencils = points[:, None, None, None] * E + (eye - E) - self.A
+        pencils = _pencils(self.A, np.where(active, points[:, None, None], 1))
         rows = (self.c[:, None, :] @ (_guarded_inverse(pencils, points) @ self.B))[..., 0, :]
         return rows if lams.ndim else rows[0]
 

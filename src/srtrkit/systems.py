@@ -98,6 +98,16 @@ def _guarded_inverse(pencils: np.ndarray, points: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _pencils(A: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The pencils of a (..., n, n) stack A as one complex (k, ..., n, n)
+    stack: -A with ``shifts[i]``, broadcast to (..., n), added on the
+    diagonals of entry i."""
+    P = np.empty((len(shifts),) + A.shape, dtype=complex)
+    np.negative(A, out=P)
+    P.reshape(P.shape[:-2] + (-1,))[..., :: A.shape[-1] + 1] += shifts
+    return P
+
+
 def eval_tfm(sys: StateSpaceSystem, lam) -> np.ndarray:
     """Transfer matrix C (lam I - A)^{-1} B + D at a point, or at each point
     of a 1-D array ``lam`` as a (k, p, m) stack, from one stacked
@@ -108,7 +118,7 @@ def eval_tfm(sys: StateSpaceSystem, lam) -> np.ndarray:
     if n == 0:
         G = np.repeat(sys.D[None], points.size, axis=0).astype(complex)
         return G if lams.ndim else G[0]
-    inv = _guarded_inverse(points[:, None, None] * np.eye(n) - sys.A, points)
+    inv = _guarded_inverse(_pencils(sys.A, points[:, None]), points)
     G = sys.C @ (inv @ sys.B) + sys.D
     return G if lams.ndim else G[0]
 

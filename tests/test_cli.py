@@ -20,11 +20,14 @@ def ring_files(tmp_path):
     gain = tmp_path / "gain.json"
     pair = tmp_path / "pair.json"
     spec = tmp_path / "spec.json"
+    plant = tmp_path / "plant.json"
     base.write_text(jsonio.dumps(jsonio.partitioned_to_dict(fixtures.ring6_controller_base())))
     gain.write_text(jsonio.dumps({"K": fixtures.ring6_gain().tolist()}))
     pair.write_text(jsonio.dumps(jsonio.pair_to_dict(fixtures.ring6_pair())))
     spec.write_text(jsonio.dumps(jsonio.spec_to_dict(fixtures.ring6_spec(orders=1))))
-    return {"base": str(base), "gain": str(gain), "pair": str(pair), "spec": str(spec), "dir": tmp_path}
+    plant.write_text(jsonio.dumps(jsonio.system_to_dict(fixtures.ring6_plant())))
+    return {"base": str(base), "gain": str(gain), "pair": str(pair), "spec": str(spec),
+            "plant": str(plant), "dir": tmp_path}
 
 
 def read_json(path):
@@ -69,8 +72,19 @@ def test_srtr_nrf_and_pattern(ring_files, tmp_path):
     assert len(masks["maskW"]) == 6
 
 
-def test_sampling_flags_only_on_commands_that_read_them(ring_files):
+def test_sampling_flags_only_on_commands_that_read_them(ring_files, tmp_path):
     assert dispatch(["srtr", "nrf", "--in", ring_files["pair"], "--seed", "1"]) == 2
+    # loop assemble --plant --pair is the one loop builder, and loop
+    # stability reads only the loop it writes
+    plant = ring_files["plant"]
+    cl = tmp_path / "cl.json"
+    assemble = ["loop", "assemble", "--plant", plant, "--pair", ring_files["pair"]]
+    assert dispatch(assemble + ["-o", str(cl)]) == 0
+    assert dispatch(assemble + ["--rows", str(cl)]) == 2
+    for flags in (["--plant", plant], ["--pair", ring_files["pair"]],
+                  ["--rows", str(cl)], ["--orders", "1"]):
+        assert dispatch(["loop", "stability", "--cl", str(cl)] + flags) == 2
+        assert dispatch(["loop", "stability"] + flags) == 2
     assert dispatch([
         "srtr", "check", "--in", ring_files["pair"],
         "--seed", "3", "--samples", "4", "--tol", "1e-6",
@@ -117,10 +131,8 @@ def test_sampled_checks_reject_empty_counts_and_negative_seeds(
 
 
 @pytest.mark.parametrize("orders", ["a", "1.5", "1,x", "true", "[1]"])
-def test_loop_assemble_rejects_malformed_orders(orders, ring_files, tmp_path, capsys):
-    plant = tmp_path / "plant.json"
-    plant.write_text(jsonio.dumps(jsonio.system_to_dict(fixtures.ring6_plant())))
-    argv = ["loop", "assemble", "--plant", str(plant), "--pair", ring_files["pair"]]
+def test_loop_assemble_rejects_malformed_orders(orders, ring_files, capsys):
+    argv = ["loop", "assemble", "--plant", ring_files["plant"], "--pair", ring_files["pair"]]
     assert dispatch(argv + ["--orders", orders]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid input: ") and captured.out == ""
@@ -215,8 +227,7 @@ def test_synth_commands(ring_files, tmp_path):
 
 
 def test_loop_commands(ring_files, tmp_path):
-    plant = tmp_path / "plant.json"
-    plant.write_text(jsonio.dumps(jsonio.system_to_dict(fixtures.ring6_plant())))
+    plant = ring_files["plant"]
     kd = tmp_path / "kd.json"
     rc = dispatch(["loop", "kd", "--pair", ring_files["pair"], "-o", str(kd)])
     assert rc == 0
@@ -224,23 +235,21 @@ def test_loop_commands(ring_files, tmp_path):
     assert kd_data["unstablePoles"] == 6
     cl = tmp_path / "cl.json"
     rc = dispatch([
-        "loop", "assemble", "--plant", str(plant), "--pair", ring_files["pair"],
+        "loop", "assemble", "--plant", plant, "--pair", ring_files["pair"],
         "--orders", "1", "-o", str(cl),
     ])
     assert rc == 0
     rc = dispatch(["loop", "stability", "--cl", str(cl)])
     assert rc == 0
+    # without --orders every row is exact, and the full-order loop is stable too
+    full_cl = tmp_path / "full_cl.json"
     rc = dispatch([
-        "loop", "stability", "--plant", str(plant), "--pair", ring_files["pair"],
-        "--orders", "1",
+        "loop", "assemble", "--plant", plant, "--pair", ring_files["pair"],
+        "-o", str(full_cl),
     ])
     assert rc == 0
-    # without --orders every row is exact, and the full-order loop is stable too
     full = tmp_path / "full.json"
-    rc = dispatch([
-        "loop", "stability", "--plant", str(plant), "--pair", ring_files["pair"],
-        "-o", str(full),
-    ])
+    rc = dispatch(["loop", "stability", "--cl", str(full_cl), "-o", str(full)])
     assert rc == 0
     assert read_json(full)["internallyStable"] is True
     csv_path = tmp_path / "traj.csv"
@@ -394,11 +403,9 @@ INPUT_FILES = {
     "spec": (["maskW", "maskV", "orders", "extra"],
              ["synth", "conditions", "--base", "@base", "--gain", "@K", "--spec", "{}",
               "--tol", "5e-3"]),
-    "plant": (SYSTEM_FIELDS, ["loop", "assemble", "--plant", "{}", "--rows", "@rows"]),
+    "plant": (SYSTEM_FIELDS, ["loop", "assemble", "--plant", "{}", "--pair", "@pair"]),
     "cl": (["domain", "Acl", "Br", "Bw", "Bzeta", "Bdu", "Cu", "Cy", "E", "F", "nPlant",
             "nCtrl"], ["loop", "stability", "--cl", "{}"]),
-    "rows": (["domain", "p", "rows"],
-             ["loop", "assemble", "--plant", "@plant", "--rows", "{}"]),
     "x0": ([None], ["loop", "simulate", "--cl", "@cl", "--x0", "{}", "--horizon", "0.01"]),
 }
 MALFORMED = {"string": "x", "ragged": [[1, 2], [3]], "scalar": 0.5, "empty": []}
@@ -410,8 +417,7 @@ MISFIT = {("cl", "nPlant"): 999, ("cl", "nCtrl"): -5}
 def ring_inputs(tmp_path_factory):
     """Valid ring input files, one per kind of INPUT_FILES, by kind."""
     pair, plant = fixtures.ring6_pair(), fixtures.ring6_plant()
-    rows = rowwise_implementation(pair, orders=[1] * 6)
-    cl = assemble_closed_loop(plant, rows)
+    cl = assemble_closed_loop(plant, rowwise_implementation(pair, orders=[1] * 6))
     contents = {
         "base": jsonio.partitioned_to_dict(pair.base),
         "K": {"K": pair.K.tolist()},
@@ -420,8 +426,6 @@ def ring_inputs(tmp_path_factory):
         "spec": jsonio.spec_to_dict(fixtures.ring6_spec(orders=1)),
         "plant": jsonio.system_to_dict(plant),
         "cl": jsonio.closed_loop_to_dict(cl),
-        "rows": {"domain": rows.domain, "p": rows.p,
-                 "rows": [jsonio.system_to_dict(r) for r in rows.rows]},
         "x0": np.zeros(cl.n).tolist(),
     }
     root = tmp_path_factory.mktemp("ring_inputs")

@@ -11,7 +11,6 @@ from srtrkit.loop import assemble_closed_loop, rowwise_implementation
 from srtrkit.rational import RationalFn
 from srtrkit.srtr import nrf_from_srtr, sparsity_pattern
 from srtrkit.synthesis import dense_spec
-from srtrkit.systems import eval_tfm
 
 
 def test_load_json_error(tmp_path):
@@ -108,17 +107,6 @@ def test_gain_from_dict_variants():
     assert np.array_equal(jsonio.gain_from_dict(K.tolist()), K)
     with pytest.raises(InvalidInputError):
         jsonio.gain_from_dict({"K": [[1.0]]}, p=6, q=6)
-
-
-def test_rows_roundtrip():
-    rows = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
-    d = {"domain": rows.domain, "p": rows.p,
-         "rows": [jsonio.system_to_dict(r) for r in rows.rows]}
-    back = jsonio.rows_from_dict(json.loads(json.dumps(d)))
-    assert back.p == 6 and back.m == 6
-    lam = 1.1 + 0.4j
-    for a, b in zip(back.rows, rows.rows):
-        assert np.allclose(eval_tfm(a, lam), eval_tfm(b, lam), atol=1e-12)
 
 
 def test_closed_loop_roundtrip():

@@ -10,6 +10,7 @@ from scipy.linalg import block_diag, expm
 
 from helpers import (
     assign_stable_spectrum,
+    block_network,
     csv_reference,
     forcing_reference,
     random_pair,
@@ -40,6 +41,7 @@ from srtrkit.systems import (
     StateSpaceSystem,
     eval_tfm,
     is_minimal,
+    minimal_realization,
     with_integrators,
 )
 
@@ -159,6 +161,23 @@ def test_truncated_ring_rows_are_integrators_on_reduced_rows():
     for got, ref in zip(ring_rows().rows, want):
         for name in "ABCD":
             assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("case", ["ring-orders-1", "block-network"])
+def test_rows_at_the_spec_orders_are_the_reduced_rows_of_the_spec(case):
+    # reduce_rows reads the spec's orders and never its masks, so the rows
+    # built at those orders are the spec's reduced rows behind an integrator
+    if case == "ring-orders-1":
+        pair, spec = fixtures.ring6_pair(), fixtures.ring6_spec(orders=1)
+    else:
+        pair, mask, blocks = block_network(np.random.default_rng(9), 9)
+        spec = SynthesisSpec(mask, mask, tuple(blocks))
+    want = [minimal_realization(with_integrators(r)) for r in reduce_rows(pair.base, pair.K, spec)]
+    got = rowwise_implementation(pair, orders=spec.orders).rows
+    assert len(got) == len(want) == pair.p
+    for g, w in zip(got, want):
+        for name in "ABCD":
+            assert np.array_equal(getattr(g, name), getattr(w, name))
 
 
 def own_loop_move(row, i, v):
