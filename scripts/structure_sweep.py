@@ -1,0 +1,222 @@
+#!/usr/bin/env python3
+"""Size sweep of the structure kernels on two commits.
+
+    python3 scripts/structure_sweep.py PARENT CHANGE --pr N
+
+Unpacks both commits as ``scripts/bench_pairs.py`` does and times
+``linalg.zero_entries``, ``srtr.sparsity_pattern``, ``srtr.nrf_from_srtr``
+and ``systems.is_minimal`` in alternating rounds on rotated block networks
+(``tests/helpers.block_network``, p = 9, 15, 30, 48) and dense pairs
+(``perfbench/inputs.stable_pair``, p = 12, 24, 48), built once with the
+builders of the change's checkout and loaded by both sides. It reports
+each call's best time with the quartiles of all its timed calls, checks
+that both sides give equal masks, equal normal-form orders and entry
+degrees, equal staircase orders k and equal minimality verdicts, measures
+the largest move of a normal-form coefficient, and adds the result as
+``structure_sweep`` to ``BENCH_<pr>.json`` (written before by
+``bench_pairs.py``). Run from the root of the repository.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from bench_pairs import SIDES, unpack  # also pins BLAS to one thread
+
+BLOCK_SIZES = (9, 15, 30, 48)
+DENSE_SIZES = (12, 24, 48)
+SWEEP_ROUNDS = 3  # alternating sweeps per side
+MIN_CALLS, MIN_SECONDS = 3, 0.3  # timed calls per function, size and sweep
+CALLS = ("zero_entries", "sparsity_pattern", "nrf_from_srtr", "is_minimal")
+NAMES = ["block-p%d" % p for p in BLOCK_SIZES] + ["dense-p%d" % p for p in DENSE_SIZES]
+BLOCKS = ("A11", "A12", "A21", "A22", "B1", "B2", "K")  # saved per input
+
+
+def inputs_worker(root: str, out: str) -> None:
+    """The base blocks and gain of every sweep input, built once with the
+    builders of the checkout in ``root`` and saved to ``out`` (npz) as
+    ``<name>/<block>``; a dense p = 48 pair takes minutes to place."""
+    root = Path(root)
+    for sub in ("src", "tests", "perfbench"):
+        sys.path.insert(0, str(root / sub))
+    import numpy as np
+    from helpers import block_network
+    from inputs import stable_pair
+
+    saved = {}
+    for p in BLOCK_SIZES:
+        pair = block_network(np.random.default_rng(7000 + p), p)[0]
+        b = pair.base
+        blocks = (b.A11, b.A12, b.A21, b.A22, b.B1, b.B2, pair.K)
+        saved.update({"block-p%d/%s" % (p, key): val for key, val in zip(BLOCKS, blocks)})
+    for p in DENSE_SIZES:
+        base, K = stable_pair(np.random.default_rng(8000 + p), p)
+        saved.update({"dense-p%d/%s" % (p, key): val for key, val in dict(base, K=K).items()})
+    np.savez(out, **saved)
+
+
+def sweep_worker(src: str, inputs: str, out: str) -> None:
+    """Times and results of the four calls with the sources in ``src`` on
+    the inputs saved in ``inputs``.
+
+    Writes the timed calls' times, the masks, orders, degrees, staircase
+    orders and verdicts as JSON to ``out`` and the normal-form coefficients
+    to ``out + ".npz"``."""
+    sys.path.insert(0, src)
+    import numpy as np
+    from srtrkit.linalg import column_staircases, zero_entries
+    from srtrkit.srtr import SrtrPair, nrf_from_srtr, sparsity_pattern
+    from srtrkit.systems import PartitionedRealization, is_minimal
+
+    saved = np.load(inputs)
+    result, coeffs = {}, {}
+    for name in NAMES:
+        A11, A12, A21, A22, B1, B2, K = (saved["%s/%s" % (name, key)] for key in BLOCKS)
+        pair = SrtrPair(PartitionedRealization(A11, A12, A21, A22, B1, B2, "continuous"), K)
+        system = pair.base.full_system()
+        calls = {
+            "zero_entries": lambda: zero_entries(pair.Aw, pair.Bw, pair.Cw, pair.Dw),
+            "sparsity_pattern": lambda: sparsity_pattern(pair),
+            "nrf_from_srtr": lambda: nrf_from_srtr(pair),
+            "is_minimal": lambda: is_minimal(system),
+        }
+        times, got = {}, {}
+        for key in CALLS:
+            got[key] = calls[key]()  # one untimed call
+            spent = []
+            while len(spent) < MIN_CALLS or sum(spent) < MIN_SECONDS:
+                start = time.perf_counter()
+                calls[key]()
+                spent.append(time.perf_counter() - start)
+            times[key] = spent
+            print("structure_sweep: %s %s %.4f s" % (name, key, min(spent)), file=sys.stderr)
+        pat, nrf = got["sparsity_pattern"], got["nrf_from_srtr"]
+        entries = np.hstack([nrf.Phi, nrf.Gamma]).ravel()
+        result[name] = {
+            "times": times,
+            "maskW": pat.maskW.tolist(), "maskV": pat.maskV.tolist(),
+            "nrf_order": nrf.order.tolist(),
+            "degrees": [[e.num_degree, e.den_degree] for e in entries],
+            "k": column_staircases(pair.Aw, pair.Bw.T)[1].tolist(),
+            "is_minimal": bool(got["is_minimal"]),
+        }
+        for part in ("num", "den"):
+            coeffs["%s/%s" % (name, part)] = np.concatenate([getattr(e, part) for e in entries])
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh)
+    np.savez(out + ".npz", **coeffs)
+
+
+def coefficient_move(parent, change, name: str) -> float:
+    """max |c_change - c_parent| / (1 + max |c_parent|) over the normal-form
+    coefficients of ``name``; inf if their layouts differ."""
+    import numpy as np
+
+    moves = []
+    for part in ("num", "den"):
+        cp, cc = parent["%s/%s" % (name, part)], change["%s/%s" % (name, part)]
+        if cp.shape != cc.shape:
+            return float("inf")
+        moves.append(np.max(np.abs(cc - cp), initial=0.0) / (1.0 + np.max(np.abs(cp), initial=0.0)))
+    return float(max(moves))
+
+
+def structure_sweep(roots: dict, tmp: Path) -> dict:
+    import numpy as np
+
+    times = {s: {} for s in SIDES}
+    found = {s: {} for s in SIDES}
+    coeffs = {}
+    inputs = tmp / "inputs.npz"
+    subprocess.run([sys.executable, __file__, "--inputs", str(roots["change"]), str(inputs)],
+                   check=True)
+    for i in range(SWEEP_ROUNDS):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            out = tmp / ("sweep-%s-%d.json" % (side, i))
+            subprocess.run([sys.executable, __file__, "--worker", str(roots[side] / "src"),
+                            str(inputs), str(out)], check=True)
+            with open(out, encoding="utf-8") as fh:
+                for name, got in json.load(fh).items():
+                    for key, vals in got.pop("times").items():
+                        times[side].setdefault(name, {}).setdefault(key, []).extend(vals)
+                    found[side][name] = got
+            coeffs[side] = np.load(str(out) + ".npz")
+
+    def spread(vals):
+        q1, median, q3 = np.percentile(vals, [25, 50, 75])
+        return {"best": min(vals), "q1": q1, "median": median, "q3": q3, "calls": len(vals)}
+
+    sizes = {}
+    for name in times["parent"]:
+        fp, fc = found["parent"][name], found["change"][name]
+        sides = {side: {key: spread(vals) for key, vals in times[side][name].items()}
+                 for side in SIDES}
+        sizes[name] = dict(
+            sides,
+            speedup={key: sides["parent"][key]["median"] / sides["change"][key]["median"]
+                     for key in CALLS},
+            same_masks=fp["maskW"] == fc["maskW"] and fp["maskV"] == fc["maskV"],
+            same_orders=fp["nrf_order"] == fc["nrf_order"] and fp["degrees"] == fc["degrees"],
+            same_k=fp["k"] == fc["k"],
+            same_is_minimal=fp["is_minimal"] == fc["is_minimal"],
+            coefficient_move=coefficient_move(coeffs["parent"], coeffs["change"], name),
+        )
+    return {
+        "input": ("built once with the change's builders; block-p*: tests/helpers.block_network(default_rng(7000 + p), p), rotated "
+                  "(1, 2)-block networks, p = q = m; dense-p*: perfbench/inputs.stable_pair("
+                  "default_rng(8000 + p), p), random p = q = m pairs with placed real eig(Aw), "
+                  "hidden coordinates rotated"),
+        "time": ("best, first quartile, median and third quartile in seconds of each call "
+                 "over %d alternating sweeps, each of at least %d calls and %g s per call "
+                 "and size after one untimed call, one BLAS thread"
+                 % (SWEEP_ROUNDS, MIN_CALLS, MIN_SECONDS)),
+        "calls": ("zero_entries(Aw, Bw, Cw, Dw) of the pair; sparsity_pattern(pair); "
+                  "nrf_from_srtr(pair); is_minimal of the pair's base system"),
+        "speedup": "parent median / change median",
+        "same_masks": "sparsity_pattern's maskW and maskV are equal on both sides",
+        "same_orders": ("NrfPair.order and the (numerator, denominator) degree of every "
+                        "entry of [Phi Gamma] are equal on both sides"),
+        "same_k": "the orders k of column_staircases(Aw, Bw.T) are equal on both sides",
+        "coefficient_move": ("max |c_change - c_parent| / (1 + max |c_parent|) over the "
+                             "numerator, then the denominator coefficients of every entry "
+                             "of [Phi Gamma], the larger of the two"),
+        "sizes": sizes,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--pr", required=True)
+    args = parser.parse_args(argv)
+
+    out = "BENCH_%s.json" % args.pr
+    with open(out, encoding="utf-8") as fh:
+        bench = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="structure_sweep-") as tmp:
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side, rev in zip(SIDES, (args.parent, args.change)):
+            commit = unpack(rev, roots[side])["commit"]
+            if commit != bench[side]["commit"]:
+                raise SystemExit("%s is %s, but %s has %s" % (
+                    side, commit, out, bench[side]["commit"]))
+        bench["structure_sweep"] = structure_sweep(roots, Path(tmp))
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+    print("structure_sweep: added structure_sweep to %s" % out, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--inputs"]:
+        inputs_worker(*sys.argv[2:4])
+    elif sys.argv[1:2] == ["--worker"]:
+        sweep_worker(*sys.argv[2:5])
+    else:
+        sys.exit(main())

@@ -2,8 +2,10 @@
 predicates, the controllability staircase that decides every structural
 question (reachable subspace, stabilizability, identically zero entries),
 its single-column case swept over a whole stack at once
-(``column_staircases``, behind zero entries and normalized forms), and
-seeded sampled-residual checks.
+(``column_staircases``: batched Arnoldi with two classical Gram-Schmidt
+passes, which keeps only the reachable basis and forms no power of A,
+behind zero entries and normalized forms), and seeded sampled-residual
+checks.
 
 Everything here works on plain ``numpy.ndarray`` values and is pure; the rest
 of the toolkit builds on these primitives.
@@ -157,6 +159,13 @@ def controllability_staircase(
     value kept when k reaches n, the largest value dropped when the
     staircase stops short (0 when B has no columns, inf when n = 0).
     """
+    return _staircase(A, B, tol)[:3]
+
+
+def _staircase(A, B, tol: float | None = None, norm_a: float | None = None):
+    """``controllability_staircase`` and the ``||A||_2`` it used (None when
+    it needed none); ``norm_a`` passes ``||A||_2`` when it is known. ``||B||_2``
+    comes from the SVD of the first step."""
     tol = RANK_CUT if tol is None else check_tolerance(tol)
     A = as_real_matrix(A, "A")
     B = as_real_matrix(B, "B")
@@ -165,27 +174,30 @@ def controllability_staircase(
         raise DimensionError(f"need square A and B with {n} rows, got {A.shape}, {B.shape}")
     Z = np.eye(n)
     if n == 0:
-        return Z, 0, np.inf
+        return Z, 0, np.inf, norm_a
     if B.size == 0:
-        return Z, 0, 0.0
-    scale = max(singular_values(A)[0], singular_values(B)[0]) or 1.0
+        return Z, 0, 0.0, norm_a
+    if norm_a is None:
+        norm_a = float(singular_values(A)[0])
+    U, s, _ = np.linalg.svd(B)
+    scale = max(norm_a, s[0]) or 1.0
     cut = tol * scale
     H = A.copy()
-    block = B
     k = 0
     kept = np.inf
-    while k < n:
-        U, s, _ = np.linalg.svd(block)
+    while True:
         r = int(np.count_nonzero(s > cut))
         if r == 0:
-            return Z, k, float(s[0] / scale)
+            return Z, k, float(s[0] / scale), norm_a
         kept = min(kept, s[r - 1])
         Z[:, k:] = Z[:, k:] @ U
         H[k:, :] = U.T @ H[k:, :]
         H[:, k:] = H[:, k:] @ U
         block = H[k + r :, k : k + r]
         k += r
-    return Z, k, float(kept / scale)
+        if k == n:
+            return Z, k, float(kept / scale), norm_a
+        U, s, _ = np.linalg.svd(block)
 
 
 # The most doubles that one stacked array of a sweep may hold; callers
@@ -202,16 +214,21 @@ def stack_slices(count: int, doubles_each: int):
 
 def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The single-column case of ``controllability_staircase`` on a whole
-    stack at once.
+    stack at once, by Arnoldi.
 
     ``A`` of shape (..., n, n) and ``b`` of shape (..., n) broadcast to one
-    stack of pairs (A, b). Returns Z of shape (..., n, n), orthogonal, and
-    the reachable order k of shape (...): the first k columns of each Z
-    span the reachable subspace of its pair. Step j keeps the newest block,
-    a column x of length n - j, while ``||x|| > tol * max(||A||_2, ||b||)``
-    (``tol=None`` means ``RANK_CUT``) and compresses it by one Householder
-    reflector, applied to every pair still going. ``||A||_2`` is computed
-    once per matrix of ``A``, before it is broadcast.
+    stack of pairs (A, b). Returns the reachable bases V of shape
+    (..., n, k_max) and the reachable orders k of shape (...): the first k
+    columns of each V are an orthonormal basis of the reachable subspace of
+    its pair, and its columns past k are zero. Step j normalizes the newest
+    direction x into v_j while ``||x|| > tol * max(||A||_2, ||b||)``
+    (``tol=None`` means ``RANK_CUT``), and the next x is A v_j made
+    orthogonal to v_0, ..., v_j by two classical Gram-Schmidt passes. The
+    pairs that share a matrix of ``A`` get their products A v_j from one
+    GEMM. No power of A is formed and only the basis is kept, never an
+    (n, n) block per pair; a pair leaves the sweep when it stops.
+    ``||A||_2`` is computed once per matrix of ``A``, before it is
+    broadcast.
     """
     tol = RANK_CUT if tol is None else check_tolerance(tol)
     A = np.asarray(A, dtype=float)
@@ -223,42 +240,75 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
         raise NonFiniteError("staircase input contains non-finite entries")
     stack = np.broadcast_shapes(A.shape[:-2], b.shape[:-1])
     count = int(np.prod(stack))
-    Z = np.array(np.broadcast_to(np.eye(n), (count, n, n)))
-    k = np.zeros(count, dtype=int)
-    if n == 0:
-        return Z.reshape(stack + (0, 0)), k.reshape(stack)
-    scale = np.maximum(
-        np.broadcast_to(np.linalg.norm(A, 2, axis=(-2, -1)), stack),
-        np.linalg.norm(b, axis=-1),
-    ).ravel()
-    cut = tol * np.where(scale > 0.0, scale, 1.0)
-    # T is the trailing block of each pair still going, x its newest column
-    T = np.empty((count, n, n))
-    T.reshape(stack + (n, n))[...] = A
-    x = np.broadcast_to(b, stack + (n,)).reshape(count, n)
-    live = np.arange(count)
+    if n == 0 or count == 0:
+        return np.zeros(stack + (n, 0)), np.zeros(stack, dtype=int)
+    # the stack as G groups of M pairs, the pairs of a group sharing one
+    # matrix of A: G = 1 for one matrix, M = 1 when no two pairs share one
+    lead = (1,) * (len(stack) + 2 - A.ndim) + A.shape[:-2]
+    s = len(stack)
+    while s and lead[s - 1] == 1:
+        s -= 1
+    if lead[:s] == stack[:s]:
+        As = A.reshape(-1, n, n)
+    else:
+        As = np.broadcast_to(A, stack + (n, n)).reshape(count, n, n)
+    G, M = As.shape[0], count // As.shape[0]
+    x = np.broadcast_to(b, stack + (n,)).reshape(G, M, n)
+    norm_b = np.linalg.norm(x, axis=-1)
+
+    def cuts(norm_a, norm_b):
+        scale = np.maximum(norm_a[:, None], norm_b)
+        return tol * np.where(scale > 0.0, scale, 1.0)
+
+    # ||A||_2 lies between the largest row or column norm of A and its
+    # Frobenius norm, bounds widened here by 1e-10 against rounding. The
+    # cuts they give decide every step, except where a norm falls between
+    # them: only then is ||A||_2 computed, for that matrix of A.
+    rows, cols = np.einsum("gij,gij->gi", As, As), np.einsum("gij,gij->gj", As, As)
+    low = np.sqrt(np.maximum(rows.max(axis=-1), cols.max(axis=-1))) * (1.0 - 1e-10)
+    cut_lo, cut_hi = cuts(low, norm_b), cuts(np.sqrt(rows.sum(axis=-1)) * (1.0 + 1e-10), norm_b)
+    groups, items = np.arange(G), np.arange(M)
+    k = np.zeros((G, M), dtype=int)
+    basis = np.zeros((G, M, min(n, 4), n))
+    parts = []  # (groups, items, basis, k) of each set of pairs set aside
     for j in range(n):
-        norm = np.linalg.norm(x, axis=1)
-        going = norm > cut
-        if not going.all():
-            live, T, x, norm, cut = live[going], T[going], x[going], norm[going], cut[going]
-        if live.size == 0:
+        norm = np.linalg.norm(x, axis=-1)
+        unsure = (norm > cut_lo) & (norm <= cut_hi)
+        if unsure.any():
+            g = unsure.any(axis=1)
+            cut_lo[g] = cut_hi[g] = cuts(np.linalg.norm(As[g], 2, axis=(-2, -1)), norm_b[g])
+        going = norm > cut_hi
+        if not going.any():
             break
-        k[live] = j + 1
-        # P = I - 2 v v^T maps x to -sign(x_0) ||x|| e_0
-        v = x.copy()
-        v[:, 0] += np.where(x[:, 0] < 0.0, -norm, norm)
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        T -= (2.0 * v)[:, :, None] * (v[:, None, :] @ T)
-        T -= (2.0 * (T @ v[:, :, None])) * v[:, None, :]
-        if live.size < count:
-            w = np.zeros((count, n - j))
-            w[live] = v
-            v = w
-        Zj = Z[:, :, j:]
-        Zj -= (2.0 * (Zj @ v[:, :, None])) * v[:, None, :]
-        x, T = T[:, 1:, 0], T[:, 1:, 1:]
-    return Z.reshape(stack + (n, n)), k.reshape(stack)
+        keep_g, keep_m = going.any(axis=1), going.any(axis=0)
+        if not (keep_g.all() and keep_m.all()):
+            parts.append((groups, items, basis[..., :j, :], k))
+            sub = np.ix_(keep_g, keep_m)
+            basis, k, x, norm, going, norm_b, cut_lo, cut_hi = (
+                a[sub] for a in (basis, k, x, norm, going, norm_b, cut_lo, cut_hi))
+            groups, items = groups[keep_g], items[keep_m]
+            if not keep_g.all():
+                As = As[keep_g]
+        k[going] = j + 1
+        if j == basis.shape[-2]:
+            grow = np.zeros(basis.shape[:2] + (min(j, n - j), n))
+            basis = np.concatenate([basis, grow], axis=-2)
+        v = basis[..., j, :]
+        np.divide(x, norm[..., None], out=v, where=going[..., None])
+        if j + 1 == n:
+            break
+        x = v @ np.swapaxes(As, -2, -1)
+        Q = basis[..., : j + 1, :]
+        for _ in range(2):
+            x -= (np.swapaxes(Q @ x[..., None], -2, -1) @ Q)[..., 0, :]
+    parts.append((groups, items, basis, k))
+    k_max = max(int(part[3].max(initial=0)) for part in parts)
+    V = np.zeros((G, M, k_max, n))
+    K = np.zeros((G, M), dtype=int)
+    for groups, items, basis, k in parts:
+        V[groups[:, None], items, : basis.shape[-2]] = basis[..., :k_max, :]
+        K[groups[:, None], items] = k
+    return np.swapaxes(V.reshape(stack + (k_max, n)), -2, -1), K.reshape(stack)
 
 
 def is_stabilizable(A, B, domain: str) -> bool:
@@ -294,9 +344,8 @@ def zero_entries(A, B, C, D, tol: float = RANK_CUT) -> np.ndarray:
     zero = np.abs(D) <= cut
     n = A.shape[0]
     for cols in stack_slices(B.shape[1], n * n):
-        Z, k = column_staircases(A, B[:, cols].T, tol)
-        reached = C @ (Z * (np.arange(n) < k[:, None])[:, None, :])
-        zero[:, cols] &= (np.linalg.norm(reached, axis=2) <= cut).T
+        V, _ = column_staircases(A, B[:, cols].T, tol)
+        zero[:, cols] &= (np.linalg.norm(C @ V, axis=2) <= cut).T
     return zero
 
 
@@ -315,7 +364,9 @@ def sample_complex_points(
     the candidates closer than ``min_distance`` to a pole are dropped at
     once, and the rest are taken in order unless within 1e-6 of a point
     already taken. The disk doubles while too few points are found, and
-    past radius 1e6 the search fails.
+    past radius 1e6 the search fails. When the first ``count`` candidates
+    of the first draw are pairwise at least 1e-6 apart, they are taken at
+    once: the same points that the one-by-one test takes.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     center = poles.mean() if poles.size else 0.0 + 0.0j
@@ -327,6 +378,14 @@ def sample_complex_points(
         z = center + r * (u[0::2] + 1j * u[1::2])
         if poles.size:
             z = z[np.min(np.abs(poles - z[:, None]), axis=1) >= min_distance]
+        if not picked and z.size >= count:
+            # the loop below takes the first count candidates when no two
+            # of them are within 1e-6
+            first = z[:count]
+            gaps = np.abs(first[:, None] - first)
+            gaps[np.diag_indices(count)] = np.inf
+            if np.all(gaps >= 1e-6):
+                return first.copy()
         for w in z:
             if len(picked) == count:
                 break

@@ -114,8 +114,8 @@ def siso_rational(A, b, c, d) -> RationalFn | list[RationalFn]:
     By the determinant lemma, det(lam I - A + b c) equals
     det(lam I - A) (1 + c (lam I - A)^{-1} b), so the strictly proper part
     has numerator charpoly(A - b c) - charpoly(A), whose leading terms
-    cancel exactly. Pass a minimal realization, such as the part of a
-    staircase (``linalg.column_staircases``) that the input reaches and the
+    cancel exactly. Pass a minimal realization, such as the projection onto
+    the reachable basis of ``linalg.column_staircases`` of the part that the
     output sees: the modes of a non-minimal one stay behind as common roots
     of numerator and denominator.
 

@@ -6,9 +6,10 @@ identity by sampling (each draw of points in one stacked evaluation of the
 [W V] realization, which a pair builds once), builds the normalized
 (zero-diagonal) form in state space from two stacked single-column
 staircase sweeps (one over the rows, one over every entry) and keeps its
-observable rows, which answer its evaluation in one stacked solve, reads
-off sparsity masks by the staircase zero test for a pair and a normalized
-form alike, and certifies coprimeness of [lam I - W, V]: its finite zeros
+observable rows, which answer its evaluation in one stacked solve; its
+identically zero entries form no coefficients and share one read-only zero
+function. It reads off sparsity masks by the staircase zero test for a
+pair and a normalized form alike, and certifies coprimeness of [lam I - W, V]: its finite zeros
 are the unreachable modes of the base (A, B), found by one orthogonal
 staircase, and a leading matrix of full row rank rules out zeros at
 infinity.
@@ -36,7 +37,7 @@ from .linalg import (
     stack_slices,
     zero_entries,
 )
-from .rational import siso_rational
+from .rational import RationalFn, siso_rational
 from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
@@ -192,6 +193,12 @@ class NrfPair:
         return np.linalg.solve(np.eye(self.p) - rows[..., : self.p], rows[..., self.p :])
 
 
+# every identically zero entry of a normalized form: the num = [0.],
+# den = [1.] that ``siso_rational`` gives an entry of order 0, read-only
+_ZERO_ENTRY = RationalFn._wrap(np.zeros(1), np.ones(1))
+_ZERO_ENTRY.num.flags.writeable = _ZERO_ENTRY.den.flags.writeable = False
+
+
 def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     """Normalize the pair row by row, in state space.
 
@@ -213,8 +220,12 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     NrfPair evaluates. A second sweep over every entry keeps the part that
     its input reaches. By Kalman's decomposition what remains is minimal,
     so each entry's degree is its true McMillan degree and no root is
-    cancelled by tolerance. The entries of one order get their coefficients
-    from one stacked ``siso_rational`` call. Rows are swept in consecutive
+    cancelled by tolerance. The entries of one order above 0 get their
+    coefficients from one stacked ``siso_rational`` call; an entry of order
+    0, which its input does not reach past the row's output, forms no
+    coefficients and is the shared read-only zero function
+    (num = [0.], den = [1.], the value ``siso_rational`` gives it). Rows
+    are swept in consecutive
     groups whose stacks fit in ``STACK_DOUBLES``; a network that fits in
     one group makes one call per order.
     """
@@ -227,7 +238,7 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     A[:, :, 0] += B[i, :, i]
     B[i, :, i] = 0.0
     n = q + 1
-    entries = np.empty((p, p + m), dtype=object)
+    entries = np.full((p, p + m), _ZERO_ENTRY, dtype=object)
     Ao, Bo, co = np.zeros((p, n, n)), np.zeros((p, n, p + m)), np.zeros((p, n))
     order = np.zeros(p, dtype=int)
     for rows in stack_slices(p, n * n):
@@ -242,13 +253,14 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
 
 
 def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
-    """Every entry (r, j) of the rows (Ao, Bo, co) reduced to the part that
-    its input reaches, by one sweep over all of them, and its coefficients
-    formed by one ``siso_rational`` call per order. Returns, per order, the
-    row and column indices and the RationalFn of each entry."""
+    """Every entry (r, j) of the rows (Ao, Bo, co) that its input reaches
+    reduced to the reachable part, by one sweep over all of them, and its
+    coefficients formed by one ``siso_rational`` call per order above 0.
+    Returns, per order, the row and column indices and the RationalFn of
+    each entry; the entries of order 0 are left out."""
     Z, orders = column_staircases(Ao[:, None], np.swapaxes(Bo, 1, 2))
     reduced = []
-    for order in np.unique(orders):
+    for order in np.unique(orders[orders > 0]):
         r, j = np.nonzero(orders == order)
         V = Z[..., :order][r, j]
         reduced.append((r, j, (
@@ -267,9 +279,7 @@ def _observable_parts(A: np.ndarray, B: np.ndarray):
     observable component is below RANK_CUT of the column's norm is set to zero:
     that much is rounding from the basis, and a cut on the projected column
     alone would lose the input's scale."""
-    Z, k = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
-    order = k.max(initial=0)
-    W = Z[..., :order] * (np.arange(order) < k[:, None])[:, None, :]
+    W, k = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
     Wt = np.swapaxes(W, 1, 2)
     Bo = Wt @ B
     norm = np.linalg.norm

@@ -23,8 +23,8 @@ from .errors import (
 )
 from .linalg import (
     as_real_matrix,
+    _staircase,
     check_domain,
-    controllability_staircase,
     rank_with_tolerance,
 )
 
@@ -152,12 +152,10 @@ def apply_transform(sys: StateSpaceSystem, T) -> StateSpaceSystem:
 def is_minimal(sys: StateSpaceSystem, tol: float | None = None) -> bool:
     """Controllable and observable: the staircases of (A, B) and of
     (A^T, C^T) both reach every state. ``tol`` is the staircase's relative
-    rank cut."""
+    rank cut. ``||A||_2``, which both staircases scale by, is computed once."""
     n = sys.n
-    return (
-        controllability_staircase(sys.A, sys.B, tol)[1] == n
-        and controllability_staircase(sys.A.T, sys.C.T, tol)[1] == n
-    )
+    _, k, _, norm_a = _staircase(sys.A, sys.B, tol)
+    return k == n and _staircase(sys.A.T, sys.C.T, tol, norm_a)[1] == n
 
 
 def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> StateSpaceSystem:
@@ -165,13 +163,15 @@ def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> Stat
     staircase projections. ``tol`` is the staircase's relative rank cut. A
     pass that keeps every state changes nothing, so a minimal input comes
     back with its matrices, and eigenvalues on the stability boundary,
-    exactly as given."""
+    exactly as given; after such a first pass the second reuses its
+    ``||A||_2``."""
     A, B, C = sys.A, sys.B, sys.C
-    Z, k, _ = controllability_staircase(A, B, tol)
+    Z, k, _, norm_a = _staircase(A, B, tol)
     if k < A.shape[0]:
         V = Z[:, :k]
         A, B, C = V.T @ A @ V, V.T @ B, C @ V
-    Z, k, _ = controllability_staircase(A.T, C.T, tol)
+        norm_a = None
+    Z, k, _, _ = _staircase(A.T, C.T, tol, norm_a)
     if k < A.shape[0]:
         W = Z[:, :k]
         A, B, C = W.T @ A @ W, W.T @ B, C @ W

@@ -241,13 +241,15 @@ def test_staircase_agrees_with_pbh_oracle(domain, seed):
     assert is_minimal(dual) == (pbh_holds(Ao, C.T) and pbh_holds(Ao, Co, dual=True))
 
 
-def _agrees_with_single_column(A, b, Z, k):
-    """Z is orthogonal, and k and the span of Z's first k columns are
-    those of controllability_staircase on the one-column pair (A, b)."""
+def _agrees_with_single_column(A, b, V, k):
+    """V's first k columns are orthonormal and the rest zero, and k and the
+    span of the first k columns are those of controllability_staircase on
+    the one-column pair (A, b)."""
     Zr, kr, _ = controllability_staircase(A, b[:, None])
     assert k == kr
-    assert np.allclose(Z.T @ Z, np.eye(A.shape[0]), atol=1e-12)
-    V, W = Z[:, :k], Zr[:, :kr]
+    assert np.allclose(V[:, :k].T @ V[:, :k], np.eye(k), atol=1e-12)
+    assert not np.any(V[:, k:])
+    V, W = V[:, :k], Zr[:, :kr]
     assert np.linalg.norm(V - W @ (W.T @ V)) <= 1e-10
 
 
@@ -261,17 +263,17 @@ def test_column_staircases_match_single_column_staircase(domain, n_u):
     pairs = [planted_unreachable(rng, 4, n_u, 1, domain, seed % 2 == 0) for seed in range(6)]
     A = np.array([a for a, _ in pairs])
     b = np.array([bb[:, 0] for _, bb in pairs])
-    Z, k = column_staircases(A, b)
-    assert Z.shape == A.shape and list(k) == [4] * 6
+    V, k = column_staircases(A, b)
+    assert V.shape == (6, 4 + n_u, 4) and list(k) == [4] * 6
     for i in range(6):
-        _agrees_with_single_column(A[i], b[i], Z[i], k[i])
+        _agrees_with_single_column(A[i], b[i], V[i], k[i])
     Q = rotation(rng, 4 + n_u)
-    Zq, kq = column_staircases(Q @ A @ Q.T, b @ Q.T)
+    Vq, kq = column_staircases(Q @ A @ Q.T, b @ Q.T)
     assert np.array_equal(kq, k)
     for i in range(6):
-        _agrees_with_single_column(Q @ A[i] @ Q.T, Q @ b[i], Zq[i], kq[i])
-        V, W = Zq[i, :, :4], Q @ Z[i, :, :4]
-        assert np.linalg.norm(V - W @ (W.T @ V)) <= 1e-10
+        _agrees_with_single_column(Q @ A[i] @ Q.T, Q @ b[i], Vq[i], kq[i])
+        V1, W = Vq[i], Q @ V[i]
+        assert np.linalg.norm(V1 - W @ (W.T @ V1)) <= 1e-10
 
 
 def test_column_staircases_broadcast_empty_and_zero_column():
@@ -279,20 +281,51 @@ def test_column_staircases_broadcast_empty_and_zero_column():
     A = rng.normal(size=(5, 5))
     b = rng.normal(size=(3, 5))
     b[1] = 0.0
-    Z, k = column_staircases(A, b)
-    assert Z.shape == (3, 5, 5) and list(k) == [5, 0, 5]
-    assert np.array_equal(Z[1], np.eye(5))
+    V, k = column_staircases(A, b)
+    assert V.shape == (3, 5, 5) and list(k) == [5, 0, 5]
+    assert not np.any(V[1])
     for i in range(3):
-        _agrees_with_single_column(A, b[i], Z[i], k[i])
+        _agrees_with_single_column(A, b[i], V[i], k[i])
     # a stack of two matrices against the three columns
     stack = np.array([A, np.diag([1.0, 2.0, 3.0, 4.0, 5.0])])[:, None]
-    Z, k = column_staircases(stack, b)
-    assert Z.shape == (2, 3, 5, 5) and k.shape == (2, 3)
+    V, k = column_staircases(stack, b)
+    assert V.shape == (2, 3, 5, 5) and k.shape == (2, 3)
     for a in range(2):
         for i in range(3):
-            _agrees_with_single_column(stack[a, 0], b[i], Z[a, i], k[a, i])
-    Z, k = column_staircases(np.zeros((0, 0)), np.zeros((4, 0)))
-    assert Z.shape == (4, 0, 0) and list(k) == [0] * 4
+            _agrees_with_single_column(stack[a, 0], b[i], V[a, i], k[a, i])
+    # three matrices against a stack of two columns: no two pairs share a
+    # matrix in the stack's layout
+    V, k = column_staircases(stack[:, 0][[0, 1, 0]], b[[0, 2]][:, None])
+    assert V.shape == (2, 3, 5, 5) and k.shape == (2, 3)
+    for a in range(2):
+        for i in range(3):
+            _agrees_with_single_column(stack[i % 2, 0], b[2 * a], V[a, i], k[a, i])
+    V, k = column_staircases(np.zeros((0, 0)), np.zeros((4, 0)))
+    assert V.shape == (4, 0, 0) and list(k) == [0] * 4
+
+
+def test_column_staircases_decide_by_the_exact_norm_between_its_bounds():
+    # ||A||_2 = 1 lies strictly between the largest column norm and the
+    # Frobenius norm; over a fine grid of cuts, some Arnoldi norms fall on
+    # either side of tol * ||A||_2 within those bounds, and every k still
+    # equals the staircase's, which scales by ||A||_2 itself
+    rng = np.random.default_rng(4400)
+    Q = rotation(rng, 4)
+    A = Q @ np.diag([1.0, 0.9, 0.8, 0.7]) @ Q.T
+    b = 0.01 * rng.normal(size=4)
+    lo = np.max(np.linalg.norm(A, axis=0))
+    hi = np.linalg.norm(A)
+    assert lo < 0.99 and hi > 1.5
+    R = np.abs(np.diag(np.linalg.qr(np.column_stack(
+        [np.linalg.matrix_power(A, j) @ b for j in range(4)]))[1]))
+    steps = np.concatenate([R[:1], R[1:] / R[:-1]])
+    below = above = 0
+    for tol in np.geomspace(1e-5, 1.0, 300):
+        k = column_staircases(A, b, tol)[1]
+        assert k == controllability_staircase(A, b[:, None], tol)[1]
+        below += np.count_nonzero((steps > tol * lo) & (steps <= tol))
+        above += np.count_nonzero((steps > tol) & (steps <= tol * hi))
+    assert below > 0 and above > 0
 
 
 def test_zero_entries_follow_reachable_subspaces():
@@ -342,6 +375,35 @@ def test_sample_complex_points_matches_per_draw_loop():
         sample_complex_points(poles, 3, min_distance=1e7)
     with pytest.raises(NumericalFailureError):
         sample_complex_points_reference(poles, 3, min_distance=1e7)
+
+def test_sample_complex_points_take_the_first_draw_only_when_it_is_spread(monkeypatch):
+    # the candidates of the first draw are taken at once only when no two
+    # are within 1e-6; the points equal the one-by-one oracle's either way
+    rng = np.random.default_rng(12)
+    for seed in range(200):
+        poles = rng.normal(size=4) + 1j * rng.normal(size=4)
+        count = 1 + seed % 7
+        got = sample_complex_points(poles, count, seed=seed)
+        want = sample_complex_points_reference(poles, count, seed=seed)
+        assert got.tobytes() == want.tobytes()
+    draw = np.random.default_rng(5).uniform(-1, 1, size=400)
+    draw[2:4] = draw[0:2] + 1e-8  # candidate 1 sits within 1e-6 of candidate 0
+
+    class Replay:
+        def __init__(self, seed):
+            self.values = iter(np.tile(draw, 2))
+
+        def uniform(self, low, high, size=None):
+            if size is None:
+                return next(self.values)
+            return np.array([next(self.values) for _ in range(size)])
+
+    monkeypatch.setattr(np.random, "default_rng", Replay)
+    got = sample_complex_points([], 3)
+    assert got.tobytes() == sample_complex_points_reference([], 3).tobytes()
+    z = 2.0 * (draw[0::2] + 1j * draw[1::2])
+    assert np.array_equal(got, z[[0, 2, 3]])
+
 
 def test_sample_complex_points_dense_pole_set_still_works():
     rng = np.random.default_rng(0)

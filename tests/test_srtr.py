@@ -17,9 +17,11 @@ from helpers import (
     rotation,
     structured_pair,
 )
-from srtrkit import fixtures
+from srtrkit import fixtures, jsonio, srtr
 from srtrkit.errors import DimensionError, InvalidInputError, PoleEvaluationError
+from srtrkit.jsonio import _rational_to_dict
 from srtrkit.linalg import DOMAINS, sample_complex_points
+from srtrkit.rational import siso_rational
 from srtrkit.srtr import (
     SrtrPair,
     check_flcf,
@@ -183,6 +185,28 @@ def test_nrf_padded_rows_add_no_pole_at_origin():
     for lam in (1e-9, 1e-9j, 0.0):
         G = pair.response(lam)
         assert np.linalg.norm(nrf.response(lam) - G) <= 1e-12 * np.linalg.norm(G)
+
+
+def test_nrf_zero_entries_share_one_read_only_constant():
+    # every identically zero entry is the one shared zero function, whose
+    # arrays cannot be written, and it writes the JSON that siso_rational
+    # gives an entry of order 0
+    pair, _, _ = block_network(np.random.default_rng(7115), 15)
+    nrf = nrf_from_srtr(pair)
+    pat = sparsity_pattern(nrf)
+    zero = ~np.hstack([pat.maskW, pat.maskV]).astype(bool)
+    np.fill_diagonal(zero, True)
+    entries = np.hstack([nrf.Phi, nrf.Gamma])
+    assert zero.sum() > entries.size // 2
+    for fn, is_zero in zip(entries.ravel(), zero.ravel()):
+        assert (fn is srtr._ZERO_ENTRY) == is_zero
+    for arr in (srtr._ZERO_ENTRY.num, srtr._ZERO_ENTRY.den):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    order_0 = siso_rational(np.zeros((0, 0)), [], [], 0.0)
+    assert _rational_to_dict(srtr._ZERO_ENTRY) == _rational_to_dict(order_0)
+    assert jsonio.dumps(_rational_to_dict(srtr._ZERO_ENTRY)) == jsonio.dumps(
+        _rational_to_dict(order_0))
 
 
 def test_nrf_eval_phi_at_a_row_pole_raises():

@@ -5,7 +5,7 @@ minimality verdicts must not depend on the hidden-state coordinates."""
 import numpy as np
 import pytest
 
-from helpers import block_network, random_pair, rotate_hidden, rotation
+from helpers import block_network, planted_unreachable, random_pair, rotate_hidden, rotation
 from srtrkit import fixtures, srtr
 from srtrkit.linalg import (
     controllability_staircase,
@@ -158,12 +158,27 @@ def zero_entries_oracle(A, B, C, D, tol=1e-9):
 def test_zero_entries_match_per_column_oracle(p):
     rng = np.random.default_rng(7200 + p)
     pair, mask, _ = block_network(rng, p)
-    for _ in range(2):
+    for _ in range(5 if p == 30 else 2):
         abcd = (pair.Aw, pair.Bw, pair.Cw, pair.Dw)
         got = zero_entries(*abcd)
         assert np.array_equal(got, zero_entries_oracle(*abcd))
         assert np.array_equal(~got[:, p:], mask.astype(bool))
         pair = rotate_hidden(pair, rotation(rng, p))
+
+
+def test_zero_entries_match_per_column_oracle_on_a_dense_system():
+    # n = 60: six inputs that reach 58 states, outputs that read the
+    # reachable part and two that read only the unreachable one, in
+    # rotated coordinates
+    rng = np.random.default_rng(7260)
+    A, B = planted_unreachable(rng, 58, 2, 6, "continuous", True)
+    Z, k, _ = controllability_staircase(A, B)
+    assert k == 58
+    C = np.vstack([rng.normal(size=(3, 60)), Z[:, k:].T])
+    D = np.zeros((5, 6))
+    got = zero_entries(A, B, C, D)
+    assert np.array_equal(got, zero_entries_oracle(A, B, C, D))
+    assert not got[:3].any() and got[3:].all()
 
 
 def entry_degrees(nrf):
