@@ -227,8 +227,9 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
     pairs that share a matrix of ``A`` get their products A v_j from one
     GEMM. No power of A is formed and only the basis is kept, never an
     (n, n) block per pair; a pair leaves the sweep when it stops.
-    ``||A||_2`` is computed once per matrix of ``A``, before it is
-    broadcast.
+    ``||A||_2`` is computed only for a matrix of ``A`` at which some norm
+    falls between the cuts of its cheap bounds, so every decision is that
+    of the exact cut.
     """
     tol = RANK_CUT if tol is None else check_tolerance(tol)
     A = np.asarray(A, dtype=float)

@@ -9,10 +9,10 @@ staircase sweeps (one over the rows, one over every entry) and keeps its
 observable rows, which answer its evaluation in one stacked solve; its
 identically zero entries form no coefficients and share one read-only zero
 function. It reads off sparsity masks by the staircase zero test for a
-pair and a normalized form alike, and certifies coprimeness of [lam I - W, V]: its finite zeros
-are the unreachable modes of the base (A, B), found by one orthogonal
-staircase, and a leading matrix of full row rank rules out zeros at
-infinity.
+pair and a normalized form alike, and certifies coprimeness of
+[lam I - W, V]: its finite zeros are the unreachable modes of the base
+(A, B), found by one orthogonal staircase, and a leading matrix of full
+row rank rules out zeros at infinity.
 """
 
 from __future__ import annotations

@@ -204,7 +204,6 @@ def test_nrf_zero_entries_share_one_read_only_constant():
         with pytest.raises(ValueError):
             arr[0] = 2.0
     order_0 = siso_rational(np.zeros((0, 0)), [], [], 0.0)
-    assert _rational_to_dict(srtr._ZERO_ENTRY) == _rational_to_dict(order_0)
     assert jsonio.dumps(_rational_to_dict(srtr._ZERO_ENTRY)) == jsonio.dumps(
         _rational_to_dict(order_0))
 
