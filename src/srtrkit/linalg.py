@@ -3,15 +3,18 @@ predicates, the controllability staircase that decides every structural
 question (reachable subspace, stabilizability, identically zero entries),
 its single-column case swept over a whole stack at once
 (``column_staircases``: batched Arnoldi with two classical Gram-Schmidt
-passes, which keeps only the reachable basis and forms no power of A,
-behind zero entries and normalized forms), and seeded sampled-residual
-checks.
+passes, which keeps only the reachable basis and forms no power of A: the
+one Arnoldi kernel, behind zero entries, normalized forms and the row
+Krylov bases of structured synthesis), and seeded sampled-residual checks.
 
 Everything here works on plain ``numpy.ndarray`` values and is pure; the rest
 of the toolkit builds on these primitives.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -212,21 +215,24 @@ def stack_slices(count: int, doubles_each: int):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def column_staircases(A, b, tol: float | None = None, steps: int | None = None) -> tuple:
     """The single-column case of ``controllability_staircase`` on a whole
     stack at once, by Arnoldi.
 
     ``A`` of shape (..., n, n) and ``b`` of shape (..., n) broadcast to one
-    stack of pairs (A, b). Returns the reachable bases V of shape
-    (..., n, k_max) and the reachable orders k of shape (...): the first k
-    columns of each V are an orthonormal basis of the reachable subspace of
-    its pair, and its columns past k are zero. Step j normalizes the newest
-    direction x into v_j while ``||x|| > tol * max(||A||_2, ||b||)``
-    (``tol=None`` means ``RANK_CUT``), and the next x is A v_j made
-    orthogonal to v_0, ..., v_j by two classical Gram-Schmidt passes. The
-    pairs that share a matrix of ``A`` get their products A v_j from one
-    GEMM. No power of A is formed and only the basis is kept, never an
-    (n, n) block per pair; a pair leaves the sweep when it stops.
+    stack of pairs (A, b). Step j normalizes the newest direction x into
+    v_j while ``||x|| > tol * max(||A||_2, ||b||)`` (``tol=None`` means
+    ``RANK_CUT``) and j < ``steps`` (``None`` means n), and the next x is
+    A v_j made orthogonal to v_0, ..., v_j by two classical Gram-Schmidt
+    passes; x = b at step 0, so a b below the cut has order 0. Returns the
+    bases V of shape (..., n, k_max), the orders k of shape (...) and the
+    last directions x of shape (..., n): the first k columns of each V are
+    an orthonormal basis of the reachable subspace of its pair, cut at
+    ``steps`` columns, and its columns past k are zero; x is the direction
+    that fell below the cut, the one that the cap on ``steps`` left, or zero
+    when k = n. The pairs that share a matrix of ``A`` get their products
+    A v_j from one GEMM. No power of A is formed and only the basis is kept,
+    never an (n, n) block per pair; a pair leaves the sweep when it stops.
     ``||A||_2`` is computed only for a matrix of ``A`` at which some norm
     falls between the cuts of its cheap bounds, so every decision is that
     of the exact cut.
@@ -237,12 +243,16 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
     n = A.shape[-1] if A.ndim >= 2 else -1
     if n < 0 or A.shape[-2] != n or b.ndim < 1 or b.shape[-1] != n:
         raise DimensionError(f"need A of shape (..., n, n) and b of shape (..., n), got {A.shape}, {b.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteError("staircase input contains non-finite entries")
+    steps = n if steps is None else operator.index(steps)
+    if steps < 0:
+        raise InvalidInputError(f"the step cap must be at least 0, got {steps}")
+    steps = min(steps, n)
     stack = np.broadcast_shapes(A.shape[:-2], b.shape[:-1])
-    count = int(np.prod(stack))
+    count = math.prod(stack)
     if n == 0 or count == 0:
-        return np.zeros(stack + (n, 0)), np.zeros(stack, dtype=int)
+        return np.zeros(stack + (n, 0)), np.zeros(stack, dtype=int), np.zeros(stack + (n,))
     # the stack as G groups of M pairs, the pairs of a group sharing one
     # matrix of A: G = 1 for one matrix, M = 1 when no two pairs share one
     lead = (1,) * (len(stack) + 2 - A.ndim) + A.shape[:-2]
@@ -254,62 +264,77 @@ def column_staircases(A, b, tol: float | None = None) -> tuple[np.ndarray, np.nd
     else:
         As = np.broadcast_to(A, stack + (n, n)).reshape(count, n, n)
     G, M = As.shape[0], count // As.shape[0]
-    x = np.broadcast_to(b, stack + (n,)).reshape(G, M, n)
-    norm_b = np.linalg.norm(x, axis=-1)
+    x = (b if b.size == count * n else np.broadcast_to(b, stack + (n,))).reshape(G, M, n)
+    norm_b = np.broadcast_to(np.linalg.norm(b, axis=-1), stack).reshape(G, M)
 
-    def cuts(norm_a, norm_b):
-        scale = np.maximum(norm_a[:, None], norm_b)
-        return tol * np.where(scale > 0.0, scale, 1.0)
+    def cut(norm_a, norm_b):
+        return tol * np.maximum(norm_a[:, None], norm_b)
 
     # ||A||_2 lies between the largest row or column norm of A and its
     # Frobenius norm, bounds widened here by 1e-10 against rounding. The
-    # cuts they give decide every step, except where a norm falls between
-    # them: only then is ||A||_2 computed, for that matrix of A.
-    rows, cols = np.einsum("gij,gij->gi", As, As), np.einsum("gij,gij->gj", As, As)
-    low = np.sqrt(np.maximum(rows.max(axis=-1), cols.max(axis=-1))) * (1.0 - 1e-10)
-    cut_lo, cut_hi = cuts(low, norm_b), cuts(np.sqrt(rows.sum(axis=-1)) * (1.0 + 1e-10), norm_b)
+    # upper cut passes every norm above it; the lower cut is formed when
+    # some norm first falls below the upper one, and only for a norm
+    # between the two is ||A||_2 computed, for that matrix of A.
+    cut_hi = cut(np.sqrt(np.einsum("gij,gij->g", As, As)) * (1.0 + 1e-10), norm_b)
+    cut_lo = None
     groups, items = np.arange(G), np.arange(M)
     k = np.zeros((G, M), dtype=int)
-    basis = np.zeros((G, M, min(n, 4), n))
-    parts = []  # (groups, items, basis, k) of each set of pairs set aside
-    for j in range(n):
-        norm = np.linalg.norm(x, axis=-1)
-        unsure = (norm > cut_lo) & (norm <= cut_hi)
-        if unsure.any():
-            g = unsure.any(axis=1)
-            cut_lo[g] = cut_hi[g] = cuts(np.linalg.norm(As[g], 2, axis=(-2, -1)), norm_b[g])
-        going = norm > cut_hi
-        if not going.any():
-            break
-        keep_g, keep_m = going.any(axis=1), going.any(axis=0)
-        if not (keep_g.all() and keep_m.all()):
-            parts.append((groups, items, basis[..., :j, :], k))
-            sub = np.ix_(keep_g, keep_m)
-            basis, k, x, norm, going, norm_b, cut_lo, cut_hi = (
-                a[sub] for a in (basis, k, x, norm, going, norm_b, cut_lo, cut_hi))
-            groups, items = groups[keep_g], items[keep_m]
-            if not keep_g.all():
-                As = As[keep_g]
+    last = np.zeros((G, M, n))
+    basis = np.zeros((G, M, min(steps, 4), n))
+    parts = []  # (groups, items, basis, k, last) of each set of pairs set aside
+    for j in range(steps + 1):
+        norm = norm_b if j == 0 else np.linalg.norm(x, axis=-1)
+        going = norm > (cut_hi if j < steps else np.inf)  # the cap stops every pair
+        if not going.all():
+            if j < steps:
+                if cut_lo is None:
+                    rows, cols = np.einsum("gij,gij->gi", As, As), np.einsum("gij,gij->gj", As, As)
+                    low = np.sqrt(np.maximum(rows.max(axis=-1), cols.max(axis=-1)))
+                    cut_lo = cut(low * (1.0 - 1e-10), norm_b)
+                unsure = ~going & (norm > cut_lo)
+                if unsure.any():
+                    g = unsure.any(axis=1)
+                    cut_lo[g] = cut_hi[g] = cut(np.linalg.norm(As[g], 2, axis=(-2, -1)), norm_b[g])
+                    going = norm > cut_hi
+            np.copyto(last, x, where=((k == j) & ~going)[..., None])
+            if not going.any():
+                break
+            keep_g, keep_m = going.any(axis=1), going.any(axis=0)
+            if not (keep_g.all() and keep_m.all()):
+                parts.append((groups, items, basis[..., :j, :], k, last))
+                sub = np.ix_(keep_g, keep_m)
+                basis, k, last, x, norm, going, norm_b, cut_lo, cut_hi = (
+                    a[sub] for a in (basis, k, last, x, norm, going, norm_b, cut_lo, cut_hi))
+                groups, items = groups[keep_g], items[keep_m]
+                if not keep_g.all():
+                    As = As[keep_g]
+            norm = np.where(going, norm, np.inf)
         k[going] = j + 1
         if j == basis.shape[-2]:
-            grow = np.zeros(basis.shape[:2] + (min(j, n - j), n))
+            grow = np.zeros(basis.shape[:2] + (min(j, steps - j), n))
             basis = np.concatenate([basis, grow], axis=-2)
         v = basis[..., j, :]
-        np.divide(x, norm[..., None], out=v, where=going[..., None])
+        np.divide(x, norm[..., None], out=v)
         if j + 1 == n:
             break
         x = v @ np.swapaxes(As, -2, -1)
         Q = basis[..., : j + 1, :]
         for _ in range(2):
             x -= (np.swapaxes(Q @ x[..., None], -2, -1) @ Q)[..., 0, :]
-    parts.append((groups, items, basis, k))
+    parts.append((groups, items, basis, k, last))
     k_max = max(int(part[3].max(initial=0)) for part in parts)
-    V = np.zeros((G, M, k_max, n))
-    K = np.zeros((G, M), dtype=int)
-    for groups, items, basis, k in parts:
-        V[groups[:, None], items, : basis.shape[-2]] = basis[..., :k_max, :]
-        K[groups[:, None], items] = k
-    return np.swapaxes(V.reshape(stack + (k_max, n)), -2, -1), K.reshape(stack)
+    if len(parts) == 1:
+        V, K, X = basis[..., :k_max, :], k, last
+    else:
+        V = np.zeros((G, M, k_max, n))
+        K = np.zeros((G, M), dtype=int)
+        X = np.zeros((G, M, n))
+        for groups, items, basis, k, last in parts:
+            V[groups[:, None], items, : basis.shape[-2]] = basis[..., :k_max, :]
+            K[groups[:, None], items] = k
+            X[groups[:, None], items] = last
+    return (np.swapaxes(V.reshape(stack + (k_max, n)), -2, -1), K.reshape(stack),
+            X.reshape(stack + (n,)))
 
 
 def is_stabilizable(A, B, domain: str) -> bool:
@@ -345,7 +370,7 @@ def zero_entries(A, B, C, D, tol: float = RANK_CUT) -> np.ndarray:
     zero = np.abs(D) <= cut
     n = A.shape[0]
     for cols in stack_slices(B.shape[1], n * n):
-        V, _ = column_staircases(A, B[:, cols].T, tol)
+        V = column_staircases(A, B[:, cols].T, tol)[0]
         zero[:, cols] &= (np.linalg.norm(C @ V, axis=2) <= cut).T
     return zero
 

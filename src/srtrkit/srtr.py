@@ -258,7 +258,7 @@ def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
     coefficients formed by one ``siso_rational`` call per order above 0.
     Returns, per order, the row and column indices and the RationalFn of
     each entry; the entries of order 0 are left out."""
-    Z, orders = column_staircases(Ao[:, None], np.swapaxes(Bo, 1, 2))
+    Z, orders, _ = column_staircases(Ao[:, None], np.swapaxes(Bo, 1, 2))
     reduced = []
     for order in np.unique(orders[orders > 0]):
         r, j = np.nonzero(orders == order)
@@ -279,7 +279,7 @@ def _observable_parts(A: np.ndarray, B: np.ndarray):
     observable component is below RANK_CUT of the column's norm is set to zero:
     that much is rounding from the basis, and a cut on the projected column
     alone would lose the input's scale."""
-    W, k = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
+    W, k, _ = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
     Wt = np.swapaxes(W, 1, 2)
     Bo = Wt @ B
     norm = np.linalg.norm

@@ -5,7 +5,9 @@ least-squares solve with a corner-stability hinge), and the row
 truncation those conditions make exact. Row i is truncated to the Krylov
 subspace span{a, a Aw, ...} of its coupling row a = A12[i] under
 Aw = A22 + K A12, at most n_i states of it, so every condition and reduced
-row depends on the pair (W, V) alone, not on the hidden coordinates.
+row depends on the pair (W, V) alone, not on the hidden coordinates. The
+bases come from the one Arnoldi kernel, ``linalg.column_staircases``, on
+(Aw^T, a) with a cap of n_i steps.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
 from .linalg import (
     RANK_CUT,
     check_tolerance,
+    column_staircases,
     eigenvalues,
     is_stable_spectrum,
     stability_distance,
@@ -128,73 +131,37 @@ def _check_spec_dims(base: PartitionedRealization, spec: SynthesisSpec):
 
 
 def _row_groups(base: PartitionedRealization, spec: SynthesisSpec):
-    """Rows with a nonzero coupling vector grouped by order: for each order,
-    the order, the row indices and their rows of A12."""
+    """Rows grouped by order: for each order, the order, the row indices and
+    their rows of A12."""
     groups: dict[int, list[int]] = {}
-    for i in range(base.p):
-        if base.q and np.any(base.A12[i]):
-            groups.setdefault(spec.orders[i], []).append(i)
+    for i, ni in enumerate(spec.orders):
+        groups.setdefault(ni, []).append(i)
     return [(ni, idx, base.A12[idx]) for ni, idx in groups.items()]
 
 
-def _krylov_tails(Aw: np.ndarray, a: np.ndarray, ni: int):
-    """Orthonormal bases of the rows' Krylov subspaces for a stack of gains.
-
-    ``Aw`` (N, q, q) stacks A22 + K A12 over the gains and ``a`` (r, q)
-    holds the nonzero coupling rows of one order group. For every gain and
-    row, Arnoldi with one re-orthogonalization runs from +a/||a|| through
-    span{a, a Aw, a Aw^2, ...}, forming no power of Aw. It stops after ni
-    directions, or at order k < ni when the next direction has norm at most
-    RANK_CUT max(||Aw||_2, ||a||), the cut of ``linalg.column_staircases``.
-    Returns T (N, r, ni, q), holding each basis in its first k rows and
-    zeros below, the orders k (N, r), and the next direction (N, r, q), the
-    part of the last basis row times Aw outside span T (zero when T spans
-    all q hidden states); its norm is what truncation to T drops.
-    """
-    N, q = Aw.shape[0], Aw.shape[-1]
-    r = a.shape[0]
-    anorm = np.linalg.norm(a, axis=1)
-    if ni > 1:
-        cut = RANK_CUT * np.maximum(np.linalg.norm(Aw, 2, axis=(-2, -1))[:, None], anorm)
-    T = np.zeros((N, r, ni, q))
-    k = np.full((N, r), ni)
-    nxt = np.zeros((N, r, q))
-    v = np.broadcast_to(a / anorm[:, None], (N, r, q))
-    for j in range(min(ni, q - 1)):
-        T[:, :, j] = v
-        w = v @ Aw
-        basis = T[:, :, : j + 1]
-        for _ in range(2):
-            w -= ((basis @ w[..., None]).swapaxes(-2, -1) @ basis)[..., 0, :]
-        norm = np.linalg.norm(w, axis=-1)
-        live = k > j
-        stop = live if j + 1 == ni else live & (norm <= cut)
-        k = np.where(stop, j + 1, k)
-        nxt = np.where(stop[..., None], w, nxt)
-        going = live & ~stop
-        v = np.where(going[..., None], w / np.where(going, norm, 1.0)[..., None], 0.0)
-    if ni == q:
-        T[:, :, -1] = v
-    return T, k, nxt
-
-
 def _row_terms(base: PartitionedRealization, Ks: np.ndarray, groups):
-    """A11 - A12 K and, per order group, the row indices, T A_K,
-    T (K B1 + B2), the next Krylov direction and the corner spectrum
-    eig(T Aw T^T) for a stack of gains, T from ``_krylov_tails``. The zero
-    states that pad a row cut short at order k < n_i get corner eigenvalues
-    that move no margin: 0 in discrete time, and in continuous time a value
-    left of the whole order-k spectrum."""
+    """A11 - A12 K and, per order group, the row indices, the orders k,
+    T A_K, T (K B1 + B2), the next Krylov direction and the corner spectrum
+    eig(T Aw T^T) for a stack of gains. T (N, r, n_i, q) holds each row's
+    basis in its first k rows and zeros below; the bases, orders and next
+    directions of a group come from one ``linalg.column_staircases`` sweep
+    over (Aw^T, a) capped at n_i steps, whose rows share one product per
+    gain. The zero states that pad a row cut short at order k < n_i get
+    corner eigenvalues that move no margin: 0 in discrete time, and in
+    continuous time a value left of the whole order-k spectrum."""
     Wd, AK, Bh, Aw = gain_blocks(base, Ks)
     terms = []
     for ni, idx, a in groups:
-        T, k, nxt = _krylov_tails(Aw, a, ni)
+        V, k, nxt = column_staircases(np.swapaxes(Aw, -2, -1)[:, None], a, steps=ni)
+        T = np.swapaxes(V, -2, -1)
+        if T.shape[-2] < ni:  # every row of the group stopped short of n_i
+            T = np.concatenate([T, np.zeros(k.shape + (ni - T.shape[-2], base.q))], axis=-2)
         corner = T @ Aw[:, None] @ T.swapaxes(-2, -1)
         pad = np.arange(ni) >= k[..., None]
         if base.domain == "continuous" and pad.any():
             fill = -1.0 - np.abs(corner).sum(axis=(-2, -1))[..., None]
             corner += np.eye(ni) * np.where(pad, fill, 0.0)[..., None, :]
-        terms.append((idx, T @ AK[:, None], T @ Bh[:, None], nxt, eigenvalues(corner)))
+        terms.append((idx, k, T @ AK[:, None], T @ Bh[:, None], nxt, eigenvalues(corner)))
     return Wd, terms
 
 
@@ -207,9 +174,9 @@ def _condition_rows(
 
     ``Ks`` has shape (N, q, p); the result is the (N, p, 6) residual rows
     and the (N, p) margins that ``mm_conditions`` reports for each gain.
-    Rows are grouped by order so that each group's Krylov tails are built
-    once over the whole stack and every product, norm and spectrum is one
-    batched call.
+    Rows are grouped by order so that each group's Krylov bases come from
+    one sweep over the whole stack and every product, norm and spectrum is
+    one batched call. A row of order 0 has no corner, so its margin is inf.
     """
     N, p = Ks.shape[0], base.p
     outW = spec.maskW == 0
@@ -219,7 +186,7 @@ def _condition_rows(
     margins = np.full((N, p), np.inf)
     rows[:, :, 0] = np.max(np.abs(Wd) * outW, axis=-1, initial=0.0)
     rows[:, :, 1] = np.max(np.abs(base.B1) * outV, axis=-1, initial=0.0)
-    for idx, TW, TV, nxt, eigs in terms:
+    for idx, k, TW, TV, nxt, eigs in terms:
         rows[:, idx, 2] = np.max(
             np.abs(TW) * outW[idx, None, :], axis=(-2, -1), initial=0.0
         )
@@ -228,8 +195,12 @@ def _condition_rows(
         )
         rows[:, idx, 4] = np.linalg.norm(nxt, axis=-1)
         rows[:, idx, 5] = np.max(stability_distance(eigs, base.domain), axis=-1)
-        margins[:, idx] = stability_margin(eigs, base.domain)
+        margins[:, idx] = np.where(k > 0, stability_margin(eigs, base.domain), np.inf)
     return rows, margins
+
+
+def _report(rows: np.ndarray, margins: np.ndarray, tol: float) -> ConditionReport:
+    return ConditionReport(rows=rows, margins=margins, tol=tol, passed=bool(np.all(rows <= tol)))
 
 
 def mm_conditions(
@@ -243,19 +214,18 @@ def mm_conditions(
     Conditions 1 and 2 zero the masked-out entries of A11 - A12 K and B1.
     Row i keeps T, the orthonormal basis of its Krylov subspace
     span{a, a Aw, ...} (a = A12[i], Aw = A22 + K A12), of order n_i, or k
-    when the sequence breaks down at k < n_i (see ``_krylov_tails``).
+    when the sequence breaks down at k < n_i; ``linalg.column_staircases``
+    on (Aw^T, a) gives it, and a coupling row a below its cut has order 0.
     Conditions 3 and 4 zero the masked-out entries of T A_K and
     T (K B1 + B2); condition 5 is the norm of the next Krylov direction,
-    the coupling that truncation to T discards; condition 6 is the
-    stability of the corner T Aw T^T.
+    the coupling that truncation to T discards (a itself at order 0);
+    condition 6 is the stability of the corner T Aw T^T.
     """
     tol = check_tolerance(tol)
     _check_spec_dims(base, spec)
     K = SrtrPair(base, K).K
     rows, margins = _condition_rows(base, K[None], spec)
-    rows, margins = rows[0], margins[0]
-    passed = bool(np.all(rows <= tol))
-    return ConditionReport(rows=rows, margins=margins, tol=tol, passed=passed)
+    return _report(rows[0], margins[0], tol)
 
 
 @dataclass(frozen=True)
@@ -274,8 +244,9 @@ CORNER_MARGIN = 0.1
 def _ring_homogeneous_gain(base: PartitionedRealization, spec: SynthesisSpec):
     """For the homogeneous constraint with square invertible A12 the gain is
     pinned down by one scalar: K(alpha) = (alpha I - A22) A12^{-1}. Returns
-    the gain at the alpha grid point with the smallest max residual, or
-    None when A12 is not square and invertible."""
+    the gain at the alpha grid point with the smallest max residual with
+    its condition rows and margins, or None when A12 is not square and
+    invertible."""
     q = base.q
     if q == 0 or base.p != q or np.linalg.matrix_rank(base.A12) < q:
         return None
@@ -289,10 +260,11 @@ def _ring_homogeneous_gain(base: PartitionedRealization, spec: SynthesisSpec):
         grid = -np.geomspace(1e-2, 10.0 * scale, 120)
     else:
         grid = np.linspace(-0.95, 0.95, 120)
-    rows, _ = _condition_rows(base, gain(grid), spec)
+    rows, margins = _condition_rows(base, gain(grid), spec)
     # exact rings tie many grid points at one max residual; the first of
     # argsort's order among them (not argmin's first index) is the one taken
-    return gain(grid[np.argsort(rows.max(axis=(1, 2)))[0]])
+    best = np.argsort(rows.max(axis=(1, 2)))[0]
+    return gain(grid[best]), rows[best], margins[best]
 
 
 def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
@@ -311,7 +283,7 @@ def _least_squares_gain(base: PartitionedRealization, spec: SynthesisSpec):
     def residual(k):
         Wd, terms = _row_terms(base, k.reshape(1, q, p), groups)
         parts = [Wd * outW]
-        for idx, TW, TV, nxt, eigs in terms:
+        for idx, _, TW, TV, nxt, eigs in terms:
             parts += [
                 TW * outW[idx, None, :],
                 TV * outV[idx, None, :],
@@ -356,20 +328,20 @@ def mm_solve(
 
     def candidates():
         # generated lazily, so the least-squares solve runs only when the
-        # closed-form candidate fails
-        if spec.extra == RING_HOMOGENEOUS:
-            K = _ring_homogeneous_gain(base, spec)
-            if K is not None:
-                yield K
+        # closed-form candidate fails; the closed form brings the report of
+        # its grid point
+        found = _ring_homogeneous_gain(base, spec) if spec.extra == RING_HOMOGENEOUS else None
+        if found is not None:
+            yield found[0], _report(*found[1:], opts.tol)
         if q:
-            yield _least_squares_gain(base, spec)
+            K = _least_squares_gain(base, spec)
+            yield K, mm_conditions(base, K, spec, opts.tol)
 
     def rank_key(report: ConditionReport) -> tuple:
         per = report.per_condition_max()
         return (float(per[5]), report.max_residual())
 
-    for K in candidates():
-        rep = mm_conditions(base, K, spec, opts.tol)
+    for K, rep in candidates():
         if rep.passed:
             return K
         if rank_key(rep) < rank_key(best_report):
@@ -390,24 +362,24 @@ def reduce_rows(
     """Per-row realizations of [W V] of order at most n_i.
 
     Row i keeps the hidden states T x2, with T the orthonormal basis of
-    span{a, a Aw, a Aw^2, ...} (a = A12[i], Aw = A22 + K A12) from Arnoldi
-    run for n_i steps; a row whose sequence breaks down at k < n_i keeps k
-    states. The row is (T Aw T^T, T Bw, ||a|| e_1, Dw_i). This is exact when
-    the next Krylov direction (condition 5) vanishes, so rows whose
-    relative coupling exceeds ``tol`` raise InexactTruncationError. Rows
-    with a zero coupling vector come back as order-0 constants.
+    span{a, a Aw, a Aw^2, ...} (a = A12[i], Aw = A22 + K A12) from
+    ``linalg.column_staircases`` on (Aw^T, a) capped at n_i steps, one
+    sweep per order group; a row whose sequence breaks down at k < n_i
+    keeps k states, and a row whose coupling a is below the cut comes back
+    as an order-0 constant. The row is (T Aw T^T, T Bw, ||a|| e_1, Dw_i).
+    This is exact when the next Krylov direction (condition 5, a itself at
+    order 0) vanishes, so rows whose discarded coupling exceeds ``tol``
+    times max(1, ||Aw||_2) raise InexactTruncationError.
     """
     tol = check_tolerance(tol)
     _check_spec_dims(base, spec)
     pair = SrtrPair(base, K)
-    p, q, m = base.p, base.q, base.m
     Aw, Bw, Dw = pair.Aw, pair.Bw, pair.Dw
-    scale = max(1.0, float(np.linalg.norm(Aw, 2)) if q else 1.0)
-    empty = np.zeros((0, 0)), np.zeros((0, p + m)), np.zeros((1, 0))
-    rows = [StateSpaceSystem(*empty, Dw[i : i + 1], base.domain) for i in range(p)]
+    scale = max(1.0, float(np.linalg.norm(Aw, 2)) if base.q else 1.0)
+    rows = [None] * base.p
     for ni, idx, a in _row_groups(base, spec):
-        T, k, nxt = _krylov_tails(Aw[None], a, ni)
-        for i, ai, Ti, ki, wi in zip(idx, a, T[0], k[0], nxt[0]):
+        V, k, nxt = column_staircases(Aw.T, a, steps=ni)
+        for i, ai, Vi, ki, wi in zip(idx, a, V, k, nxt):
             resid = float(np.linalg.norm(wi))
             if resid > tol * scale:
                 raise InexactTruncationError(
@@ -415,7 +387,7 @@ def reduce_rows(
                     f"{tol:g} * {scale:.3e}",
                     residual=resid,
                 )
-            Ti = Ti[:ki]
+            Ti = Vi[:, :ki].T
             Ct = np.linalg.norm(ai) * np.eye(1, ki)
             rows[i] = StateSpaceSystem(Ti @ Aw @ Ti.T, Ti @ Bw, Ct, Dw[i : i + 1], base.domain)
     return rows

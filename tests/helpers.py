@@ -293,8 +293,8 @@ def conditions_reference(base, K, spec):
         head = Z[:, orders[i] :].T
         TW = tail @ AK
         TV = tail @ Bh
-        rows[i, 2] = np.max(np.abs(TW[:, outW])) if outW.any() else 0.0
-        rows[i, 3] = np.max(np.abs(TV[:, outV])) if outV.any() else 0.0
+        rows[i, 2] = np.max(np.abs(TW[:, outW]), initial=0.0)
+        rows[i, 3] = np.max(np.abs(TV[:, outV]), initial=0.0)
         coupling = tail @ Aw @ head.T
         rows[i, 4] = float(np.linalg.norm(coupling, 2)) if coupling.size else 0.0
         eigs = eigenvalues(tail @ Aw @ tail.T)

@@ -263,12 +263,12 @@ def test_column_staircases_match_single_column_staircase(domain, n_u):
     pairs = [planted_unreachable(rng, 4, n_u, 1, domain, seed % 2 == 0) for seed in range(6)]
     A = np.array([a for a, _ in pairs])
     b = np.array([bb[:, 0] for _, bb in pairs])
-    V, k = column_staircases(A, b)
+    V, k, _ = column_staircases(A, b)
     assert V.shape == (6, 4 + n_u, 4) and list(k) == [4] * 6
     for i in range(6):
         _agrees_with_single_column(A[i], b[i], V[i], k[i])
     Q = rotation(rng, 4 + n_u)
-    Vq, kq = column_staircases(Q @ A @ Q.T, b @ Q.T)
+    Vq, kq, _ = column_staircases(Q @ A @ Q.T, b @ Q.T)
     assert np.array_equal(kq, k)
     for i in range(6):
         _agrees_with_single_column(Q @ A[i] @ Q.T, Q @ b[i], Vq[i], kq[i])
@@ -281,27 +281,71 @@ def test_column_staircases_broadcast_empty_and_zero_column():
     A = rng.normal(size=(5, 5))
     b = rng.normal(size=(3, 5))
     b[1] = 0.0
-    V, k = column_staircases(A, b)
+    V, k, _ = column_staircases(A, b)
     assert V.shape == (3, 5, 5) and list(k) == [5, 0, 5]
     assert not np.any(V[1])
     for i in range(3):
         _agrees_with_single_column(A, b[i], V[i], k[i])
     # a stack of two matrices against the three columns
     stack = np.array([A, np.diag([1.0, 2.0, 3.0, 4.0, 5.0])])[:, None]
-    V, k = column_staircases(stack, b)
+    V, k, _ = column_staircases(stack, b)
     assert V.shape == (2, 3, 5, 5) and k.shape == (2, 3)
     for a in range(2):
         for i in range(3):
             _agrees_with_single_column(stack[a, 0], b[i], V[a, i], k[a, i])
     # three matrices against a stack of two columns: no two pairs share a
     # matrix in the stack's layout
-    V, k = column_staircases(stack[:, 0][[0, 1, 0]], b[[0, 2]][:, None])
+    V, k, _ = column_staircases(stack[:, 0][[0, 1, 0]], b[[0, 2]][:, None])
     assert V.shape == (2, 3, 5, 5) and k.shape == (2, 3)
     for a in range(2):
         for i in range(3):
             _agrees_with_single_column(stack[i % 2, 0], b[2 * a], V[a, i], k[a, i])
-    V, k = column_staircases(np.zeros((0, 0)), np.zeros((4, 0)))
+    V, k, _ = column_staircases(np.zeros((0, 0)), np.zeros((4, 0)))
     assert V.shape == (4, 0, 0) and list(k) == [0] * 4
+
+
+def _capped_layouts(rng):
+    """(A, b) stacks in the three layouts of the sweep: one matrix for
+    every column (G = 1), one matrix per column (M = 1), and columns shared
+    by a stack of matrices. Reachable orders 4 of 6, full and 0: a zero
+    column and one 1e-12 of the data's size."""
+    pairs = [planted_unreachable(rng, 4, 2, 3, "continuous", True) for _ in range(3)]
+    A = np.array([a for a, _ in pairs])
+    b = np.vstack([pairs[0][1].T, rng.normal(size=(1, 6)), np.zeros((1, 6))])
+    b[2] *= 1e-12
+    yield A[0], b
+    yield A, np.array([bb[:, 0] for _, bb in pairs])
+    yield A[:, None], b
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 4, 5, 6, 9])
+def test_column_staircases_step_cap_and_last_direction(steps):
+    # a capped sweep is the uncapped one cut at the cap, and its last
+    # direction is the next Arnoldi direction (I - V V^T) A v_{k-1}: the one
+    # below the cut, the one the cap left, b itself at order 0, zero at n
+    rng = np.random.default_rng(4500)
+    for A, b in _capped_layouts(rng):
+        V, k, x = column_staircases(A, b)
+        Vs, ks, xs = column_staircases(A, b, steps=steps)
+        assert np.array_equal(ks, np.minimum(k, steps))
+        assert np.array_equal(Vs, V[..., : Vs.shape[-1]])
+        stack = ks.shape
+        As = np.broadcast_to(A, stack + (6, 6))
+        bs = np.broadcast_to(b, stack + (6,))
+        for i in np.ndindex(stack):
+            Vi = Vs[i][:, : ks[i]]
+            if ks[i] == 0:
+                assert np.array_equal(xs[i], bs[i])
+            elif ks[i] == 6:
+                assert not np.any(xs[i])
+            else:
+                want = As[i] @ Vi[:, -1]
+                want -= Vi @ (Vi.T @ want)
+                np.testing.assert_allclose(xs[i], want, rtol=0, atol=1e-12)
+            if ks[i] == k[i]:
+                assert np.array_equal(xs[i], x[i])
+    with pytest.raises(InvalidInputError, match="step cap"):
+        column_staircases(A, b, steps=-1)
 
 
 def test_column_staircases_decide_by_the_exact_norm_between_its_bounds():

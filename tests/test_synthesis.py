@@ -17,7 +17,7 @@ from helpers import (
 )
 from srtrkit import fixtures
 from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
-from srtrkit.linalg import eigenvalues, sample_complex_points
+from srtrkit.linalg import column_staircases, eigenvalues, sample_complex_points
 from srtrkit.rational import siso_rational
 from srtrkit.srtr import SrtrPair
 from srtrkit.systems import StateSpaceSystem, eval_tfm
@@ -25,7 +25,6 @@ from srtrkit.synthesis import (
     SolveOptions,
     SynthesisSpec,
     _condition_rows,
-    _krylov_tails,
     _row_groups,
     dense_spec,
     mm_conditions,
@@ -120,13 +119,21 @@ def _kernel_cases():
     """(base, gains, spec) triples that reach every branch of the kernel:
     rotated block networks with first-order rows and with order bounds
     1 + block size, at which the known gain breaks down, a zero coupling
-    row, no hidden state, and discrete time."""
+    row, a coupling row at the noise level, no hidden state, and discrete
+    time."""
     rng = np.random.default_rng(808)
     for p in (3, 9, 15):
         pair, mask, sizes = block_network(rng, p)
         gains = [pair.K + t * rng.normal(size=pair.K.shape) for t in (0.0, 0.3, 0.3)]
         for orders in ((1,) * p, tuple(1 + b for b in sizes)):
             yield pair.base, gains, SynthesisSpec(mask, mask, orders)
+    # the staircase cuts a coupling row 1e-12 of its size to order 0
+    pair, mask, sizes = block_network(np.random.default_rng(808), 9)
+    b = pair.base
+    A12 = b.A12.copy()
+    A12[0] *= 1e-12
+    noisy = b.__class__(b.A11, A12, b.A21, b.A22, b.B1, b.B2)
+    yield noisy, [pair.K], SynthesisSpec(mask, mask, tuple(1 + b for b in sizes))
     base = random_partitioned(rng, 3, 4, 2)
     base = base.__class__(
         base.A11, np.vstack([np.zeros((1, 4)), base.A12[1:]]), base.A21,
@@ -160,11 +167,11 @@ def test_condition_kernel_matches_row_reference():
             np.testing.assert_allclose(report.margins, ref_margins, rtol=1e-12, atol=1e-12)
             orders = np.zeros(base.p, dtype=int)
             for ni, idx, a in _row_groups(base, spec):
-                T, k, _ = _krylov_tails(pair.Aw[None], a, ni)
-                orders[idx] = k[0]
-                basis = T[0] @ T[0].swapaxes(-2, -1)
+                V, k, _ = column_staircases(pair.Aw.T, a, steps=ni)
+                orders[idx] = k
+                s = V.shape[-1]
                 np.testing.assert_allclose(
-                    basis, np.eye(ni) * (np.arange(ni) < k[0][:, None, None]), atol=1e-12
+                    V.swapaxes(-2, -1) @ V, np.eye(s) * (np.arange(s) < k[:, None, None]), atol=1e-12
                 )
             np.testing.assert_array_equal(orders, ref_orders)
 
