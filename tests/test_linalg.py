@@ -324,6 +324,9 @@ def test_column_staircases_step_cap_and_last_direction(steps):
     # direction is the next Arnoldi direction (I - V V^T) A v_{k-1}: the one
     # below the cut, the one the cap left, b itself at order 0, zero at n
     rng = np.random.default_rng(4500)
+    # nonzero columns at order 0: the 1e-12 one, in 1 + 3 pairs of the G = 1
+    # and shared layouts; at cap 0, all 19 nonzero ones
+    below = 0
     for A, b in _capped_layouts(rng):
         V, k, x = column_staircases(A, b)
         Vs, ks, xs = column_staircases(A, b, steps=steps)
@@ -336,6 +339,7 @@ def test_column_staircases_step_cap_and_last_direction(steps):
             Vi = Vs[i][:, : ks[i]]
             if ks[i] == 0:
                 assert np.array_equal(xs[i], bs[i])
+                below += bool(bs[i].any())
             elif ks[i] == 6:
                 assert not np.any(xs[i])
             else:
@@ -344,6 +348,7 @@ def test_column_staircases_step_cap_and_last_direction(steps):
                 np.testing.assert_allclose(xs[i], want, rtol=0, atol=1e-12)
             if ks[i] == k[i]:
                 assert np.array_equal(xs[i], x[i])
+    assert below == (4 if steps else 19)
     with pytest.raises(InvalidInputError, match="step cap"):
         column_staircases(A, b, steps=-1)
 
