@@ -10,13 +10,17 @@ and ``systems.is_minimal`` in alternating rounds on rotated block networks
 (``perfbench/inputs.stable_pair``, p = 12, 24, 48), and the Krylov stage
 of synthesis (``synthesis.mm_conditions`` at one gain, the condition rows
 of the 120-gain alpha grid of ``mm_solve``, and ``synthesis.reduce_rows``)
-on exact rings (``perfbench/inputs.exact_ring``, p = 7, 12, 24, 48), all
-built once with the builders of the change's checkout and loaded by both
-sides. It reports each call's best time with the quartiles of all its
-timed calls, checks that both sides give equal masks, equal normal-form
-orders and entry degrees, equal staircase orders k, equal minimality
-verdicts and bit-equal condition rows, margins and reduced rows, measures
-the largest move of a normal-form coefficient, and adds the result as
+on exact rings (``perfbench/inputs.exact_ring``, p = 7, 12, 24, 48), and
+the Riccati stage (``factorization.solve_ctnare`` after
+``to_kontroller_form``) on minimal plants
+(``perfbench/inputs.kontroller_plant``, p = 3, 5, 7, 12), all built once
+with the builders of the change's checkout and loaded by both sides. It
+reports each call's best time with the quartiles of all its timed calls,
+checks that both sides give equal masks, equal normal-form orders and
+entry degrees, equal staircase orders k, equal minimality verdicts and
+bit-equal condition rows, margins and reduced rows, measures the largest
+move of a normal-form coefficient and of a Riccati solution K, reports
+each side's Riccati residual and cond(V1), and adds the result as
 ``structure_sweep`` to ``BENCH_<pr>.json`` (written before by
 ``bench_pairs.py``). Run from the root of the repository.
 """
@@ -34,12 +38,16 @@ from bench_pairs import SIDES, unpack  # also pins BLAS to one thread
 BLOCK_SIZES = (9, 15, 30, 48)
 DENSE_SIZES = (12, 24, 48)
 RING_SIZES = (7, 12, 24, 48)
+# past p = 12 place_poles stops converging and the plant builder redraws
+# for minutes
+PLANT_SIZES = (3, 5, 7, 12)
 SWEEP_ROUNDS = 3  # alternating sweeps per side
 MIN_CALLS, MIN_SECONDS = 3, 0.3  # timed calls per function, size and sweep
 CALLS = ("zero_entries", "sparsity_pattern", "nrf_from_srtr", "is_minimal")
 RING_CALLS = ("mm_conditions", "condition_grid", "reduce_rows")
 NAMES = ["block-p%d" % p for p in BLOCK_SIZES] + ["dense-p%d" % p for p in DENSE_SIZES]
 RINGS = ["ring-p%d" % p for p in RING_SIZES]
+PLANTS = ["plant-p%d" % p for p in PLANT_SIZES]
 BLOCKS = ("A11", "A12", "A21", "A22", "B1", "B2", "K")  # saved per input
 
 
@@ -52,7 +60,7 @@ def inputs_worker(root: str, out: str) -> None:
         sys.path.insert(0, str(root / sub))
     import numpy as np
     from helpers import block_network
-    from inputs import exact_ring, stable_pair
+    from inputs import exact_ring, kontroller_plant, stable_pair
 
     saved = {}
     for p in BLOCK_SIZES:
@@ -66,6 +74,9 @@ def inputs_worker(root: str, out: str) -> None:
     for p in RING_SIZES:
         base, mask, L = exact_ring(np.random.default_rng(9000 + p), p)
         saved.update({"ring-p%d/%s" % (p, key): val for key, val in dict(base, K=L, mask=mask).items()})
+    for p in PLANT_SIZES:
+        plant = kontroller_plant(np.random.default_rng(9100 + p), p)
+        saved.update({"plant-p%d/%s" % (p, key): val for key, val in plant.items()})
     np.savez(out, **saved)
 
 
@@ -86,19 +97,21 @@ def timed(name: str, calls: dict):
 
 
 def sweep_worker(src: str, inputs: str, out: str) -> None:
-    """Times and results of the structure calls and the Krylov stage with
-    the sources in ``src`` on the inputs saved in ``inputs``.
+    """Times and results of the structure calls, the Krylov stage and the
+    Riccati stage with the sources in ``src`` on the inputs saved in
+    ``inputs``.
 
     Writes the timed calls' times, the masks, orders, degrees, staircase
-    orders and verdicts as JSON to ``out``, and the normal-form
-    coefficients, condition rows, margins and reduced rows to
-    ``out + ".npz"``."""
+    orders, verdicts, Riccati residuals and cond(V1) as JSON to ``out``,
+    and the normal-form coefficients, condition rows, margins, reduced rows
+    and Riccati solutions to ``out + ".npz"``."""
     sys.path.insert(0, src)
     import numpy as np
+    from srtrkit.factorization import solve_ctnare, to_kontroller_form
     from srtrkit.linalg import column_staircases, zero_entries
     from srtrkit.srtr import SrtrPair, nrf_from_srtr, sparsity_pattern
     from srtrkit.synthesis import SynthesisSpec, _condition_rows, mm_conditions, reduce_rows
-    from srtrkit.systems import PartitionedRealization, is_minimal
+    from srtrkit.systems import PartitionedRealization, StateSpaceSystem, is_minimal
 
     saved = np.load(inputs)
     result, coeffs = {}, {}
@@ -143,6 +156,15 @@ def sweep_worker(src: str, inputs: str, out: str) -> None:
                        "%s/grid_rows" % name: rows, "%s/grid_margins" % name: margins})
         for i, row in enumerate(got["reduce_rows"]):
             coeffs.update({"%s/row%d/%s" % (name, i, key): getattr(row, key) for key in "ABCD"})
+    for name in PLANTS:
+        A, B, C, F, U = (saved["%s/%s" % (name, key)] for key in "ABCFU")
+        plant = StateSpaceSystem(A, B, C, np.zeros((C.shape[0], B.shape[1])), "continuous")
+        lcf = to_kontroller_form(plant, F, U)
+        times, got = timed(name, {"solve_ctnare": lambda: solve_ctnare(lcf)})
+        sol = got["solve_ctnare"]
+        result[name] = {"times": times, "residual_norm": sol.residual_norm,
+                        "subspace_cond": sol.subspace_cond}
+        coeffs[name + "/K"] = sol.K
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(result, fh)
     np.savez(out + ".npz", **coeffs)
@@ -160,6 +182,17 @@ def coefficient_move(parent, change, name: str) -> float:
             return float("inf")
         moves.append(np.max(np.abs(cc - cp), initial=0.0) / (1.0 + np.max(np.abs(cp), initial=0.0)))
     return float(max(moves))
+
+
+def relative_move(parent, change, key: str) -> float:
+    """max |x_change - x_parent| / max |x_parent| over the array ``key``;
+    inf if its shapes differ."""
+    import numpy as np
+
+    xp, xc = parent[key], change[key]
+    if xp.shape != xc.shape:
+        return float("inf")
+    return float(np.max(np.abs(xc - xp)) / np.max(np.abs(xp)))
 
 
 def structure_sweep(roots: dict, tmp: Path) -> dict:
@@ -203,6 +236,13 @@ def structure_sweep(roots: dict, tmp: Path) -> dict:
                  for side in SIDES}
         speedup = {key: sides["parent"][key]["median"] / sides["change"][key]["median"]
                    for key in sides["parent"]}
+        if name in PLANTS:
+            sizes[name] = dict(
+                sides, speedup=speedup,
+                residual_norm={side: found[side][name]["residual_norm"] for side in SIDES},
+                subspace_cond={side: found[side][name]["subspace_cond"] for side in SIDES},
+                riccati_K_move=relative_move(coeffs["parent"], coeffs["change"], name + "/K"))
+            continue
         if name in RINGS:
             sizes[name] = dict(
                 sides, speedup=speedup, same_conditions=same(name, "one_"),
@@ -222,7 +262,10 @@ def structure_sweep(roots: dict, tmp: Path) -> dict:
                   "(1, 2)-block networks, p = q = m; dense-p*: perfbench/inputs.stable_pair("
                   "default_rng(8000 + p), p), random p = q = m pairs with placed real eig(Aw), "
                   "hidden coordinates rotated; ring-p*: perfbench/inputs.exact_ring("
-                  "default_rng(9000 + p), p), exact p-node rings with their gain L"),
+                  "default_rng(9000 + p), p), exact p-node rings with their gain L; plant-p*: "
+                  "perfbench/inputs.kontroller_plant(default_rng(9100 + p), p), minimal plants "
+                  "with n = 2p states, p inputs and outputs, an output injection F and an "
+                  "orthogonal U"),
         "time": ("best, first quartile, median and third quartile in seconds of each call "
                  "over %d alternating sweeps, each of at least %d calls and %g s per call "
                  "and size after one untimed call, one BLAS thread"
@@ -232,7 +275,8 @@ def structure_sweep(roots: dict, tmp: Path) -> dict:
                   "mm_conditions(base, L, spec) at the ring's gain L, condition_grid: "
                   "synthesis._condition_rows(base, gains, spec) over the 120 gains of "
                   "mm_solve's alpha grid, reduce_rows(base, L, spec); spec: ring masks, "
-                  "first-order rows, ring-homogeneous"),
+                  "first-order rows, ring-homogeneous; on plant-p*: solve_ctnare(lcf) on "
+                  "lcf = to_kontroller_form(plant, F, U), built once"),
         "speedup": "parent median / change median",
         "same_masks": "sparsity_pattern's maskW and maskV are equal on both sides",
         "same_orders": ("NrfPair.order and the (numerator, denominator) degree of every "
@@ -244,6 +288,9 @@ def structure_sweep(roots: dict, tmp: Path) -> dict:
         "coefficient_move": ("max |c_change - c_parent| / (1 + max |c_parent|) over the "
                              "numerator, then the denominator coefficients of every entry "
                              "of [Phi Gamma], the larger of the two"),
+        "residual_norm": "each side's RiccatiSolution.residual_norm",
+        "subspace_cond": "each side's RiccatiSolution.subspace_cond, cond(V1)",
+        "riccati_K_move": "max |K_change - K_parent| / max |K_parent| over the Riccati solution",
         "sizes": sizes,
     }
 

@@ -244,13 +244,14 @@ def to_kontroller_form(sys: StateSpaceSystem, F, U) -> LcfOverS:
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Right-stabilizing solution K of
-    K(A11+F1) - K A12 K + (A21+F2) - A22 K = 0."""
+    K(A11+F1) - K A12 K + (A21+F2) - A22 K = 0, read off the reordered
+    Schur basis [V1; V2] as K = V2 V1^{-1} (Laub's method), with the
+    spectrum of the closed matrix A11+F1 - A12 K and cond(V1)."""
 
     K: np.ndarray
     residual_norm: float
     closed_spectrum: np.ndarray
     subspace_cond: float
-    subset: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -333,29 +334,6 @@ def _greedy_groups(blocks: list[np.ndarray], p: int) -> list[int] | None:
 COND_CAP = 1e10
 
 
-def _candidate_from_basis(lcf: LcfOverS, basis: np.ndarray, subset: np.ndarray):
-    p = lcf.p
-    Q, _ = np.linalg.qr(basis)
-    V1, V2 = Q[:p], Q[p:]
-    cond1 = float(np.linalg.cond(V1))
-    if not np.isfinite(cond1) or cond1 > COND_CAP:
-        return None, cond1
-    K = V2 @ np.linalg.inv(V1)
-    closed = eigenvalues(gain_blocks(lcf._poles, K)[0])
-    if not np.all(in_stability_region(closed, lcf.domain)):
-        return None, cond1
-    return (
-        RiccatiSolution(
-            K=K,
-            residual_norm=riccati_residual(lcf, K),
-            closed_spectrum=closed,
-            subspace_cond=cond1,
-            subset=subset,
-        ),
-        cond1,
-    )
-
-
 def solve_ctnare(lcf: LcfOverS) -> RiccatiSolution:
     """Right-stabilizing Riccati solution from a p-dimensional invariant
     subspace of the sign-flipped pole matrix.
@@ -369,9 +347,12 @@ def solve_ctnare(lcf: LcfOverS) -> RiccatiSolution:
     form, reordered by position (LAPACK ``trsen``) to put the chosen
     eigenvalues first, which stays accurate on near-defective spectra. Each
     chosen eigenvalue claims the nearest diagonal block of its own, so it is
-    split from an equal eigenvalue that is left out. The cost is polynomial
-    in p. A solution whose residual exceeds 1e-10 (1 + ||blocks.A||_F)
-    raises NumericalFailureError.
+    split from an equal eigenvalue that is left out. The first p Schur
+    vectors [V1; V2] are orthonormal, and K = V2 V1^{-1} is read straight
+    off them (Laub's method); K does not depend on the basis of the
+    subspace. The cost is polynomial in p. A cond(V1) above COND_CAP or a
+    closed spectrum outside the region raises NoSolutionError, and a
+    residual above 1e-10 (1 + ||blocks.A||_F) NumericalFailureError.
     """
     import scipy.linalg  # deferred: importing it would double CLI start-up
 
@@ -422,18 +403,24 @@ def solve_ctnare(lcf: LcfOverS) -> RiccatiSolution:
         raise NumericalFailureError(
             f"Schur reordering put {sdim} eigenvalues first, expected {p}"
         )
-    subset = np.concatenate([[z] if z.imag == 0.0 else [z, np.conj(z)] for z in chosen])
-    best, cond1 = _candidate_from_basis(lcf, Z[:, :p], subset)
-    if best is None:
+    V1 = Z[:p, :p]
+    cond1 = float(np.linalg.cond(V1))
+    closed = None
+    if np.isfinite(cond1) and cond1 <= COND_CAP:
+        K = Z[p:, :p] @ np.linalg.inv(V1)
+        Ac, A_K = gain_blocks(lcf._poles, K)[:2]
+        closed = eigenvalues(Ac)
+    if closed is None or not np.all(in_stability_region(closed, lcf.domain)):
         raise NoSolutionError(
             "no invariant subspace gave an invertible, stabilizing V1",
             best_cond=cond1 if np.isfinite(cond1) else None,
         )
-    if best.residual_norm > tol:
+    residual = float(np.linalg.norm(A_K))
+    if residual > tol:
         raise NumericalFailureError(
-            f"Riccati residual {best.residual_norm:.3e} above tolerance {tol:.3e}"
+            f"Riccati residual {residual:.3e} above tolerance {tol:.3e}"
         )
-    return best
+    return RiccatiSolution(K, residual, closed, cond1)
 
 
 def srtr_from_lcf(lcf: LcfOverS, solution: RiccatiSolution | None = None) -> SrtrPair:

@@ -375,43 +375,36 @@ def zero_entries(A, B, C, D, tol: float = RANK_CUT) -> np.ndarray:
     return zero
 
 
+# half-width of the first square of candidates about the poles' barycenter
+SAMPLE_RADIUS = 2.0
+
+
 def sample_complex_points(
     poles,
     count: int,
     seed: int = 0,
-    radius: float = 2.0,
     min_distance: float = 0.1,
     max_draws: int = 200,
 ) -> np.ndarray:
     """Seeded sample points on a complex disk, kept away from given poles.
 
     The disk is centered at the barycenter of ``poles`` (origin when empty).
-    Each radius gets ``max_draws`` candidates from one draw of the stream;
-    the candidates closer than ``min_distance`` to a pole are dropped at
-    once, and the rest are taken in order unless within 1e-6 of a point
-    already taken. The disk doubles while too few points are found, and
-    past radius 1e6 the search fails. When the first ``count`` candidates
-    of the first draw are pairwise at least 1e-6 apart, they are taken at
-    once: the same points that the one-by-one test takes.
+    Each radius, SAMPLE_RADIUS first, gets ``max_draws`` candidates from one
+    draw of the stream; the candidates closer than ``min_distance`` to a pole
+    are dropped at once, and the rest are taken in order unless within 1e-6
+    of a point already taken. The disk doubles while too few points are
+    found, and past radius 1e6 the search fails.
     """
     poles = np.atleast_1d(np.asarray(poles, dtype=complex))
     center = poles.mean() if poles.size else 0.0 + 0.0j
     rng = np.random.default_rng(seed)
     picked: list[complex] = []
-    r = radius
+    r = SAMPLE_RADIUS
     while len(picked) < count:
         u = rng.uniform(-1, 1, size=2 * max_draws)
         z = center + r * (u[0::2] + 1j * u[1::2])
         if poles.size:
             z = z[np.min(np.abs(poles - z[:, None]), axis=1) >= min_distance]
-        if not picked and z.size >= count:
-            # the loop below takes the first count candidates when no two
-            # of them are within 1e-6
-            first = z[:count]
-            gaps = np.abs(first[:, None] - first)
-            gaps[np.diag_indices(count)] = np.inf
-            if np.all(gaps >= 1e-6):
-                return first.copy()
         for w in z:
             if len(picked) == count:
                 break

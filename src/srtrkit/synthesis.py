@@ -28,6 +28,7 @@ from .linalg import (
     column_staircases,
     eigenvalues,
     is_stable_spectrum,
+    rank_with_tolerance,
     stability_distance,
     stability_margin,
     zero_entries,
@@ -248,7 +249,7 @@ def _ring_homogeneous_gain(base: PartitionedRealization, spec: SynthesisSpec):
     its condition rows and margins, or None when A12 is not square and
     invertible."""
     q = base.q
-    if q == 0 or base.p != q or np.linalg.matrix_rank(base.A12) < q:
+    if q == 0 or base.p != q or rank_with_tolerance(base.A12) < q:
         return None
     A12inv = np.linalg.inv(base.A12)
 
@@ -393,22 +394,14 @@ def reduce_rows(
     return rows
 
 
-def _rows_list(pair_or_rows) -> list[StateSpaceSystem] | None:
-    if isinstance(pair_or_rows, (list, tuple)):
-        return list(pair_or_rows)
-    inner = getattr(pair_or_rows, "rows", None)
-    if inner is not None:
-        return list(inner)
-    return None
-
-
 def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = RANK_CUT) -> bool:
     """Structure and stability in one verdict.
 
     For a pair: its sparsity pattern must be contained in the masks and its
-    hidden dynamics stable. For reduced rows: each row must be stable and its
-    transfer-matrix entries identically zero wherever the masks say so (the
-    coupling diagonal is exempt, mirroring the pattern convention).
+    hidden dynamics stable. For a list or tuple of reduced rows: each row
+    must be stable and its transfer-matrix entries identically zero wherever
+    the masks say so (the coupling diagonal is exempt, mirroring the pattern
+    convention). Anything else raises TypeError.
     """
     tol = check_tolerance(tol)
     if isinstance(pair_or_rows, SrtrPair):
@@ -416,12 +409,11 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = RANK_CUT) 
         ok_w = bool(np.all(pat.maskW <= np.maximum(spec.maskW, np.eye(spec.p, dtype=int))))
         ok_v = bool(np.all(pat.maskV <= spec.maskV))
         return ok_w and ok_v and srtr_is_stable(pair_or_rows)
-    rows = _rows_list(pair_or_rows)
-    if rows is None:
+    if not isinstance(pair_or_rows, (list, tuple)):
         raise TypeError(
             f"expected SrtrPair or a row collection, got {type(pair_or_rows).__name__}"
         )
-    for i, row in enumerate(rows):
+    for i, row in enumerate(pair_or_rows):
         if not is_stable_spectrum(row.A, row.domain):
             return False
         allowed = np.concatenate([spec.maskW[i], spec.maskV[i]]).astype(bool)

@@ -268,8 +268,9 @@ def conditions_reference(base, K, spec):
     time on the staircase: row i keeps the first min(k, n_i) columns of
     ``controllability_staircase(Aw.T, a[:, None])`` (a = A12[i], k its
     reachable order) as its tail, and the rest as its head; condition 5 is
-    the norm of the coupling tail Aw head^T. Rows with a zero coupling
-    vector get order 0."""
+    the norm of the coupling tail Aw head^T, or ||a|| for a row cut to
+    order 0, whose every state is dropped. Rows with a zero coupling vector
+    get order 0."""
     pair = SrtrPair(base, K)
     p = base.p
     Wd = base.A11 - base.A12 @ pair.K
@@ -295,7 +296,7 @@ def conditions_reference(base, K, spec):
         TV = tail @ Bh
         rows[i, 2] = np.max(np.abs(TW[:, outW]), initial=0.0)
         rows[i, 3] = np.max(np.abs(TV[:, outV]), initial=0.0)
-        coupling = tail @ Aw @ head.T
+        coupling = tail @ Aw @ head.T if orders[i] else a
         rows[i, 4] = float(np.linalg.norm(coupling, 2)) if coupling.size else 0.0
         eigs = eigenvalues(tail @ Aw @ tail.T)
         rows[i, 5] = max(

@@ -270,7 +270,6 @@ def test_riccati_solution_dict():
         residual_norm=0.0,
         closed_spectrum=np.array([-1.0 + 0j]),
         subspace_cond=1.0,
-        subset=(0,),
     )
     d = sol.as_dict()
     assert set(d) == {"K", "residualNorm", "closedSpectrum", "subspaceCond"}
@@ -347,15 +346,11 @@ def test_round_trip_discrete():
 
 def test_srtr_from_lcf_rejects_bad_solution():
     lcf = ring_lcf()
-    wrong_shape = RiccatiSolution(
-        np.zeros((2, 2)), 0.0, np.zeros(0, dtype=complex), 1.0, ()
-    )
+    wrong_shape = RiccatiSolution(np.zeros((2, 2)), 0.0, np.zeros(0, dtype=complex), 1.0)
     with pytest.raises(Exception):
         srtr_from_lcf(lcf, wrong_shape)
     sol = solve_ctnare(lcf)
-    unstable = RiccatiSolution(
-        sol.K + 50.0, 0.0, sol.closed_spectrum, 1.0, sol.subset
-    )
+    unstable = RiccatiSolution(sol.K + 50.0, 0.0, sol.closed_spectrum, 1.0)
     with pytest.raises(PreconditionError):
         srtr_from_lcf(lcf, unstable)
 

@@ -426,8 +426,8 @@ def test_sample_complex_points_matches_per_draw_loop():
         sample_complex_points_reference(poles, 3, min_distance=1e7)
 
 def test_sample_complex_points_take_the_first_draw_only_when_it_is_spread(monkeypatch):
-    # the candidates of the first draw are taken at once only when no two
-    # are within 1e-6; the points equal the one-by-one oracle's either way
+    # the points equal the one-by-one oracle's, also when a candidate of the
+    # first draw sits within 1e-6 of one taken before it and is skipped
     rng = np.random.default_rng(12)
     for seed in range(200):
         poles = rng.normal(size=4) + 1j * rng.normal(size=4)

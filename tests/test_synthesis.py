@@ -165,6 +165,9 @@ def test_condition_kernel_matches_row_reference():
             scale = 1.0 + (np.linalg.norm(pair.Bw, 2) if base.q else 0.0)
             np.testing.assert_allclose(report.rows, ref_rows, rtol=1e-12, atol=1e-12 * scale)
             np.testing.assert_allclose(report.margins, ref_margins, rtol=1e-12, atol=1e-12)
+            # condition 5 of a row cut to order 0 is ||a||, at any scale
+            cut = ref_orders == 0
+            np.testing.assert_allclose(report.rows[cut, 4], ref_rows[cut, 4], rtol=1e-12, atol=0)
             orders = np.zeros(base.p, dtype=int)
             for ni, idx, a in _row_groups(base, spec):
                 V, k, _ = column_staircases(pair.Aw.T, a, steps=ni)
@@ -403,6 +406,19 @@ def test_verify_structured_pair_and_rows():
         maskW=np.eye(6, dtype=int), maskV=np.eye(6, dtype=int), orders=(1,) * 6
     )
     assert not verify_structured(rows, tight, tol=1e-3)
+
+
+def test_verify_structured_takes_a_pair_or_a_list_or_tuple_of_rows():
+    from srtrkit.loop import rowwise_implementation
+
+    base, K, spec = ring_inputs()
+    rows = reduce_rows(base, K, spec)
+    assert verify_structured(tuple(rows), spec, tol=1e-3)
+    # implemented rows carry an integrator, so they are not read as rows
+    implemented = rowwise_implementation(fixtures.ring6_pair(), orders=[1] * 6)
+    for other in (implemented, iter(rows), np.array([1.0]), {"rows": rows}):
+        with pytest.raises(TypeError, match="expected SrtrPair or a row collection"):
+            verify_structured(other, spec)
 
 
 def test_verify_structured_exact_pair():
