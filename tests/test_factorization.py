@@ -189,6 +189,21 @@ def test_ctnare_no_stabilizing_solution():
         solve_ctnare(lcf)
 
 
+def test_ctnare_rejects_a_stable_subspace_past_the_cond_cap():
+    # The stable subspace span{e1, e3 + 1e-12 e2} of the sign-flipped pole
+    # matrix is its only one, and its top rows V1 have cond(V1) = 1e12.
+    S = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-12], [0.0, 0.0, 1.0]])
+    H = S @ np.diag([-1.0, 1.0, -2.0]) @ np.linalg.inv(S)
+    blocks = PartitionedRealization(
+        H[:2, :2], -H[:2, 2:], -H[2:, :2], H[2:, 2:], np.zeros((2, 1)), np.zeros((1, 1)),
+        "continuous",
+    )
+    lcf = LcfOverS(blocks, np.zeros((2, 2)), np.zeros((1, 2)), np.eye(2))
+    with pytest.raises(NoSolutionError, match="invertible, stabilizing V1") as info:
+        solve_ctnare(lcf)
+    assert info.value.best_cond == pytest.approx(1e12, rel=1e-3)
+
+
 def _no_hidden_lcf(rng, domain, stable):
     """LcfOverS with q = 0 whose A11 + F1 has a conjugate pair and one real
     eigenvalue, in a random orthogonal basis; the real one is unstable when
