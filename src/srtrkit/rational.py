@@ -85,12 +85,6 @@ class RationalFn:
     def is_zero(self) -> bool:
         return not np.any(self.num)
 
-    def is_proper(self) -> bool:
-        return self.num_degree <= self.den_degree
-
-    def is_strictly_proper(self) -> bool:
-        return self.is_zero() or self.num_degree < self.den_degree
-
     def __call__(self, lam):
         lam = np.asarray(lam)
         return P.polyval(lam, self.num) / P.polyval(lam, self.den)

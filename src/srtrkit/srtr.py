@@ -3,16 +3,17 @@
 A gain K on a partitioned realization produces the pair (W, V) with hidden
 state dimension n - p; this module constructs the pair, verifies the defining
 identity by sampling (each draw of points in one stacked evaluation of the
-[W V] realization, which a pair builds once), builds the normalized
-(zero-diagonal) form in state space from two stacked single-column
-staircase sweeps (one over the rows, one over every entry) and keeps its
-observable rows, which answer its evaluation in one stacked solve; its
-identically zero entries form no coefficients and share one read-only zero
-function. It reads off sparsity masks by the staircase zero test for a
-pair and a normalized form alike, and certifies coprimeness of
-[lam I - W, V]: its finite zeros are the unreachable modes of the base
-(A, B), found by one orthogonal staircase, and a leading matrix of full
-row rank rules out zeros at infinity.
+[W V] realization, which a pair builds once), and builds the normalized
+(zero-diagonal) form in state space: every row of [W V] reduced to its
+Krylov subspace by one sweep shared by all rows, laid out behind its
+integrator and fed back into its own input. These rows answer its
+evaluation in one stacked solve, one stacked sweep over every entry gives
+its coefficients, and its identically zero entries form no coefficients
+and share one read-only zero function. It reads off sparsity masks by the
+staircase zero test for a pair and a normalized form alike, and certifies
+coprimeness of [lam I - W, V]: its finite zeros are the unreachable modes
+of the base (A, B), found by one orthogonal staircase, and a leading
+matrix of full row rank rules out zeros at infinity.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .systems import (
     PartitionedRealization,
     StateSpaceSystem,
     _guarded_inverse,
+    _integrator_layout,
     _pencils,
     eval_tfm,
     read_only_system,
-    with_integrators,
 )
 
 
@@ -144,13 +145,14 @@ class NrfPair:
     """Normalized form: Phi has an identically zero diagonal and
     G = (I - Phi)^{-1} Gamma.
 
-    Row i of [Phi Gamma] is c_i (lam I - A_i)^{-1} B_i, the observable part
-    of row i fed back into its own input. The rows are stacked in A, B and
-    c, zero-padded to the largest order, and ``order`` holds each row's
-    own. Evaluation and zero entries are answered from these rows. Phi and
-    Gamma hold the entries as RationalFn objects, each formed from a
-    minimal realization, so no entry carries a cancelling root pair; they
-    serve output only.
+    Row i of [Phi Gamma] is c_i (lam I - A_i)^{-1} B_i: row i of
+    lam^{-1} [W V], reduced to its Krylov subspace and laid out behind its
+    integrator, fed back into its own input. The rows are stacked in A, B
+    and c, zero-padded to the largest order, and ``order`` holds each row's
+    own, 1 plus its Krylov order. Evaluation and zero entries are answered
+    from these rows. Phi and Gamma hold the entries as RationalFn objects,
+    each formed from a minimal realization, so no entry carries a
+    cancelling root pair; they serve output only.
     """
 
     Phi: np.ndarray
@@ -206,50 +208,52 @@ def nrf_from_srtr(pair: SrtrPair) -> NrfPair:
     into its own input i solves (lam - W_ii) u_i = sum_j W_ij u_j + V_i z
     for u_i, so Phi[i, j] = W_ij / (lam - W_ii) for j != i and
     Gamma[i, k] = V_ik / (lam - W_ii), and input i no longer reaches the
-    row: the diagonal is exactly zero. Row i is the principal block of the
-    ``with_integrators`` layout of [W V] on its integrator state i and the
-    q hidden states, gathered for every row at once. Its output is its
-    state 0 (C = e_0^T), so the feedback is one move: add column i of B
-    to column 0 of A, then zero column i of B. Input i read u_i = e_0^T x
-    before the move and column 0 of A reads it after, so a loop that
-    closes u_i is unchanged; only the row seen alone changes. One stacked
-    ``column_staircases`` sweep over (A^T, c^T) of every fed-back row keeps
-    each row's observable part, and an input column whose observable
-    component is below RANK_CUT of its own norm is set to zero. These rows,
-    zero-padded to the largest observable order, are what the returned
-    NrfPair evaluates. A second sweep over every entry keeps the part that
-    its input reaches. By Kalman's decomposition what remains is minimal,
-    so each entry's degree is its true McMillan degree and no root is
-    cancelled by tolerance. The entries of one order above 0 get their
-    coefficients from one stacked ``siso_rational`` call; an entry of order
-    0, which its input does not reach past the row's output, forms no
-    coefficients and is the shared read-only zero function
-    (num = [0.], den = [1.], the value ``siso_rational`` gives it). Rows
-    are swept in consecutive
-    groups whose stacks fit in ``STACK_DOUBLES``; a network that fits in
-    one group makes one call per order.
+    row: the diagonal is exactly zero. Row i of [W V] keeps the hidden
+    states T_i x2, with T_i the orthonormal basis of span{a, a Aw, ...}
+    (a = A12[i], Aw = A22 + K A12), as in ``synthesis.reduce_rows`` at full
+    order: its observable part (T_i Aw T_i^T, T_i Bw, a T_i^T, Dw_i). The
+    rows share Aw, so one ``column_staircases`` sweep on (Aw^T, A12) gives
+    every T_i. The rows, zero-padded to the largest order, are laid out
+    behind their integrators by the stacked core of ``with_integrators``.
+    A row's output is its state 0 (C = e_0^T), so the feedback is one
+    move: add column i of B to column 0 of A, then zero column i of B.
+    Input i read u_i = e_0^T x before the move and column 0 of A reads it
+    after, so a loop that closes u_i is unchanged; only the row seen alone
+    changes. The move leaves the row observable: its unobservable subspace
+    lies in ker e_0^T, where the moved A equals the old one. An input
+    column whose reduced part is below RANK_CUT of its full norm
+    ||[Dw_ij; Bw_j]|| is set to zero: that much is rounding from the basis,
+    and a cut on the reduced column alone would lose the input's scale.
+    These rows are what the returned NrfPair evaluates, and ``order`` is 1
+    plus each row's Krylov order. A second sweep over every entry keeps
+    the part that its input reaches. By Kalman's decomposition what
+    remains is minimal, so each entry's degree is its true McMillan degree
+    and no root is cancelled by tolerance. The entries of one order above
+    0 get their coefficients from one stacked ``siso_rational`` call; an
+    entry of order 0, which its input does not reach past the row's
+    output, forms no coefficients and is the shared read-only zero
+    function (num = [0.], den = [1.], the value ``siso_rational`` gives
+    it). Rows are swept in consecutive groups whose entry stacks fit in
+    ``STACK_DOUBLES``; a network that fits in one group makes one call per
+    order.
     """
-    p, q, m = pair.p, pair.q, pair.m
-    kd = with_integrators(pair.wv_system())
+    p, m = pair.p, pair.m
+    Aw, Bw, Cw, Dw = pair.Aw, pair.Bw, pair.Cw, pair.Dw
+    V, k, _ = column_staircases(Aw.T, Cw)
+    T = np.swapaxes(V, 1, 2)
+    A, B = _integrator_layout(T @ Aw @ V, T @ Bw, Cw[:, None] @ V, Dw[:, None])
     i = np.arange(p)
-    states = np.column_stack([i, np.broadcast_to(np.arange(p, p + q), (p, q))])
-    A = kd.A[states[:, :, None], states[:, None, :]]
-    B = kd.B[states]
     A[:, :, 0] += B[i, :, i]
     B[i, :, i] = 0.0
-    n = q + 1
+    norm = np.linalg.norm
+    B *= norm(B, axis=1, keepdims=True) > RANK_CUT * np.hypot(Dw, norm(Bw, axis=0))[:, None]
+    n = A.shape[-1]
+    c = np.repeat(np.eye(1, n), p, axis=0)
     entries = np.full((p, p + m), _ZERO_ENTRY, dtype=object)
-    Ao, Bo, co = np.zeros((p, n, n)), np.zeros((p, n, p + m)), np.zeros((p, n))
-    order = np.zeros(p, dtype=int)
-    for rows in stack_slices(p, n * n):
-        Ar, Br, cr, order[rows] = _observable_parts(A[rows], B[rows])
-        k = Ar.shape[-1]
-        Ao[rows, :k, :k], Bo[rows, :k], co[rows, :k] = Ar, Br, cr
-        for sub in stack_slices(len(Ar), (p + m) * k * k):
-            for r, j, fns in _entry_functions(Ar[sub], Br[sub], cr[sub]):
-                entries[rows.start + sub.start + r, j] = fns
-    k = order.max(initial=0)
-    return NrfPair(entries[:, :p], entries[:, p:], Ao[:, :k, :k], Bo[:, :k], co[:, :k], order)
+    for rows in stack_slices(p, (p + m) * n * n):
+        for r, j, fns in _entry_functions(A[rows], B[rows], c[rows]):
+            entries[rows.start + r, j] = fns
+    return NrfPair(entries[:, :p], entries[:, p:], A, B, c, 1 + k)
 
 
 def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
@@ -270,21 +274,6 @@ def _entry_functions(Ao: np.ndarray, Bo: np.ndarray, co: np.ndarray) -> list:
         )))
     Z = V = None  # free the sweep before the coefficients are formed
     return [(r, j, siso_rational(*abc, np.zeros(r.size))) for r, j, abc in reduced]
-
-
-def _observable_parts(A: np.ndarray, B: np.ndarray):
-    """The observable part (Ao, Bo, co) of each row (A, B, e_0) from one
-    stacked sweep over (A^T, e_0), zero-padded to the largest observable
-    order of the stack, and each row's own order. A column of B whose
-    observable component is below RANK_CUT of the column's norm is set to zero:
-    that much is rounding from the basis, and a cut on the projected column
-    alone would lose the input's scale."""
-    W, k, _ = column_staircases(np.swapaxes(A, 1, 2), np.eye(A.shape[-1])[0])
-    Wt = np.swapaxes(W, 1, 2)
-    Bo = Wt @ B
-    norm = np.linalg.norm
-    Bo *= norm(Bo, axis=1, keepdims=True) > RANK_CUT * norm(B, axis=1, keepdims=True)
-    return Wt @ A @ W, Bo, W[:, 0, :], k
 
 
 @dataclass(eq=False)

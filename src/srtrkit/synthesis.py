@@ -401,7 +401,8 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = RANK_CUT) 
     hidden dynamics stable. For a list or tuple of reduced rows: each row
     must be stable and its transfer-matrix entries identically zero wherever
     the masks say so (the coupling diagonal is exempt, mirroring the pattern
-    convention). Anything else raises TypeError.
+    convention). A collection that is not p rows of 1 output and p + m
+    inputs raises DimensionError; anything else raises TypeError.
     """
     tol = check_tolerance(tol)
     if isinstance(pair_or_rows, SrtrPair):
@@ -412,6 +413,11 @@ def verify_structured(pair_or_rows, spec: SynthesisSpec, tol: float = RANK_CUT) 
     if not isinstance(pair_or_rows, (list, tuple)):
         raise TypeError(
             f"expected SrtrPair or a row collection, got {type(pair_or_rows).__name__}"
+        )
+    shapes = [(row.n_outputs, row.n_inputs) for row in pair_or_rows]
+    if shapes != [(1, spec.p + spec.m)] * spec.p:
+        raise DimensionError(
+            f"expected {spec.p} rows of 1 output and {spec.p + spec.m} inputs, got {shapes}"
         )
     for i, row in enumerate(pair_or_rows):
         if not is_stable_spectrum(row.A, row.domain):

@@ -178,18 +178,24 @@ def minimal_realization(sys: StateSpaceSystem, tol: float | None = None) -> Stat
     return StateSpaceSystem(A, B, C, sys.D.copy(), sys.domain)
 
 
+def _integrator_layout(A, B, C, D) -> tuple:
+    """The A = [[0, C], [0, A]] and B = [D; B] of ``with_integrators`` for
+    one system or a stack of them, (A, B, C, D) of shapes (..., k, k),
+    (..., k, m), (..., p, k) and (..., p, m)."""
+    p, k = C.shape[-2], A.shape[-1]
+    Al = np.zeros(A.shape[:-2] + (p + k, p + k))
+    Al[..., :p, p:] = C
+    Al[..., p:, p:] = A
+    return Al, np.concatenate([D, B], axis=-2)
+
+
 def with_integrators(wv: StateSpaceSystem) -> StateSpaceSystem:
     """lam^{-1} times a system with p outputs: p integrator states in front
     read its outputs and are the new outputs. A = [[0, C], [0, A]],
     B = [D; B], C = [I 0], D = 0."""
-    p, k = wv.n_outputs, wv.n
-    A = np.zeros((p + k, p + k))
-    A[:p, p:] = wv.C
-    A[p:, p:] = wv.A
-    B = np.vstack([wv.D, wv.B])
-    C = np.eye(p, p + k)
-    D = np.zeros((p, wv.n_inputs))
-    return StateSpaceSystem(A, B, C, D, wv.domain)
+    p = wv.n_outputs
+    A, B = _integrator_layout(wv.A, wv.B, wv.C, wv.D)
+    return StateSpaceSystem(A, B, np.eye(p, p + wv.n), np.zeros((p, wv.n_inputs)), wv.domain)
 
 
 @dataclass(frozen=True)

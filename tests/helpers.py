@@ -21,7 +21,7 @@ from srtrkit.linalg import (
 )
 from srtrkit.srtr import SrtrPair
 from srtrkit.synthesis import mm_conditions
-from srtrkit.systems import PartitionedRealization, is_minimal
+from srtrkit.systems import PartitionedRealization, StateSpaceSystem, is_minimal
 
 
 def random_partitioned(rng, p, q, m, domain="continuous", max_tries=50):
@@ -183,6 +183,14 @@ def block_network(rng, p, domain="continuous"):
     sizes = (1, 2) * (p // 3)
     pair, mask = structured_pair(rng, block_sizes=sizes, domain=domain)
     return rotate_hidden(pair, rotation(rng, p)), mask, [b for b in sizes for _ in range(b)]
+
+
+def own_loop_move(row, i, v):
+    """Add v to column 0 of A and subtract it from column i of B."""
+    A, B = row.A.copy(), row.B.copy()
+    A[:, 0] += v
+    B[:, i] -= v
+    return StateSpaceSystem(A, B, row.C, row.D, row.domain)
 
 
 def planted_unreachable(rng, n_c, n_u, m, domain, stable):

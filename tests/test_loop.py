@@ -13,6 +13,7 @@ from helpers import (
     block_network,
     csv_reference,
     forcing_reference,
+    own_loop_move,
     random_pair,
     stable_targets,
 )
@@ -178,14 +179,6 @@ def test_rows_at_the_spec_orders_are_the_reduced_rows_of_the_spec(case):
     for g, w in zip(got, want):
         for name in "ABCD":
             assert np.array_equal(getattr(g, name), getattr(w, name))
-
-
-def own_loop_move(row, i, v):
-    """Add v to column 0 of A and subtract it from column i of B."""
-    A, B = row.A.copy(), row.B.copy()
-    A[:, 0] += v
-    B[:, i] -= v
-    return StateSpaceSystem(A, B, row.C, row.D, row.domain)
 
 
 def test_own_loop_move_keeps_ring_closed_loop():

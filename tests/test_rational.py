@@ -14,11 +14,10 @@ def test_monic_normalization():
 def test_degree_and_properness():
     r = RationalFn([1.0], [1.0, 1.0])
     assert r.num_degree == 0 and r.den_degree == 1
-    assert r.is_strictly_proper() and r.is_proper()
     s = RationalFn([0.0, 1.0], [1.0, 1.0])
-    assert s.is_proper() and not s.is_strictly_proper()
+    assert s.num_degree == s.den_degree == 1
     t = RationalFn([0.0, 0.0, 1.0], [1.0, 1.0])
-    assert not t.is_proper()
+    assert t.num_degree == 2 and t.den_degree == 1
 
 
 def test_zero_function():
@@ -40,7 +39,7 @@ def test_siso_rational_matches_direct_evaluation(k, with_d, seed):
     c = rng.normal(size=k)
     d = rng.normal() if with_d else 0.0
     r = siso_rational(A, b, c, d)
-    assert r.is_strictly_proper() == (d == 0.0)
+    assert (r.is_zero() or r.num_degree < r.den_degree) == (d == 0.0)
     for lam in (0.9 + 0.4j, -1.3, 2.1j):
         want = c @ np.linalg.solve(lam * np.eye(k) - A, b) + d if k else d
         assert r(lam) == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -80,4 +79,4 @@ def test_stacked_siso_rational_matches_single_calls(k):
         assert r.num.shape == one.num.shape and r.den.shape == one.den.shape
         assert np.allclose(r.num, one.num, rtol=1e-12, atol=1e-12)
         assert np.allclose(r.den, one.den, rtol=1e-12, atol=1e-12)
-        assert r.is_strictly_proper() == (di == 0.0)
+        assert (r.is_zero() or r.num_degree < r.den_degree) == (di == 0.0)

@@ -125,10 +125,8 @@ def test_nrf_zero_diagonal_and_closure():
     nrf = nrf_from_srtr(pair)
     for i in range(3):
         assert nrf.Phi[i][i].is_zero()
-        for j in range(3):
-            assert nrf.Phi[i][j].is_strictly_proper() or nrf.Phi[i][j].is_zero()
-        for k in range(2):
-            assert nrf.Gamma[i][k].is_strictly_proper() or nrf.Gamma[i][k].is_zero()
+        for fn in list(nrf.Phi[i]) + list(nrf.Gamma[i]):
+            assert fn.is_zero() or fn.num_degree < fn.den_degree
     for lam in (0.5 + 0.8j, -1.1 + 0.2j):
         phi = nrf.eval_phi(lam)
         gam = nrf.eval_gamma(lam)

@@ -5,9 +5,17 @@ minimality verdicts must not depend on the hidden-state coordinates."""
 import numpy as np
 import pytest
 
-from helpers import block_network, planted_unreachable, random_pair, rotate_hidden, rotation
-from srtrkit import fixtures, srtr
+from helpers import (
+    block_network,
+    own_loop_move,
+    planted_unreachable,
+    random_pair,
+    rotate_hidden,
+    rotation,
+)
+from srtrkit import fixtures
 from srtrkit.linalg import (
+    RANK_CUT,
     controllability_staircase,
     eigenvalues,
     sample_complex_points,
@@ -16,7 +24,7 @@ from srtrkit.linalg import (
 from srtrkit.loop import rowwise_implementation
 from srtrkit.rational import siso_rational
 from srtrkit.srtr import SrtrPair, nrf_from_srtr, sparsity_pattern
-from srtrkit.synthesis import SynthesisSpec, verify_structured
+from srtrkit.synthesis import SynthesisSpec, dense_spec, reduce_rows, verify_structured
 from srtrkit.systems import (
     PartitionedRealization,
     StateSpaceSystem,
@@ -81,27 +89,36 @@ def fed_back_row(pair, i):
     return StateSpaceSystem(A, B, row.C, row.D, wv.domain)
 
 
-@pytest.mark.parametrize("case", ["ring", "discrete"])
-def test_normal_form_feeds_back_the_integrator_layout(case, monkeypatch):
+@pytest.mark.parametrize("case", ["ring", "discrete", "block"])
+def test_normal_form_feeds_back_the_integrator_layout(case):
+    # row i of the normal form is the own-loop move on the integrator
+    # layout of the exact reduce_rows row i, input columns below RANK_CUT
+    # of their full norm ||[Dw_ij; Bw_j]|| cut
     if case == "ring":
         pair = fixtures.ring6_pair()
-    else:
+    elif case == "discrete":
         pair = random_pair(np.random.default_rng(7400), 4, 3, 2, domain="discrete")
-    stacks = []
-    observable_parts = srtr._observable_parts
-
-    def spy(A, B):
-        stacks.append((A.copy(), B.copy()))
-        return observable_parts(A, B)
-
-    monkeypatch.setattr(srtr, "_observable_parts", spy)
-    nrf_from_srtr(pair)
-    A, B = (np.concatenate(s) for s in zip(*stacks))
-    assert len(A) == pair.p
-    for i in range(pair.p):
-        want = fed_back_row(pair, i)
-        assert A[i].tobytes() == want.A.tobytes()
-        assert B[i].tobytes() == want.B.tobytes()
+    else:
+        pair = block_network(np.random.default_rng(7409), 9)[0]
+    nrf = nrf_from_srtr(pair)
+    rows = reduce_rows(pair.base, pair.K, dense_spec(pair.p, pair.m, pair.q))
+    full = np.hypot(pair.Dw, np.linalg.norm(pair.Bw, axis=0))
+    for i, row in enumerate(rows):
+        layout = with_integrators(row)
+        want = own_loop_move(layout, i, layout.B[:, i])
+        B = want.B * (np.linalg.norm(want.B, axis=0) > RANK_CUT * full[i])
+        k = nrf.order[i]
+        assert k == 1 + row.n == want.n
+        for got, ref in ((nrf.A[i, :k, :k], want.A), (nrf.B[i, :k], B), (nrf.c[i, :k], want.C[0])):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert not nrf.A[i, k:].any() and not nrf.A[i, :, k:].any() and not nrf.B[i, k:].any()
+    if case == "block":
+        # the same pair in rotated hidden coordinates: same orders and zero entries
+        rotated = nrf_from_srtr(rotate_hidden(pair, rotation(np.random.default_rng(7410), 9)))
+        assert np.array_equal(rotated.order, nrf.order)
+        for fns in ("Phi", "Gamma"):
+            zero = np.vectorize(lambda fn: fn.is_zero())
+            assert np.array_equal(zero(getattr(rotated, fns)), zero(getattr(nrf, fns)))
 
 
 def oracle_row(pair, i):

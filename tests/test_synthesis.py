@@ -16,7 +16,12 @@ from helpers import (
     structured_pair,
 )
 from srtrkit import fixtures
-from srtrkit.errors import InexactTruncationError, InfeasibleError, InvalidInputError
+from srtrkit.errors import (
+    DimensionError,
+    InexactTruncationError,
+    InfeasibleError,
+    InvalidInputError,
+)
 from srtrkit.linalg import column_staircases, eigenvalues, sample_complex_points
 from srtrkit.rational import siso_rational
 from srtrkit.srtr import SrtrPair
@@ -419,6 +424,18 @@ def test_verify_structured_takes_a_pair_or_a_list_or_tuple_of_rows():
     for other in (implemented, iter(rows), np.array([1.0]), {"rows": rows}):
         with pytest.raises(TypeError, match="expected SrtrPair or a row collection"):
             verify_structured(other, spec)
+
+
+def test_verify_structured_rejects_a_row_count_or_shape_off_the_spec():
+    base, K, spec = ring_inputs()
+    rows = reduce_rows(base, K, spec)
+    r = rows[0]
+    two_outputs = StateSpaceSystem(r.A, r.B, np.vstack([r.C, r.C]), np.vstack([r.D, r.D]), r.domain)
+    short = StateSpaceSystem(r.A, r.B[:, :-1], r.C, r.D[:, :-1], r.domain)
+    # 2 of 6 rows passed and 7 rows raised IndexError before the count was checked
+    for wrong in (rows[:2], rows + rows[:1], [], [two_outputs] + rows[1:], [short] + rows[1:]):
+        with pytest.raises(DimensionError, match="expected 6 rows of 1 output and 12 inputs"):
+            verify_structured(wrong, spec, tol=1e-3)
 
 
 def test_verify_structured_exact_pair():
