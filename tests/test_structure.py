@@ -116,8 +116,8 @@ def test_normal_form_feeds_back_the_integrator_layout(case):
         # the same pair in rotated hidden coordinates: same orders and zero entries
         rotated = nrf_from_srtr(rotate_hidden(pair, rotation(np.random.default_rng(7410), 9)))
         assert np.array_equal(rotated.order, nrf.order)
+        zero = np.vectorize(lambda fn: fn.is_zero())
         for fns in ("Phi", "Gamma"):
-            zero = np.vectorize(lambda fn: fn.is_zero())
             assert np.array_equal(zero(getattr(rotated, fns)), zero(getattr(nrf, fns)))
 
 
